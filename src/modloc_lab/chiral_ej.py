@@ -119,17 +119,13 @@ class SmearingFn:
     [plateau, plateau+ramp_width].  C-infinity for the smooth_bump profile,
     C^1 for raised_cosine; derivatives are closed-form."""
 
-    def __init__(self, center, plateau, ramp_width, profile="smooth_bump",
-                 time_width=0.0):
+    def __init__(self, center, plateau, ramp_width, profile="smooth_bump"):
         if plateau <= 0 or ramp_width <= 0:
             raise ConfigurationError("plateau and ramp_width must be positive")
-        if time_width < 0:
-            raise ConfigurationError("time_width must be >= 0")
         self.center = float(center)
         self.plateau = float(plateau)
         self.ramp_width = float(ramp_width)
         self.profile = profile
-        self.time_width = float(time_width)
         self._r = ramp(profile, 0)
         self._r1 = ramp(profile, 1)
         self._r2 = ramp(profile, 2)
@@ -165,7 +161,7 @@ class SmearingFn:
 
     def translated(self, shift):
         return SmearingFn(self.center + shift, self.plateau, self.ramp_width,
-                          self.profile, self.time_width)
+                          self.profile)
 
 
 class _ScaledSmearing:

@@ -10,8 +10,15 @@ from pathlib import Path
 from ..errors import ConfigurationError
 
 
-def _floats(s):
-    return tuple(float(tok) for tok in str(s).split(",") if tok.strip())
+def _floats(min_len):
+    """Converter for a comma-separated list of at least min_len floats, so
+    that a short list cannot drop its checks or make a fit vacuous."""
+    def conv(s):
+        vals = tuple(float(tok) for tok in str(s).split(",") if tok.strip())
+        if len(vals) < min_len:
+            raise ValueError(f"got {len(vals)} entries, needs at least {min_len}")
+        return vals
+    return conv
 
 
 # key -> (converter, default, (lo, hi) or None)
@@ -22,21 +29,21 @@ _SCHEMAS = {
         "rtol": (float, 1e-7, (0.0, 1.0)),
     },
     "thermal-map": {
-        "betas": (_floats, (1.0, 6.283185307179586), None),
+        "betas": (_floats(1), (1.0, 6.283185307179586), None),
         "grid_n": (int, 100, (4, 100000)),
         "tol": (float, 1e-10, (0.0, 1.0)),
     },
     "entropy-scan": {
         "n_sites": (int, 2000, (64, 100000)),
-        "lengths": (_floats, (8, 16, 32, 64, 128, 256), None),
+        "lengths": (_floats(4), (8, 16, 32, 64, 128, 256), None),
         "tol_r2": (float, 0.995, (0.0, 1.0)),
         "thermal_n_sites": (int, 1200, (64, 100000)),
         "thermal_beta": (float, 6.283185307179586, (1e-3, 1e3)),
-        "thermal_lengths": (_floats, (40, 80, 120, 160, 200, 240), None),
+        "thermal_lengths": (_floats(4), (40, 80, 120, 160, 200, 240), None),
         "thermal_tol_r2": (float, 0.99, (0.0, 1.0)),
-        "purity_sizes": (_floats, (512, 2048), None),
+        "purity_sizes": (_floats(1), (512, 2048), None),
         "purity_tol": (float, 1e-8, (0.0, 1.0)),
-        "eps_values": (_floats, (1.0, 0.5, 0.25, 0.125), None),
+        "eps_values": (_floats(4), (1.0, 0.5, 0.25, 0.125), None),
         "eps_interval": (int, 48, (8, 100000)),
     },
     "charge-scaling": {
@@ -51,7 +58,7 @@ _SCHEMAS = {
         "limit_tol": (float, 1e-3, (0.0, 1.0)),
     },
     "unruh": {
-        "accelerations": (_floats, (0.5, 1.0, 2.0), None),
+        "accelerations": (_floats(1), (0.5, 1.0, 2.0), None),
         "tol_balance": (float, 1e-3, (0.0, 10.0)),
         "control_min_defect": (float, 0.5, (0.0, 100.0)),
         "tol_strip": (float, 1e-10, (0.0, 1.0)),
@@ -66,7 +73,7 @@ _SCHEMAS = {
         "tol_kms": (float, 1e-6, (0.0, 1.0)),
     },
     "zf-algebra": {
-        "couplings": (_floats, (0.3, 1.0, 2.5), None),
+        "couplings": (_floats(1), (0.3, 1.0, 2.5), None),
         "tol_smatrix": (float, 1e-12, (0.0, 1.0)),
         "tol_exchange": (float, 1e-10, (0.0, 1.0)),
         "tol_double": (float, 1e-12, (0.0, 1.0)),
@@ -111,6 +118,15 @@ def _coerce(experiment, raw):
                 f"[{experiment}] {key} = {val} outside {bounds}"
             )
         params[key] = val
+    if experiment == "entropy-scan":
+        for key, limit in (("lengths", "n_sites"),
+                           ("thermal_lengths", "thermal_n_sites")):
+            bad = [L for L in params[key] if not 1 <= L <= params[limit]]
+            if bad:
+                raise ConfigurationError(
+                    f"[{experiment}] {key} entries {bad} outside "
+                    f"[1, {limit} = {params[limit]}]"
+                )
     return params
 
 
@@ -123,14 +139,25 @@ def load_config(experiment, path=None, strict=False):
         )
     raw = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config {path}: {exc}") from None
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            doc = json.loads(text)
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{path}: malformed JSON: {exc}") from None
             raw = doc.get(experiment, doc if set(doc) <= set(_SCHEMAS[experiment]) else None)
             if raw is None:
                 raise ConfigurationError(
-                    f"JSON config has no block for {experiment!r}"
+                    f"JSON config {path} has no block for {experiment!r}"
+                )
+            if not isinstance(raw, dict):
+                raise ConfigurationError(
+                    f"{path}: [{experiment}] block is a {type(raw).__name__}, "
+                    f"not an object"
                 )
         else:
             cp = configparser.ConfigParser()

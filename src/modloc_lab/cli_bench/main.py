@@ -1,11 +1,12 @@
 """Command line entry point.
 
-    modloc-lab <experiment> [--config PATH] [--out DIR] [--strict] [--parallel N]
+    modloc-lab <experiment> [--config PATH] [--out DIR] [--strict]
     modloc-lab verify-all   [--out DIR] [--strict] [--parallel N] [--only ...]
     modloc-lab emit-plots <run-dir> [--out DIR]
 
 Exit codes: 0 all checks pass (or unverified-by-design), 1 check failure,
-2 configuration error, 3 numeric error.  MODLOC_OUT overrides --out.
+2 configuration error (a rejected flag or value, an unreadable or malformed
+config file), 3 numeric error.  MODLOC_OUT overrides --out.
 """
 
 import argparse
@@ -45,9 +46,7 @@ def build_parser():
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default="runs")
         sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--parallel", type=int, default=1)
     va = sub.add_parser("verify-all", help="run every suite at desk scale")
-    va.add_argument("--config", default=None)
     va.add_argument("--out", default="runs")
     va.add_argument("--strict", action="store_true")
     va.add_argument("--parallel", type=int, default=1)

@@ -192,7 +192,7 @@ def reduce_state(state, region):
     )
 
 
-def _sympl_eigs_block(X, P, tol):
+def _sympl_eigs_block(X, P):
     """nu_k for M = 0 covariances via the symmetric product X^{1/2} P X^{1/2}."""
     ex, Vx = eigh(X)
     if ex[0] <= 0.0:
@@ -227,7 +227,7 @@ def symplectic_spectrum(state, tol=UNCERTAINTY_TOL):
     which would violate the uncertainty bound.
     """
     if np.max(np.abs(state.phi_pi)) == 0.0:
-        nus = _sympl_eigs_block(state.phi_phi, state.pi_pi, tol)
+        nus = _sympl_eigs_block(state.phi_phi, state.pi_pi)
     else:
         nus = _sympl_eigs_general(state.phi_phi, state.pi_pi, state.phi_pi)
     nus = np.sort(nus)[::-1]
@@ -321,11 +321,3 @@ def thermal_interval_entropies(lattice, beta, lengths):
     state = build_thermal_state(lattice, beta)
     return [interval_entropy(state, 0, int(L)) for L in lengths]
 
-
-def matrix_to_csv(path, matrix):
-    """Row-major CSV serialization at 17 significant digits."""
-    rows = np.atleast_2d(np.asarray(matrix, float))
-    lines = [",".join(f"{v:.16e}" for v in row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path

@@ -81,18 +81,6 @@ def test_zero_and_bilinearity():
     assert F1 > 0.0
 
 
-def test_lattice_oracle_agreement():
-    m = cf.ScalarModel(1.0, 2)
-    worst = 0.0
-    for (R, dR, T) in ((2.0, 1.0, 0.2), (3.0, 1.0, 0.2), (2.5, 0.7, 0.15),
-                       (4.0, 2.0, 0.3), (3.5, 0.5, 0.1)):
-        s = spec(R, dR, T)
-        Fc = cf.charge_variance(m, s)
-        Fl = cf.charge_variance_lattice(m, s)
-        worst = max(worst, abs(Fc - Fl) / Fc)
-    assert worst < 0.03
-
-
 def test_log_law_increments():
     # n = 2: halving dR adds a constant increment (log law), within 5%
     m = cf.ScalarModel(1e-8, 2)
@@ -102,12 +90,6 @@ def test_log_law_increments():
     assert np.all(inc > 0)
     ratios = inc[1:] / inc[:-1]
     assert np.max(np.abs(ratios - 1.0)) < 0.05
-
-
-def test_mass_monotonicity():
-    s = spec()
-    Fs = [cf.charge_variance(cf.ScalarModel(m, 2), s) for m in (0.5, 1.0, 2.0)]
-    assert Fs[0] > Fs[1] > Fs[2]
 
 
 def test_scaling_fit_n3_exponent():

@@ -78,6 +78,30 @@ def test_exit_codes(tmp_path):
     failing.write_text("[thermal-map]\ntol = 1e-22\n")
     assert main(["thermal-map", "--config", str(failing), "--out", out]) == 1
     assert main(["emit-plots", str(tmp_path / "missing")]) == 3
+    # unreadable or malformed files, and list keys that would pass vacuously
+    for suite, text in (
+        ("thermal-map", None),                               # missing file
+        ("thermal-map", '{"thermal-map": {"grid_n": 25'),    # malformed JSON
+        ("thermal-map", '{"thermal-map": [1]}'),             # block not an object
+        ("thermal-map", "[thermal-map]\nbetas =\n"),
+        ("unruh", "[unruh]\naccelerations =\n"),
+        ("zf-algebra", "[zf-algebra]\ncouplings =\n"),
+        ("entropy-scan", "[entropy-scan]\nlengths = 64\n"),
+        ("entropy-scan", "[entropy-scan]\nthermal_n_sites = 64\n"
+                         "thermal_lengths = 40, 80, 120, 160\n"),
+    ):
+        path = tmp_path / "case.cfg"
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text)
+        assert main([suite, "--config", str(path), "--out", out]) == 2, text
+    # flags that used to be parsed and ignored are rejected by argparse
+    for argv in (["thermal-map", "--parallel", "7", "--out", out],
+                 ["verify-all", "--only", "thermal-map", "--config", str(failing),
+                  "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_strict_profile(tmp_path):

@@ -131,16 +131,6 @@ def test_crossing_and_kms_agree():
 
 # ----- S matrix -----
 
-def test_smatrix_properties():
-    for b in (0.3, 1.0, 2.5):
-        S = cz.SMatrixModel(b)
-        props = cz.smatrix_properties(S)
-        assert props["unitarity"] < 1e-12
-        assert props["inverse"] < 1e-12
-        assert props["crossing"] < 1e-12
-    assert complex(cz.SMatrixModel(1.0)(0.0)) == pytest.approx(-1.0)
-
-
 def test_smatrix_coupling_off_limit():
     S = cz.SMatrixModel(1e-8)
     th = np.array([0.5, 1.0, 3.0])

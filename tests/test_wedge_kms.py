@@ -54,14 +54,6 @@ def test_hermiticity():
         assert np.max(np.abs(corr.values[::-1] - np.conj(corr.values))) < 1e-12
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_detailed_balance_at_hawking_temperature(a):
-    traj = wk.Trajectory.uniform(a)
-    corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
-    rep = wk.detailed_balance(corr, TWO_PI / a)
-    assert rep.max_defect < 1e-3
-
-
 def test_detailed_balance_closed_form_ratio():
     # G~(-w)/G~(w) = exp(-2 pi w) at a = 1: check the frozen value at w = 1
     traj = wk.Trajectory.uniform(1.0)
@@ -70,13 +62,6 @@ def test_detailed_balance_closed_form_ratio():
     ratio = float(np.real(sf.values[0]) / np.real(sf.values[1]))
     assert ratio == pytest.approx(np.exp(-TWO_PI), rel=1e-3)
     assert ratio == pytest.approx(1.8674e-3, rel=1e-3)
-
-
-def test_negative_control_wrong_temperature():
-    traj = wk.Trajectory.uniform(1.0)
-    corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
-    rep = wk.detailed_balance(corr, np.pi)
-    assert rep.max_defect > 0.5
 
 
 def test_vacuum_spectrum_one_sided():
@@ -91,21 +76,6 @@ def test_vacuum_spectrum_one_sided():
         0.0, 4, 1.0, eps)
     sf = wk.spectral_function(corr, np.array([-1.0, 1.0]))
     assert abs(np.real(sf.values[0]) / np.real(sf.values[1])) < 1e-4
-
-
-def test_d2_current_balance():
-    traj = wk.Trajectory.uniform(1.0)
-    corr = wk.pullback(wk.WightmanModel(0.0, 2), traj)
-    assert wk.detailed_balance(corr, TWO_PI).max_defect < 1e-3
-
-
-def test_massive_matches_massless_at_small_mass():
-    traj = wk.Trajectory.uniform(1.0, span=12.0, n=1 << 13)
-    cm = wk.pullback(wk.WightmanModel(1e-4, 4), traj)
-    c0 = wk.pullback(wk.WightmanModel(0.0, 4), traj)
-    mid = slice(len(traj.tau_grid) // 4, 3 * len(traj.tau_grid) // 4)
-    dev = np.max(np.abs(cm.values[mid] - c0.values[mid]) / np.abs(c0.values[mid]))
-    assert dev < 1e-2
 
 
 def test_massive_balance():
