@@ -4,6 +4,7 @@ rejected with field-level messages."""
 
 import configparser
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,17 +12,29 @@ from ..errors import ConfigurationError
 
 
 def _floats(min_len):
-    """Converter for a comma-separated list of at least min_len floats, so
-    that a short list cannot drop its checks or make a fit vacuous."""
+    """Converter for a list of floats (a JSON array or a comma-separated
+    string) with at least min_len distinct entries, so that a short or
+    repeated list cannot drop its checks or make a fit vacuous."""
     def conv(s):
-        vals = tuple(float(tok) for tok in str(s).split(",") if tok.strip())
-        if len(vals) < min_len:
-            raise ValueError(f"got {len(vals)} entries, needs at least {min_len}")
+        toks = s if isinstance(s, (list, tuple)) else str(s).split(",")
+        vals = tuple(float(tok) for tok in toks if str(tok).strip())
+        distinct = len(set(vals))
+        if distinct < min_len:
+            raise ValueError(
+                f"got {distinct} distinct entries, needs at least {min_len}")
         return vals
     return conv
 
 
-# key -> (converter, default, (lo, hi) or None)
+def _open(lo, hi):
+    """Closed bounds that admit exactly the floats inside (lo, hi)."""
+    return (math.nextafter(lo, hi), math.nextafter(hi, lo))
+
+
+_POSITIVE = _open(0.0, math.inf)
+
+# key -> (converter, default, (lo, hi) or None); a list key's bounds apply
+# to each of its entries
 _SCHEMAS = {
     "ej-fluct": {
         "beta": (float, 6.283185307179586, (1e-3, 1e3)),
@@ -29,7 +42,7 @@ _SCHEMAS = {
         "rtol": (float, 1e-7, (0.0, 1.0)),
     },
     "thermal-map": {
-        "betas": (_floats(1), (1.0, 6.283185307179586), None),
+        "betas": (_floats(1), (1.0, 6.283185307179586), _POSITIVE),
         "grid_n": (int, 100, (4, 100000)),
         "tol": (float, 1e-10, (0.0, 1.0)),
     },
@@ -41,9 +54,9 @@ _SCHEMAS = {
         "thermal_beta": (float, 6.283185307179586, (1e-3, 1e3)),
         "thermal_lengths": (_floats(4), (40, 80, 120, 160, 200, 240), None),
         "thermal_tol_r2": (float, 0.99, (0.0, 1.0)),
-        "purity_sizes": (_floats(1), (512, 2048), None),
+        "purity_sizes": (_floats(1), (512, 2048), (2, 100000)),
         "purity_tol": (float, 1e-8, (0.0, 1.0)),
-        "eps_values": (_floats(4), (1.0, 0.5, 0.25, 0.125), None),
+        "eps_values": (_floats(4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
         "eps_interval": (int, 48, (8, 100000)),
     },
     "charge-scaling": {
@@ -58,7 +71,7 @@ _SCHEMAS = {
         "limit_tol": (float, 1e-3, (0.0, 1.0)),
     },
     "unruh": {
-        "accelerations": (_floats(1), (0.5, 1.0, 2.0), None),
+        "accelerations": (_floats(1), (0.5, 1.0, 2.0), _POSITIVE),
         "tol_balance": (float, 1e-3, (0.0, 10.0)),
         "control_min_defect": (float, 0.5, (0.0, 100.0)),
         "tol_strip": (float, 1e-10, (0.0, 1.0)),
@@ -73,7 +86,7 @@ _SCHEMAS = {
         "tol_kms": (float, 1e-6, (0.0, 1.0)),
     },
     "zf-algebra": {
-        "couplings": (_floats(1), (0.3, 1.0, 2.5), None),
+        "couplings": (_floats(1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
         "tol_smatrix": (float, 1e-12, (0.0, 1.0)),
         "tol_exchange": (float, 1e-10, (0.0, 1.0)),
         "tol_double": (float, 1e-12, (0.0, 1.0)),
@@ -113,7 +126,9 @@ def _coerce(experiment, raw):
                 raise ConfigurationError(f"[{experiment}] {key}: {exc}") from None
         else:
             val = default
-        if bounds is not None and not (bounds[0] <= val <= bounds[1]):
+        entries = val if isinstance(val, tuple) else (val,)
+        if bounds is not None and not all(bounds[0] <= v <= bounds[1]
+                                          for v in entries):
             raise ConfigurationError(
                 f"[{experiment}] {key} = {val} outside {bounds}"
             )

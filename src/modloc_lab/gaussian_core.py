@@ -4,6 +4,11 @@ The chain Hamiltonian is
 
     H = 1/2 sum_i pi_i^2 + 1/2 sum_i [ (phi_{i+1}-phi_i)^2 / a^2 + m^2 phi_i^2 ]
 
+on a periodic chain (phi_N = phi_0), so H = 1/2 pi.pi + 1/2 phi.K.phi with a
+circulant K.  Its normal modes are the N plane waves, with closed-form
+frequencies omega_k^2 = m^2 + (4/a^2) sin^2(pi k/N), and every covariance
+block is the circulant matrix of one inverse FFT of a function of omega_k.
+
 Vacuum and thermal states are fixed by their covariance blocks
 X = <phi phi>, P = <pi pi>, M = <{phi, pi}/2>; restriction to a region is a
 sub-block, the symplectic spectrum {nu_k} of the reduced covariance carries
@@ -17,7 +22,7 @@ is the von Neumann entropy of the reduced Gaussian state (nats).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import circulant, eigh
 
 from .errors import ConfigurationError, DomainError, FitError, SpectralError
 from .quadrature import linear_fit
@@ -28,13 +33,13 @@ IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * (n_sites * spacing)
 
 @dataclass(frozen=True)
 class HarmonicLattice:
-    """Chain geometry.  A massless chain must carry an explicit IR regulator;
-    the regulated mass is recorded so downstream manifests can echo it."""
+    """Periodic chain geometry.  A massless chain must carry an explicit IR
+    regulator; the regulated mass is recorded so downstream manifests can
+    echo it."""
 
     n_sites: int
     mass: float
     spacing: float = 1.0
-    boundary: str = "periodic"
     ir_regulator: float | None = None
 
     def __post_init__(self):
@@ -44,8 +49,6 @@ class HarmonicLattice:
             raise ConfigurationError("spacing must be positive")
         if self.mass < 0:
             raise ConfigurationError("mass must be >= 0")
-        if self.boundary not in ("periodic", "open"):
-            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
         if self.mass == 0.0:
             if self.ir_regulator is None or self.ir_regulator <= 0:
                 raise ConfigurationError(
@@ -127,52 +130,36 @@ class EntropyResult:
     fit_metadata: FitRecord | None = field(default=None, compare=False)
 
 
-def dynamical_matrix(lattice):
-    """K with H = 1/2 pi.pi + 1/2 phi.K.phi; positive definite after IR care."""
+def _plane_wave_frequencies(lattice):
+    """omega_k = sqrt(m^2 + (4/a^2) sin^2(pi k/N)): the periodic chain is
+    circulant, so its normal modes are the N plane waves."""
     n = lattice.n_sites
-    a = lattice.spacing
-    m = lattice.effective_mass
-    K = np.zeros((n, n))
-    np.fill_diagonal(K, 2.0 / a**2 + m**2)
-    off = -1.0 / a**2
-    idx = np.arange(n - 1)
-    K[idx, idx + 1] = off
-    K[idx + 1, idx] = off
-    if lattice.boundary == "periodic":
-        K[0, n - 1] += off
-        K[n - 1, 0] += off
-    return K
+    s = np.sin(np.pi * np.arange(n) / n)
+    return np.sqrt(lattice.effective_mass**2 + (2.0 * s / lattice.spacing) ** 2)
 
 
-def _mode_decomposition(lattice):
-    K = dynamical_matrix(lattice)
-    w2, V = eigh(K)
-    if w2[0] <= 0.0:
-        raise ConfigurationError(
-            f"dynamical matrix not positive definite (min eigenvalue {w2[0]:.3e})"
-        )
-    return np.sqrt(w2), V
+def _circulant(spectrum):
+    """The matrix that is diagonal in the plane-wave basis with this spectrum."""
+    return circulant(np.fft.ifft(spectrum).real)
 
 
 def build_vacuum_state(lattice):
     """Ground-state covariances X = K^{-1/2}/2, P = K^{1/2}/2, M = 0."""
-    w, V = _mode_decomposition(lattice)
-    X = (V * (0.5 / w)) @ V.T
-    P = (V * (0.5 * w)) @ V.T
+    w = _plane_wave_frequencies(lattice)
     n = lattice.n_sites
-    return GaussianState(X, P, np.zeros((n, n)), "vacuum")
+    return GaussianState(_circulant(0.5 / w), _circulant(0.5 * w),
+                         np.zeros((n, n)), "vacuum")
 
 
 def build_thermal_state(lattice, beta):
     """Gibbs covariances: each normal mode carries nu(omega) = coth(beta omega/2)/2."""
     if not (beta > 0) or not np.isfinite(beta):
         raise ConfigurationError("beta must be finite and positive")
-    w, V = _mode_decomposition(lattice)
+    w = _plane_wave_frequencies(lattice)
     c = 1.0 / np.tanh(np.clip(beta * w / 2.0, 1e-300, 350.0))
-    X = (V * (0.5 * c / w)) @ V.T
-    P = (V * (0.5 * c * w)) @ V.T
     n = lattice.n_sites
-    return GaussianState(X, P, np.zeros((n, n)), "thermal", beta=beta)
+    return GaussianState(_circulant(0.5 * c / w), _circulant(0.5 * c * w),
+                         np.zeros((n, n)), "thermal", beta=beta)
 
 
 def reduce_state(state, region):

@@ -33,9 +33,19 @@ def test_empty_block_rejected(tmp_path):
 
 def test_bounds_checked(tmp_path):
     p = tmp_path / "c.ini"
-    p.write_text("[thermal-map]\ngrid_n = 1\n")
-    with pytest.raises(ConfigurationError, match="grid_n"):
-        cbc.load_config("thermal-map", p)
+    # a scalar key is bounded by its range, a list key entry by entry by
+    # its engine's domain
+    for suite, key, value in (
+        ("thermal-map", "grid_n", "1"),
+        ("thermal-map", "betas", "1.0, 0"),
+        ("unruh", "accelerations", "0"),
+        ("zf-algebra", "couplings", "0.3, 3.2"),
+        ("entropy-scan", "eps_values", "1, 0.5, 0.25, -0.125"),
+        ("entropy-scan", "purity_sizes", "512, 1"),
+    ):
+        p.write_text(f"[{suite}]\n{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=key):
+            cbc.load_config(suite, p)
 
 
 def test_json_config(tmp_path):
@@ -44,6 +54,8 @@ def test_json_config(tmp_path):
     cfg = cbc.load_config("thermal-map", p)
     assert cfg["grid_n"] == 25
     assert cfg["tol"] == 1e-10      # defaults fill the rest
+    p.write_text(json.dumps({"thermal-map": {"betas": [1.0, 2.0]}}))
+    assert cbc.load_config("thermal-map", p)["betas"] == (1.0, 2.0)
 
 
 def test_unknown_experiment():
@@ -89,6 +101,13 @@ def test_exit_codes(tmp_path):
         ("entropy-scan", "[entropy-scan]\nlengths = 64\n"),
         ("entropy-scan", "[entropy-scan]\nthermal_n_sites = 64\n"
                          "thermal_lengths = 40, 80, 120, 160\n"),
+        ("entropy-scan", "[entropy-scan]\nlengths = 8, 8, 8, 8\n"),
+        # entries outside the engine's domain, rejected before any scan runs
+        ("unruh", "[unruh]\naccelerations = 0\n"),
+        ("thermal-map", "[thermal-map]\nbetas = 0\n"),
+        ("zf-algebra", "[zf-algebra]\ncouplings = 0\n"),
+        ("entropy-scan", "[entropy-scan]\neps_values = 1, 0.5, 0.25, 0\n"),
+        ("entropy-scan", "[entropy-scan]\npurity_sizes = 1\n"),
     ):
         path = tmp_path / "case.cfg"
         path.unlink(missing_ok=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from modloc_lab import gaussian_core as gc
 from modloc_lab.errors import ConfigurationError, DomainError, FitError, SpectralError
@@ -43,14 +44,42 @@ def test_two_site_closed_form():
     assert st.pi_pi[0, 0] == pytest.approx(P00, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,mass,boundary", [
-    (16, 1.0, "periodic"), (64, 0.3, "periodic"), (33, 2.0, "open"),
-])
-def test_vacuum_purity(n, mass, boundary):
-    st = gc.build_vacuum_state(gc.HarmonicLattice(n, mass, boundary=boundary))
+@pytest.mark.parametrize("n,mass", [(16, 1.0), (64, 0.3), (33, 2.0)])
+def test_vacuum_purity(n, mass):
+    st = gc.build_vacuum_state(gc.HarmonicLattice(n, mass))
     sp = gc.symplectic_spectrum(st)
     assert np.max(np.abs(sp.nus - 0.5)) < 1e-10
     assert gc.entanglement_entropy(sp).entropy < 1e-8
+
+
+def dense_covariances(lattice, beta=None):
+    """Reference build: dense eigh of the periodic dynamical matrix K."""
+    n, a, m = lattice.n_sites, lattice.spacing, lattice.effective_mass
+    K = np.diag(np.full(n, 2.0 / a**2 + m**2))
+    idx = np.arange(n)
+    K[idx, (idx + 1) % n] = K[(idx + 1) % n, idx] = -1.0 / a**2
+    w2, V = eigh(K)
+    w = np.sqrt(w2)
+    c = 1.0 if beta is None else 1.0 / np.tanh(beta * w / 2.0)
+    return (V * (0.5 * c / w)) @ V.T, (V * (0.5 * c * w)) @ V.T
+
+
+def test_plane_wave_build_matches_dense_eigh():
+    for n, mass in ((64, 0.3), (512, 1.0)):
+        lat = gc.HarmonicLattice(n, mass)
+        for beta, st in ((None, gc.build_vacuum_state(lat)),
+                         (2.0, gc.build_thermal_state(lat, 2.0))):
+            X, P = dense_covariances(lat, beta)
+            assert np.max(np.abs(st.phi_phi - X)) < 1e-12
+            assert np.max(np.abs(st.pi_pi - P)) < 1e-12
+    # zero mode of the IR-regulated critical chain, where the dense build
+    # is 9e-4 off: K 1 = m_eff^2 1, so every row of X = K^{-1/2}/2 sums
+    # to 1/(2 m_eff)
+    n = 2000
+    lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
+    row_sums = gc.build_vacuum_state(lat).phi_phi.sum(axis=1)
+    target = 0.5 / lat.effective_mass
+    assert np.max(np.abs(row_sums / target - 1.0)) < 1e-12
 
 
 def test_thermal_single_mode_occupancy():
@@ -171,15 +200,17 @@ def test_entropy_scan_eps_direction():
     assert all(b > a for a, b in zip(ents[:-1], ents[1:]))
 
 
-def test_thermal_interval_extensivity():
-    n = 400
+# beta = 6.6347 on the 1200-site chain pushed the dense eigh build below
+# the uncertainty bound
+@pytest.mark.parametrize("n,beta", [(400, 2 * np.pi), (1200, 6.6347)])
+def test_thermal_interval_extensivity(n, beta):
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
     Ls = [40, 80, 120, 160]
-    Ss = gc.thermal_interval_entropies(lat, 2 * np.pi, Ls)
+    Ss = gc.thermal_interval_entropies(lat, beta, Ls)
     from modloc_lab.quadrature import linear_fit
     slope, _, r2 = linear_fit(np.asarray(Ls, float), np.asarray(Ss))
     assert r2 > 0.99
-    assert slope == pytest.approx(np.pi / (3 * 2 * np.pi), rel=0.05)
+    assert slope == pytest.approx(np.pi / (3 * beta), rel=0.05)
 
 
 def test_validation_errors():
