@@ -349,11 +349,11 @@ def energy_variance(f, kernel, rtol=1e-6):
 
 def _fourier_sq(f, ps):
     """|f~(p)|^2 on a grid, f~ = int f(u) exp(-i p u) du."""
-    lo, hi = f.support if isinstance(f.support, tuple) else (f.support[0], f.support[1])
+    lo, hi = f.support
     pmax = float(np.max(np.abs(ps)))
     n = int(min(6000, max(160, 48 + 1.3 * pmax * (hi - lo) / np.pi)))
     un, uw = gl_nodes(lo, hi, n)
-    fv = f.deriv(0)(un) if hasattr(f, "deriv") else f(un)
+    fv = f.deriv(0)(un)
     out = np.empty(len(ps))
     chunk = 4000
     for i in range(0, len(ps), chunk):
@@ -492,11 +492,9 @@ def ej_compare(f, beta, rtol=1e-7):
 class EntropyRelationReport:
     thermal_slope: float
     thermal_r2: float
-    localization_slope: float
     localization_r2: float
     calibration_ratio: float
     thermal_slope_per_chirality: float
-    localization_slope_per_chirality: float
 
 
 def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
@@ -505,8 +503,8 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     entropy ~ s2 * ln(1/eps) (localization), and report the calibration ratio
     s1 / (2 pi s2) implied by matching ln(1/eps) to 2 pi L.
 
-    The chain carries both lightray chiralities; per-chirality slopes are the
-    emitted halves.  Coefficients are reported, not asserted against any
+    The chain carries both lightray chiralities; the per-chirality slope is
+    the emitted half.  Coefficients are reported, not asserted against any
     closed-form value.
     """
     L_values = [int(L) for L in L_values]
@@ -531,9 +529,7 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     return EntropyRelationReport(
         thermal_slope=s1,
         thermal_r2=r2_th,
-        localization_slope=s2,
         localization_r2=r2_loc,
         calibration_ratio=s1 / (2.0 * np.pi * s2),
         thermal_slope_per_chirality=0.5 * s1,
-        localization_slope_per_chirality=0.5 * s2,
     )

@@ -11,13 +11,18 @@ from pathlib import Path
 from ..errors import ConfigurationError
 
 
-def _floats(min_len):
-    """Converter for a list of floats (a JSON array or a comma-separated
+def _integer(tok):
+    """A site count: '8.2' (or 8.2 in JSON) raises instead of becoming 8."""
+    return int(str(tok))
+
+
+def _list(entry, min_len):
+    """Converter for a list of numbers (a JSON array or a comma-separated
     string) with at least min_len distinct entries, so that a short or
     repeated list cannot drop its checks or make a fit vacuous."""
     def conv(s):
         toks = s if isinstance(s, (list, tuple)) else str(s).split(",")
-        vals = tuple(float(tok) for tok in toks if str(tok).strip())
+        vals = tuple(entry(tok) for tok in toks if str(tok).strip())
         distinct = len(set(vals))
         if distinct < min_len:
             raise ValueError(
@@ -42,21 +47,21 @@ _SCHEMAS = {
         "rtol": (float, 1e-7, (0.0, 1.0)),
     },
     "thermal-map": {
-        "betas": (_floats(1), (1.0, 6.283185307179586), _POSITIVE),
+        "betas": (_list(float, 1), (1.0, 6.283185307179586), _POSITIVE),
         "grid_n": (int, 100, (4, 100000)),
         "tol": (float, 1e-10, (0.0, 1.0)),
     },
     "entropy-scan": {
         "n_sites": (int, 2000, (64, 100000)),
-        "lengths": (_floats(4), (8, 16, 32, 64, 128, 256), None),
+        "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
         "tol_r2": (float, 0.995, (0.0, 1.0)),
         "thermal_n_sites": (int, 1200, (64, 100000)),
         "thermal_beta": (float, 6.283185307179586, (1e-3, 1e3)),
-        "thermal_lengths": (_floats(4), (40, 80, 120, 160, 200, 240), None),
+        "thermal_lengths": (_list(_integer, 4), (40, 80, 120, 160, 200, 240), None),
         "thermal_tol_r2": (float, 0.99, (0.0, 1.0)),
-        "purity_sizes": (_floats(1), (512, 2048), (2, 100000)),
+        "purity_sizes": (_list(_integer, 1), (512, 2048), (2, 100000)),
         "purity_tol": (float, 1e-8, (0.0, 1.0)),
-        "eps_values": (_floats(4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
+        "eps_values": (_list(float, 4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
         "eps_interval": (int, 48, (8, 100000)),
     },
     "charge-scaling": {
@@ -71,7 +76,7 @@ _SCHEMAS = {
         "limit_tol": (float, 1e-3, (0.0, 1.0)),
     },
     "unruh": {
-        "accelerations": (_floats(1), (0.5, 1.0, 2.0), _POSITIVE),
+        "accelerations": (_list(float, 1), (0.5, 1.0, 2.0), _POSITIVE),
         "tol_balance": (float, 1e-3, (0.0, 10.0)),
         "control_min_defect": (float, 0.5, (0.0, 100.0)),
         "tol_strip": (float, 1e-10, (0.0, 1.0)),
@@ -86,7 +91,7 @@ _SCHEMAS = {
         "tol_kms": (float, 1e-6, (0.0, 1.0)),
     },
     "zf-algebra": {
-        "couplings": (_floats(1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
+        "couplings": (_list(float, 1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
         "tol_smatrix": (float, 1e-12, (0.0, 1.0)),
         "tol_exchange": (float, 1e-10, (0.0, 1.0)),
         "tol_double": (float, 1e-12, (0.0, 1.0)),

@@ -110,7 +110,7 @@ def suite_entropy_scan(cfg, man, out):
     n = cfg["n_sites"]
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
     state = gc.build_vacuum_state(lat)
-    lengths = [int(L) for L in cfg["lengths"]]
+    lengths = cfg["lengths"]
     entropies = [gc.interval_entropy(state, 0, L) for L in lengths]
     slope, intercept, r2 = linear_fit(np.log(lengths), entropies)
     man.extend([
@@ -151,7 +151,7 @@ def suite_entropy_scan(cfg, man, out):
     # thermal side: extensivity
     tn = cfg["thermal_n_sites"]
     tlat = gc.HarmonicLattice(tn, 0.0, ir_regulator=1e-3 / tn)
-    tl = [int(L) for L in cfg["thermal_lengths"]]
+    tl = cfg["thermal_lengths"]
     ts = gc.thermal_interval_entropies(tlat, cfg["thermal_beta"], tl)
     tslope, _, tr2 = linear_fit(np.asarray(tl, float), np.asarray(ts))
     man.extend([
@@ -174,7 +174,6 @@ def suite_entropy_scan(cfg, man, out):
 
     # purity of the full vacuum
     for size in cfg["purity_sizes"]:
-        size = int(size)
         plat = gc.HarmonicLattice(size, 1.0)
         ps = gc.build_vacuum_state(plat)
         sp = gc.symplectic_spectrum(ps)
@@ -338,9 +337,9 @@ def suite_crossing(cfg, man, out):
     n = cfg["grid_n"]
     t1 = np.linspace(-1.5, 1.5, n)
     t2 = np.linspace(-1.2, 1.8, n)
+    reps = [cz.free_crossing_check(g, t1, t2) for g in gs]
     crossing_defect = 0.0
-    for i, g in enumerate(gs):
-        rep = cz.free_crossing_check(g, t1, t2)
+    for i, rep in enumerate(reps):
         crossing_defect = max(crossing_defect, rep.max_rel_defect)
         man.extend([check_less(
             f"crossing/free-crossing/geometry-{i}", rep.max_rel_defect,
@@ -376,7 +375,7 @@ def suite_crossing(cfg, man, out):
         "general interacting crossing requires the unsolved multi-particle "
         "emulator action; only free/integrable instances are tested",
     )])
-    rep0 = cz.free_crossing_check(gs[0], t1, t2)
+    rep0 = reps[0]
     rows = [(a, b, np.real(v), np.imag(v), np.real(w), np.imag(w))
             for a, b, v, w in zip(
                 np.repeat(t1, n), np.tile(t2, n),

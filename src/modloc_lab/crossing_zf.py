@@ -120,7 +120,6 @@ class RapidityFn:
     thetas: np.ndarray
     lambdas: np.ndarray
     values: np.ndarray             # shape (len(thetas), len(lambdas))
-    mass: float
     source: WedgeTestFn
 
     def evaluate(self, z):
@@ -180,7 +179,7 @@ def mass_shell_restrict(f, thetas=None, lambdas=None, theta_probe=3.5):
         )
     z = thetas[:, None] + 1j * lambdas[None, :]
     return RapidityFn(thetas=thetas, lambdas=lambdas, values=f.mass_shell(z),
-                      mass=f.mass, source=f)
+                      source=f)
 
 
 # ----------------------------------------------------------------------
@@ -206,39 +205,10 @@ def crossed_formfactor(g, theta1, theta2):
 
 
 @dataclass(frozen=True)
-class FormFactor:
-    """Matrix elements of a smeared Wick monomial between the vacuum and the
-    two-particle sector, plus the crossed one-particle elements."""
-
-    vacuum_elements: np.ndarray    # <0|B|t1, t2>
-    crossed_elements: np.ndarray   # <t1|B|t2>
-    descriptor: str
-
-    def hermiticity_defect(self, g, thetas1, thetas2):
-        """For real g (B* = B): <t1,t2|B|0> = conj <0|B|t1,t2>, both sides
-        independent quadratures."""
-        t1 = np.asarray(thetas1, float)[:, None]
-        t2 = np.asarray(thetas2, float)[None, :]
-        p0 = g.mass * (np.cosh(t1) + np.cosh(t2))
-        p1 = g.mass * (np.sinh(t1) + np.sinh(t2))
-        bra = 2.0 * C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(
-            (len(thetas1), len(thetas2)))
-        scale = np.max(np.abs(self.vacuum_elements))
-        return float(np.max(np.abs(bra - np.conj(self.vacuum_elements))) / scale)
-
-
-@dataclass(frozen=True)
 class CrossingReport:
-    thetas1: np.ndarray
-    thetas2: np.ndarray
-    vacuum: np.ndarray             # <0|B|t1,t2> on the real grid
-    continued: np.ndarray          # the same, theta1 -> theta1 + i pi
+    continued: np.ndarray          # <0|B|t1 + i pi, t2> on the real grid
     crossed: np.ndarray            # <t1|B|t2>
     max_rel_defect: float
-
-    @property
-    def formfactor(self):
-        return FormFactor(self.vacuum, self.crossed, "wick-square")
 
 
 def free_crossing_check(g, thetas1=None, thetas2=None):
@@ -265,18 +235,16 @@ def free_crossing_check(g, thetas1=None, thetas2=None):
                 f"continuation grows through the strip (Im theta = {lam:.2f})"
             )
 
-    vacuum = pair_formfactor(g, T1, T2)
     continued = pair_formfactor(g, T1 + 1j * np.pi, T2)
     crossed = crossed_formfactor(g, T1, T2)
     scale = max(float(np.max(np.abs(crossed))), 1e-300)
     defect = float(np.max(np.abs(continued - crossed)) / scale)
-    return CrossingReport(t1, t2, vacuum, continued, crossed, defect)
+    return CrossingReport(continued, crossed, defect)
 
 
 @dataclass(frozen=True)
 class KMSIdentityReport:
     lhs: complex
-    rhs: complex
     rel_diff: float
 
 
@@ -333,9 +301,7 @@ def kms_free_identity(g, f1, f2, n_nodes=90):
     # M(t1, t2) = 2 c0^2 sum_z wz g(z) e^{-i p1.z} e^{-i p2.z}, so each side
     # collapses to sum_z wz g(z) V1(z) V2(z) with 1-d theta sums V.
     tg, twg, xg, xwg = g._nodes()
-    gz = (g.amplitude
-          * _bump((tg - g.center_t) / g.half_width_t)[:, None]
-          * _bump((xg - g.center_x) / g.half_width_x)[None, :])
+    gz = g(tg[:, None], xg[None, :])
     wz = twg[:, None] * xwg[None, :]
     p0 = g.mass * np.cosh(tn)
     p1 = g.mass * np.sinh(tn)
@@ -348,7 +314,7 @@ def kms_free_identity(g, f1, f2, n_nodes=90):
     rhs = 2.0 * C0_SQ**2 * np.sum(wz * gz * v1 * v2c)
     scale = max(abs(lhs), abs(rhs))
     rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
-    return KMSIdentityReport(lhs=complex(lhs), rhs=complex(rhs), rel_diff=rel)
+    return KMSIdentityReport(lhs=complex(lhs), rel_diff=rel)
 
 
 # ----------------------------------------------------------------------
@@ -363,11 +329,8 @@ class SMatrixModel:
     S(i pi - theta) = S(theta) hold identically."""
 
     coupling: float
-    family: str = "sinh_gordon"
 
     def __post_init__(self):
-        if self.family != "sinh_gordon":
-            raise ConfigurationError(f"unknown S-matrix family {self.family!r}")
         if not (0.0 < self.coupling < np.pi):
             raise ConfigurationError("coupling must lie in (0, pi)")
 

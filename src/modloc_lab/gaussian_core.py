@@ -64,10 +64,6 @@ class HarmonicLattice:
     def effective_mass(self):
         return self.mass if self.mass > 0 else self.ir_regulator
 
-    @property
-    def total_length(self):
-        return self.n_sites * self.spacing
-
 
 @dataclass(frozen=True)
 class Region:
@@ -109,22 +105,17 @@ class GaussianState:
 @dataclass(frozen=True)
 class ModularSpectrum:
     nus: np.ndarray                # symplectic eigenvalues, sorted descending
-    region_size: int
 
 
 @dataclass(frozen=True)
 class FitRecord:
     slope: float
-    intercept: float
     r_squared: float
-    n_points: int
-    abscissa: str = ""
 
 
 @dataclass(frozen=True)
 class EntropyResult:
     entropy: float
-    region_size: int
     length: float | None = None       # physical interval length
     attenuation: float | None = None  # attenuation length (cutoff) epsilon
     fit_metadata: FitRecord | None = field(default=None, compare=False)
@@ -223,7 +214,7 @@ def symplectic_spectrum(state, tol=UNCERTAINTY_TOL):
             f"symplectic eigenvalue {nus[-1]:.12f} below the uncertainty bound",
             offending_value=float(nus[-1]),
         )
-    return ModularSpectrum(nus=nus, region_size=int(nus.size))
+    return ModularSpectrum(nus=nus)
 
 
 def entanglement_entropy(spectrum, tol=UNCERTAINTY_TOL):
@@ -239,7 +230,7 @@ def entanglement_entropy(spectrum, tol=UNCERTAINTY_TOL):
     s = up * np.log(up)
     pos = dn > 0.0
     s[pos] -= dn[pos] * np.log(dn[pos])
-    return EntropyResult(entropy=float(np.sum(s)), region_size=spectrum.region_size)
+    return EntropyResult(entropy=float(np.sum(s)))
 
 
 def interval_entropy(state, start, length):
@@ -290,16 +281,15 @@ def entropy_scan(lattice, region_family, eps_family):
                 raise DomainError(
                     f"L/eps = {n_eff} exceeds the lattice ({lattice.n_sites} sites)"
                 )
-            rows.append((L, eps, sharp_entropy(n_eff), n_eff))
+            rows.append((L, eps, sharp_entropy(n_eff)))
 
-    x = np.log([L / e for (L, e, _, _) in rows])
-    y = np.array([S for (_, _, S, _) in rows])
-    slope, intercept, r2 = linear_fit(x, y)
-    fit = FitRecord(slope, intercept, r2, len(rows), abscissa="ln(L/eps)")
+    x = np.log([L / e for (L, e, _) in rows])
+    y = np.array([S for (_, _, S) in rows])
+    slope, _, r2 = linear_fit(x, y)
+    fit = FitRecord(slope, r2)          # S against ln(L/eps)
     return [
-        EntropyResult(entropy=S, region_size=n_eff, length=L, attenuation=e,
-                      fit_metadata=fit)
-        for (L, e, S, n_eff) in rows
+        EntropyResult(entropy=S, length=L, attenuation=e, fit_metadata=fit)
+        for (L, e, S) in rows
     ]
 
 

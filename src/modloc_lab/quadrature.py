@@ -24,22 +24,6 @@ def gl_nodes(a, b, n):
     return 0.5 * (b + a) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
-def gl_panels(edges, order):
-    """Composite rule over consecutive panels given by ``edges``."""
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gl_nodes(a, b, order)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def geometric_edges(lo, hi, n):
-    """Geometrically spaced panel edges on [lo, hi], lo > 0."""
-    return np.exp(np.linspace(np.log(lo), np.log(hi), n + 1))
-
-
 def filon_cos_sin(sample_fn, a, b, omega, n_panels):
     """Composite Filon-Simpson values of int_a^b S(k) {cos, sin}(omega k) dk.
 

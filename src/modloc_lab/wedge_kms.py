@@ -48,7 +48,6 @@ class WightmanModel:
 @dataclass(frozen=True)
 class Trajectory:
     acceleration: float
-    spacetime_dim: int
     tau_grid: np.ndarray
 
     def __post_init__(self):
@@ -57,9 +56,9 @@ class Trajectory:
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, float))
 
     @classmethod
-    def uniform(cls, acceleration, spacetime_dim=4, span=40.0, n=1 << 16):
+    def uniform(cls, acceleration, span=40.0, n=1 << 16):
         taus = np.linspace(-span / acceleration, span / acceleration, n)
-        return cls(acceleration, spacetime_dim, taus)
+        return cls(acceleration, taus)
 
     def coordinates(self, tau):
         a = self.acceleration
@@ -73,10 +72,7 @@ class PullbackCorrelator:
     taus: np.ndarray
     values: np.ndarray             # G at i_epsilon
     values_half: np.ndarray        # G at i_epsilon / 2 (Richardson partner)
-    mass: float
-    spacetime_dim: int
     acceleration: float
-    i_epsilon: float
 
 
 def bessel_k1(z):
@@ -131,10 +127,7 @@ def pullback(model, traj, i_epsilon=None):
         taus=taus,
         values=_pullback_values(model, a, taus, i_epsilon),
         values_half=_pullback_values(model, a, taus, 0.5 * i_epsilon),
-        mass=model.mass,
-        spacetime_dim=model.spacetime_dim,
         acceleration=a,
-        i_epsilon=i_epsilon,
     )
 
 
@@ -152,10 +145,7 @@ def flat_taper(taus, t_flat, t_end):
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    omegas: np.ndarray
     values: np.ndarray             # Richardson-extrapolated G~(omega)
-    window_flat_fraction: float
-    i_epsilon: float
 
 
 @dataclass(frozen=True)
@@ -163,8 +153,6 @@ class BalanceReport:
     omegas: np.ndarray
     defects: np.ndarray
     max_defect: float
-    beta: float
-    window_flat_fraction: float
 
 
 def _windowed_transform(taus, values, win, omegas):
@@ -192,12 +180,7 @@ def spectral_function(corr, omegas, flat_fraction=0.7):
     omegas = np.asarray(omegas, float)
     g_full = _windowed_transform(taus, corr.values, win, omegas)
     g_half = _windowed_transform(taus, corr.values_half, win, omegas)
-    return SpectralFunction(
-        omegas=omegas,
-        values=2.0 * g_half - g_full,
-        window_flat_fraction=flat_fraction,
-        i_epsilon=corr.i_epsilon,
-    )
+    return SpectralFunction(values=2.0 * g_half - g_full)
 
 
 def detailed_balance(corr, beta, omega_band=(0.5, 3.0), n_omega=26,
@@ -226,8 +209,6 @@ def detailed_balance(corr, beta, omega_band=(0.5, 3.0), n_omega=26,
         omegas=omegas,
         defects=defects,
         max_defect=float(np.max(defects)),
-        beta=beta,
-        window_flat_fraction=flat_fraction,
     )
 
 

@@ -73,6 +73,9 @@ def test_criterion_3_partial_charge_scaling(suite):
         "charge-scaling/n3-exponent-error": ("<", 0.1),
         "charge-scaling/n4-exponent-error": ("<", 0.1),
         "charge-scaling/mass-monotonicity": BOOL,
+        "charge-scaling/global-limit-final": ("<", 1e-3),
+        "charge-scaling/global-limit-monotone": BOOL,
+        "charge-scaling/conservation-t-shift": ("<", 1e-6),
     }, n2_mass=1e-6, n2_ratio_lo=1.2e4, n2_ratio_hi=1.2e5, n2_samples=8)
     assert dt < 180.0
 
@@ -105,6 +108,8 @@ def test_criterion_6_free_crossing_from_kms(suite):
     _assert_claims(man, {
         **{f"crossing/free-crossing/geometry-{i}": ("<", 1e-6) for i in range(3)},
         "crossing/left-wedge-control": BOOL,
+        "crossing/kms-identity": ("<", 1e-6),
+        "crossing/kms-crossing-consistency": BOOL,
     }, mass=1.0, grid_n=20)
     assert dt < 60.0
 

@@ -132,17 +132,6 @@ def test_scaling_fit_preconditions():
                                for i in range(6)])
 
 
-def test_global_charge_limit():
-    m = cf.ScalarModel(1.0, 2)
-    rep = cf.global_charge_limit(m, 1.0, 0.2, radii=(4, 8, 16, 32, 64))
-    assert rep.monotone
-    assert rep.final_deviation < 1e-3
-    assert rep.t_shift_change < 1e-6
-    # the pair background is the state-independent vacuum variance
-    assert rep.pair_backgrounds[-1] == pytest.approx(
-        cf.charge_variance(m, spec(64.0, 1.0, 0.2)), rel=1e-9)
-
-
 def test_area_law_report():
     rows2 = cf.area_law_report(2, entropy_fit=None)
     assert rows2[0].status == "unverified-by-design"

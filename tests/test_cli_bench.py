@@ -42,6 +42,9 @@ def test_bounds_checked(tmp_path):
         ("zf-algebra", "couplings", "0.3, 3.2"),
         ("entropy-scan", "eps_values", "1, 0.5, 0.25, -0.125"),
         ("entropy-scan", "purity_sizes", "512, 1"),
+        # site counts are integers, never cut to one
+        ("entropy-scan", "lengths", "8, 8.2, 8.3, 8.4"),
+        ("entropy-scan", "purity_sizes", "64.7"),
     ):
         p.write_text(f"[{suite}]\n{key} = {value}\n")
         with pytest.raises(ConfigurationError, match=key):
@@ -102,6 +105,8 @@ def test_exit_codes(tmp_path):
         ("entropy-scan", "[entropy-scan]\nthermal_n_sites = 64\n"
                          "thermal_lengths = 40, 80, 120, 160\n"),
         ("entropy-scan", "[entropy-scan]\nlengths = 8, 8, 8, 8\n"),
+        ("entropy-scan", "[entropy-scan]\nlengths = 8, 8.2, 8.3, 8.4\n"),
+        ("entropy-scan", "[entropy-scan]\npurity_sizes = 64.7\n"),
         # entries outside the engine's domain, rejected before any scan runs
         ("unruh", "[unruh]\naccelerations = 0\n"),
         ("thermal-map", "[thermal-map]\nbetas = 0\n"),
@@ -166,6 +171,19 @@ def test_verify_all_subset_and_parallel(tmp_path):
     # suite order in the aggregate is by the requested list, not schedule
     first_zf = names.index(next(n for n in names if n.startswith("zf-")))
     assert all(not n.startswith("zf-") for n in names[:first_zf])
+
+
+def test_verify_all_serial_matches_parallel(tmp_path):
+    only = ["thermal-map", "crossing", "zf-algebra"]
+    serial = verify_all(tmp_path / "serial", parallel=1, only=only)
+    threaded = verify_all(tmp_path / "parallel", parallel=2, only=only)
+    assert [r.name for r in serial.records] == [r.name for r in threaded.records]
+    csvs = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+    assert csvs == sorted(p.name for p in (tmp_path / "parallel").glob("*.csv"))
+    assert csvs
+    for name in csvs:
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes()), name
 
 
 def test_manifest_verdict_logic():

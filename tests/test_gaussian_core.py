@@ -139,9 +139,9 @@ def test_general_symplectic_path_matches_block_path():
 
 
 def test_entropy_values():
-    zero = gc.entanglement_entropy(gc.ModularSpectrum(np.array([0.5, 0.5]), 2))
+    zero = gc.entanglement_entropy(gc.ModularSpectrum(np.array([0.5, 0.5])))
     assert zero.entropy == 0.0
-    one = gc.entanglement_entropy(gc.ModularSpectrum(np.array([NU_THERMAL]), 1))
+    one = gc.entanglement_entropy(gc.ModularSpectrum(np.array([NU_THERMAL])))
     assert one.entropy == pytest.approx(S_THERMAL, rel=1e-12)
     assert one.entropy == pytest.approx(1.041, abs=2e-3)
 

@@ -39,8 +39,8 @@ def test_acceleration_scaling():
     # G_a(tau) = a^2 G_1(a tau) for the massless d=4 kernel
     a = 2.0
     taus = np.linspace(-3, 3, 2001)
-    tr_a = wk.Trajectory(a, 4, taus)
-    tr_1 = wk.Trajectory(1.0, 4, a * taus)
+    tr_a = wk.Trajectory(a, taus)
+    tr_1 = wk.Trajectory(1.0, a * taus)
     ca = wk.pullback(wk.WightmanModel(0.0, 4), tr_a, i_epsilon=0.02)
     c1 = wk.pullback(wk.WightmanModel(0.0, 4), tr_1, i_epsilon=a * 0.02)
     assert np.allclose(ca.values, a**2 * c1.values, rtol=1e-12)
@@ -73,7 +73,7 @@ def test_vacuum_spectrum_one_sided():
     vac = -(1.0 / (4 * np.pi**2)) / (taus - 1j * eps) ** 2
     corr = wk.PullbackCorrelator(
         taus, vac, -(1.0 / (4 * np.pi**2)) / (taus - 1j * eps / 2) ** 2,
-        0.0, 4, 1.0, eps)
+        1.0)
     sf = wk.spectral_function(corr, np.array([-1.0, 1.0]))
     assert abs(np.real(sf.values[0]) / np.real(sf.values[1])) < 1e-4
 
@@ -137,4 +137,4 @@ def test_model_validation():
     with pytest.raises(ConfigurationError):
         wk.WightmanModel(1.0, 2)     # massive d=2 not implemented
     with pytest.raises(ConfigurationError):
-        wk.Trajectory(-1.0, 4, np.linspace(-1, 1, 8))
+        wk.Trajectory(-1.0, np.linspace(-1, 1, 8))
