@@ -422,26 +422,10 @@ def global_charge_limit(model, ramp_width, time_width, radii,
 # reporting: heat-bath vs localization entropy predictions for n > 2
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AreaLawRow:
-    spacetime_dim: int
-    formula: str
-    status: str                    # "verified" | "unverified-by-design"
-
-
-def area_law_report(spacetime_dim, entropy_fit=None):
-    """Rows comparing the log-modified area prediction with the strict area
-    law; only the n = 2 log law is backed by lattice data, higher n is
-    emitted as an explicitly unverified prediction."""
-    rows = []
-    if spacetime_dim == 2:
-        r2 = entropy_fit.r_squared if entropy_fit is not None else None
-        status = "verified" if (r2 is not None and r2 > 0.99) else "unverified-by-design"
-        rows.append(AreaLawRow(2, "S ~ ln(1/eps)", status))
-    else:
-        d = spacetime_dim
-        rows.append(AreaLawRow(
-            d, f"S ~ (R/dR)^{d - 2} ln(1/eps)", "unverified-by-design"))
-        rows.append(AreaLawRow(
-            d, f"S ~ (R/dR)^{d - 2}  (strict area, brickwall)", "unverified-by-design"))
-    return rows
+def area_law_report(spacetime_dim):
+    """The log-modified area prediction and the strict (brickwall) area law
+    for the localization entropy in n > 2 spacetime dimensions; neither is
+    derivable at desk scale, so both are emitted as unverified predictions."""
+    p = spacetime_dim - 2
+    return (f"S ~ (R/dR)^{p} ln(1/eps)",
+            f"S ~ (R/dR)^{p}  (strict area, brickwall)")

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, DomainError, FitError, NumericError
 from .profiles import ramp
 from .quadrature import gauss_legendre, gl_nodes, linear_fit
 
-DEFAULT_NORMALIZATION = 1.0 / (4.0 * np.pi**2)
+NORMALIZATION = 1.0 / (4.0 * np.pi**2)
 
 
 # ----------------------------------------------------------------------
@@ -39,7 +39,6 @@ class ChiralKernel:
     kind: str                       # "vacuum" | "thermal"
     beta: float | None = None
     i_epsilon: float = 1e-8
-    normalization: float = DEFAULT_NORMALIZATION
 
     def __post_init__(self):
         if self.kind not in ("vacuum", "thermal"):
@@ -51,13 +50,12 @@ class ChiralKernel:
             raise ConfigurationError("i_epsilon must be positive")
 
 
-def vacuum_kernel(i_epsilon=1e-8, normalization=DEFAULT_NORMALIZATION):
-    return ChiralKernel("vacuum", i_epsilon=i_epsilon, normalization=normalization)
+def vacuum_kernel(i_epsilon=1e-8):
+    return ChiralKernel("vacuum", i_epsilon=i_epsilon)
 
 
-def thermal_kernel(beta, i_epsilon=1e-8, normalization=DEFAULT_NORMALIZATION):
-    return ChiralKernel("thermal", beta=beta, i_epsilon=i_epsilon,
-                        normalization=normalization)
+def thermal_kernel(beta, i_epsilon=1e-8):
+    return ChiralKernel("thermal", beta=beta, i_epsilon=i_epsilon)
 
 
 def current_two_point(kernel, u, uprime):
@@ -65,9 +63,9 @@ def current_two_point(kernel, u, uprime):
     du = np.asarray(u, complex) - np.asarray(uprime, complex)
     z = du - 1j * kernel.i_epsilon
     if kernel.kind == "vacuum":
-        return -kernel.normalization / z**2
+        return -NORMALIZATION / z**2
     a = np.pi / kernel.beta
-    return -kernel.normalization * a**2 / np.sinh(a * z) ** 2
+    return -NORMALIZATION * a**2 / np.sinh(a * z) ** 2
 
 
 def _trigamma_asymptotic(x):
@@ -91,9 +89,9 @@ def thermal_image_sum(kernel, u, uprime, n_images=200):
     du = np.asarray(u, complex) - np.asarray(uprime, complex)
     z = du - 1j * kernel.i_epsilon
     n = np.arange(-n_images, n_images + 1)
-    total = np.sum(-kernel.normalization / (z[..., None] + 1j * beta * n) ** 2, axis=-1)
+    total = np.sum(-NORMALIZATION / (z[..., None] + 1j * beta * n) ** 2, axis=-1)
     w = z / beta
-    tail = (kernel.normalization / beta**2) * (
+    tail = (NORMALIZATION / beta**2) * (
         _trigamma_asymptotic(n_images + 1.0 - 1j * w)
         + _trigamma_asymptotic(n_images + 1.0 + 1j * w)
     )
@@ -290,7 +288,7 @@ def _integrate_against(sm, corr_fn, kern, order_inner, order_outer):
 
 def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
     eps = kernel.i_epsilon
-    norm = kernel.normalization
+    norm = NORMALIZATION
 
     def C1(x, oi):
         return -_corr_derivative(sm, 0, 1, x, oi)
@@ -374,7 +372,7 @@ def current_variance_spectral(f, kernel):
     w = np.ones_like(pn)
     if kernel.kind == "thermal":
         w = 1.0 / np.tanh(kernel.beta * pn / 2.0)
-    return float(np.sum(pw * kernel.normalization * pn * w * _fourier_sq(f, pn)))
+    return float(np.sum(pw * NORMALIZATION * pn * w * _fourier_sq(f, pn)))
 
 
 def _thermal_density(p, beta, norm):
@@ -387,7 +385,7 @@ def _thermal_density(p, beta, norm):
 
 def energy_variance_spectral(f, kernel):
     """Var T(f) from the self-convolution of the current spectral density."""
-    norm = kernel.normalization
+    norm = NORMALIZATION
     pmax = _spectral_pmax(f)
     if kernel.kind == "vacuum":
         pn, pw = gl_nodes(1e-12, pmax, 1600)
@@ -490,22 +488,22 @@ def ej_compare(f, beta, rtol=1e-7):
 
 @dataclass(frozen=True)
 class EntropyRelationReport:
+    thermal_entropies: tuple        # S of [0, L) in the Gibbs state, per L
     thermal_slope: float
     thermal_r2: float
     localization_r2: float
     calibration_ratio: float
-    thermal_slope_per_chirality: float
 
 
 def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
                            interval_sites=32, r2_min=0.99):
     """Fit thermal entropy ~ s1 * L (heat bath, extensive) and vacuum-interval
     entropy ~ s2 * ln(1/eps) (localization), and report the calibration ratio
-    s1 / (2 pi s2) implied by matching ln(1/eps) to 2 pi L.
+    s1 / (2 pi s2) implied by matching ln(1/eps) to 2 pi L.  The thermal
+    entropies are returned with their fit, so a caller reads them instead of
+    rebuilding the Gibbs state.
 
-    The chain carries both lightray chiralities; the per-chirality slope is
-    the emitted half.  Coefficients are reported, not asserted against any
-    closed-form value.
+    Coefficients are reported, not asserted against any closed-form value.
     """
     L_values = [int(L) for L in L_values]
     if len(L_values) < 4 or len(eps_values) < 4:
@@ -517,9 +515,9 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     s1, _, r2_th = linear_fit(np.asarray(L_values, float), np.asarray(s_th))
 
     region = [gaussian_core.Region.interval(0, interval_sites)]
-    rows = gaussian_core.entropy_scan(lat, region, eps_values)
-    x = np.log([1.0 / r.attenuation for r in rows])
-    y = np.array([r.entropy for r in rows])
+    rows, _ = gaussian_core.entropy_scan(lat, region, eps_values)
+    x = np.log([1.0 / eps for (_, eps, _) in rows])
+    y = np.array([S for (_, _, S) in rows])
     s2, _, r2_loc = linear_fit(x, y)
 
     if r2_th < r2_min or r2_loc < r2_min:
@@ -527,9 +525,9 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
             f"entropy fits degenerate (thermal R2={r2_th:.4f}, localization R2={r2_loc:.4f})"
         )
     return EntropyRelationReport(
+        thermal_entropies=tuple(s_th),
         thermal_slope=s1,
         thermal_r2=r2_th,
         localization_r2=r2_loc,
         calibration_ratio=s1 / (2.0 * np.pi * s2),
-        thermal_slope_per_chirality=0.5 * s1,
     )

@@ -136,37 +136,33 @@ def suite_entropy_scan(cfg, man, out):
     # kept well below the chain size so the periodic chord correction stays
     # in the fit tolerance
     region = [gc.Region.interval(0, cfg["eps_interval"])]
-    scan = gc.entropy_scan(lat, region, cfg["eps_values"])
-    fit = scan[0].fit_metadata
+    rows, fit = gc.entropy_scan(lat, region, cfg["eps_values"])
     man.extend([
         check_greater("entropy-scan/eps-fit-r2", fit.r_squared, 0.99,
                       note="S against ln(L/eps)"),
         record_value("entropy-scan/eps-slope", fit.slope),
     ])
-    rows = [(r.length, r.attenuation, r.entropy) for r in scan]
     path, digest = write_csv(out, "entropy-scan", "S_vs_eps",
                              ("length", "eps", "entropy"), rows)
     man.files[path.name] = digest
 
-    # thermal side: extensivity
-    tn = cfg["thermal_n_sites"]
-    tlat = gc.HarmonicLattice(tn, 0.0, ir_regulator=1e-3 / tn)
+    # thermal side: extensivity, and its calibration against the log law
     tl = cfg["thermal_lengths"]
-    ts = gc.thermal_interval_entropies(tlat, cfg["thermal_beta"], tl)
-    tslope, _, tr2 = linear_fit(np.asarray(tl, float), np.asarray(ts))
+    rel = ce.entropy_relation_check(tl, cfg["eps_values"],
+                                    n_sites=cfg["thermal_n_sites"],
+                                    beta=cfg["thermal_beta"])
     man.extend([
-        check_greater("entropy-scan/thermal-fit-r2", tr2, cfg["thermal_tol_r2"],
-                      note="thermal entropy extensive in L"),
-        record_value("entropy-scan/thermal-slope", tslope),
-        record_value("entropy-scan/thermal-slope-per-chirality", tslope / 2.0),
+        check_greater("entropy-scan/thermal-fit-r2", rel.thermal_r2,
+                      cfg["thermal_tol_r2"], note="thermal entropy extensive in L"),
+        record_value("entropy-scan/thermal-slope", rel.thermal_slope),
+        record_value("entropy-scan/thermal-slope-per-chirality",
+                     rel.thermal_slope / 2.0),
     ])
-    rows = [(L, S) for L, S in zip(tl, ts)]
+    rows = list(zip(tl, rel.thermal_entropies))
     path, digest = write_csv(out, "entropy-scan", "thermal_S_vs_L",
                              ("length", "entropy"), rows)
     man.files[path.name] = digest
 
-    rel = ce.entropy_relation_check(tl, cfg["eps_values"],
-                                    n_sites=tn, beta=cfg["thermal_beta"])
     man.extend([record_value(
         "entropy-scan/calibration-ratio", rel.calibration_ratio,
         note="s1/(2 pi s2); coefficient reported, not asserted",
@@ -176,13 +172,13 @@ def suite_entropy_scan(cfg, man, out):
     for size in cfg["purity_sizes"]:
         plat = gc.HarmonicLattice(size, 1.0)
         ps = gc.build_vacuum_state(plat)
-        sp = gc.symplectic_spectrum(ps)
-        ent = gc.entanglement_entropy(sp).entropy
+        nus = gc.symplectic_spectrum(ps)
+        ent = gc.entanglement_entropy(nus)
         man.extend([
             check_less(f"entropy-scan/vacuum-purity/n={size}", ent,
                        cfg["purity_tol"], note="full-state entropy, nats"),
             check_bool(f"entropy-scan/uncertainty-bound/n={size}",
-                       bool(np.all(sp.nus >= 0.5 - 1e-9))),
+                       bool(np.all(nus >= 0.5 - 1e-9))),
         ])
 
     b = gc.HarmonicLattice(64, 1.0)
@@ -262,9 +258,9 @@ def suite_charge_scaling(cfg, man, out):
 
     # area-law reporting rows (n > 2 predictions are not derivable here)
     for dim in (3, 4):
-        for row in cf.area_law_report(dim):
+        for formula in cf.area_law_report(dim):
             man.extend([unverified(
-                f"charge-scaling/area-law/n={dim}/{row.formula}",
+                f"charge-scaling/area-law/n={dim}/{formula}",
                 "prediction emitted only; not derivable at desk scale",
             )])
 

@@ -10,19 +10,20 @@ frequencies omega_k^2 = m^2 + (4/a^2) sin^2(pi k/N), and every covariance
 block is the circulant matrix of one inverse FFT of a function of omega_k.
 
 Vacuum and thermal states are fixed by their covariance blocks
-X = <phi phi>, P = <pi pi>, M = <{phi, pi}/2>; restriction to a region is a
-sub-block, the symplectic spectrum {nu_k} of the reduced covariance carries
-the whole modular (entanglement) data, and
+X = <phi phi> and P = <pi pi> (the mixed block <{phi, pi}/2> vanishes for
+both); restriction to a region is a sub-block, the symplectic spectrum
+{nu_k} of the reduced covariance carries the whole modular (entanglement)
+data, and
 
     S = sum_k (nu_k + 1/2) ln(nu_k + 1/2) - (nu_k - 1/2) ln(nu_k - 1/2)
 
 is the von Neumann entropy of the reduced Gaussian state (nats).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant, eigh
+from scipy.linalg import LinAlgError, cholesky, circulant, eigh
 
 from .errors import ConfigurationError, DomainError, FitError, SpectralError
 from .quadrature import linear_fit
@@ -93,9 +94,6 @@ class Region:
 class GaussianState:
     phi_phi: np.ndarray
     pi_pi: np.ndarray
-    phi_pi: np.ndarray
-    kind: str                      # "vacuum" | "thermal"
-    beta: float | None = None
 
     @property
     def n_modes(self):
@@ -103,22 +101,9 @@ class GaussianState:
 
 
 @dataclass(frozen=True)
-class ModularSpectrum:
-    nus: np.ndarray                # symplectic eigenvalues, sorted descending
-
-
-@dataclass(frozen=True)
 class FitRecord:
     slope: float
     r_squared: float
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    entropy: float
-    length: float | None = None       # physical interval length
-    attenuation: float | None = None  # attenuation length (cutoff) epsilon
-    fit_metadata: FitRecord | None = field(default=None, compare=False)
 
 
 def _plane_wave_frequencies(lattice):
@@ -135,11 +120,9 @@ def _circulant(spectrum):
 
 
 def build_vacuum_state(lattice):
-    """Ground-state covariances X = K^{-1/2}/2, P = K^{1/2}/2, M = 0."""
+    """Ground-state covariances X = K^{-1/2}/2, P = K^{1/2}/2."""
     w = _plane_wave_frequencies(lattice)
-    n = lattice.n_sites
-    return GaussianState(_circulant(0.5 / w), _circulant(0.5 * w),
-                         np.zeros((n, n)), "vacuum")
+    return GaussianState(_circulant(0.5 / w), _circulant(0.5 * w))
 
 
 def build_thermal_state(lattice, beta):
@@ -148,37 +131,31 @@ def build_thermal_state(lattice, beta):
         raise ConfigurationError("beta must be finite and positive")
     w = _plane_wave_frequencies(lattice)
     c = 1.0 / np.tanh(np.clip(beta * w / 2.0, 1e-300, 350.0))
-    n = lattice.n_sites
-    return GaussianState(_circulant(0.5 * c / w), _circulant(0.5 * c * w),
-                         np.zeros((n, n)), "thermal", beta=beta)
+    return GaussianState(_circulant(0.5 * c / w), _circulant(0.5 * c * w))
 
 
 def reduce_state(state, region):
-    """Sub-block restriction of every covariance block to the region's sites."""
+    """Sub-block restriction of both covariance blocks to the region's sites."""
     sites = np.asarray(region.sites, int)
     if sites.size == 0:
         raise DomainError("region must be nonempty")
     if sites.min() < 0 or sites.max() >= state.n_modes:
         raise DomainError("region outside state")
     ix = np.ix_(sites, sites)
-    return GaussianState(
-        state.phi_phi[ix].copy(),
-        state.pi_pi[ix].copy(),
-        state.phi_pi[ix].copy(),
-        state.kind,
-        beta=state.beta,
-    )
+    return GaussianState(state.phi_phi[ix], state.pi_pi[ix])
 
 
 def _sympl_eigs_block(X, P):
-    """nu_k for M = 0 covariances via the symmetric product X^{1/2} P X^{1/2}."""
-    ex, Vx = eigh(X)
-    if ex[0] <= 0.0:
+    """nu_k, ascending: with X = L L^T, X P = L (L^T P L) L^{-1}, so nu_k^2
+    are the eigenvalues of the symmetric L^T P L."""
+    try:
+        L = cholesky(X, lower=True)
+    except LinAlgError:
+        ex0 = float(eigh(X, eigvals_only=True)[0])
         raise SpectralError(
-            f"phi-phi block not positive definite ({ex[0]:.3e})", offending_value=float(ex[0])
-        )
-    Xh = (Vx * np.sqrt(ex)) @ Vx.T
-    ev = eigh(Xh @ P @ Xh, eigvals_only=True)
+            f"phi-phi block not positive definite ({ex0:.3e})", offending_value=ex0
+        ) from None
+    ev = eigh(L.T @ P @ L, eigvals_only=True)
     if ev[0] <= 0.0:
         raise SpectralError(
             f"covariance numerically indefinite ({ev[0]:.3e})", offending_value=float(ev[0])
@@ -187,7 +164,11 @@ def _sympl_eigs_block(X, P):
 
 
 def _sympl_eigs_general(X, P, M):
-    """|eigenvalues| of i sigma Gamma, paired; used when <{phi,pi}> != 0."""
+    """|eigenvalues| of i sigma Gamma, Gamma = [[X, M], [M^T, P]], paired.
+
+    The reference route the tests compare the block route against; no
+    production code calls it.
+    """
     n = X.shape[0]
     gamma = np.block([[X, M], [M.T, P]])
     sigma = np.block(
@@ -204,22 +185,18 @@ def symplectic_spectrum(state, tol=UNCERTAINTY_TOL):
     Raises SpectralError (with the offending value) if any nu < 1/2 - tol,
     which would violate the uncertainty bound.
     """
-    if np.max(np.abs(state.phi_pi)) == 0.0:
-        nus = _sympl_eigs_block(state.phi_phi, state.pi_pi)
-    else:
-        nus = _sympl_eigs_general(state.phi_phi, state.pi_pi, state.phi_pi)
-    nus = np.sort(nus)[::-1]
+    nus = _sympl_eigs_block(state.phi_phi, state.pi_pi)[::-1]
     if nus[-1] < 0.5 - tol:
         raise SpectralError(
             f"symplectic eigenvalue {nus[-1]:.12f} below the uncertainty bound",
             offending_value=float(nus[-1]),
         )
-    return ModularSpectrum(nus=nus)
+    return nus
 
 
-def entanglement_entropy(spectrum, tol=UNCERTAINTY_TOL):
+def entanglement_entropy(nus, tol=UNCERTAINTY_TOL):
     """S = sum (nu+1/2)ln(nu+1/2) - (nu-1/2)ln(nu-1/2), nats; 0 ln 0 := 0."""
-    nus = np.asarray(spectrum.nus, float)
+    nus = np.asarray(nus, float)
     if nus.size and nus.min() < 0.5 - tol:
         raise SpectralError(
             f"spectrum below uncertainty bound ({nus.min():.12f})",
@@ -230,17 +207,18 @@ def entanglement_entropy(spectrum, tol=UNCERTAINTY_TOL):
     s = up * np.log(up)
     pos = dn > 0.0
     s[pos] -= dn[pos] * np.log(dn[pos])
-    return EntropyResult(entropy=float(np.sum(s)))
+    return float(np.sum(s))
 
 
 def interval_entropy(state, start, length):
     """Entropy of the contiguous interval [start, start+length)."""
     red = reduce_state(state, Region.interval(start, length))
-    return entanglement_entropy(symplectic_spectrum(red)).entropy
+    return entanglement_entropy(symplectic_spectrum(red))
 
 
 def entropy_scan(lattice, region_family, eps_family):
-    """Table of (L, eps, S) over nested intervals and attenuation lengths.
+    """(rows, fit): the (L, eps, S) rows over nested intervals and
+    attenuation lengths, and the least-squares fit of S against ln(L/eps).
 
     The attenuation length eps is realized as a short-distance cutoff: a row
     with physical interval length L and attenuation eps is read off as the
@@ -286,11 +264,7 @@ def entropy_scan(lattice, region_family, eps_family):
     x = np.log([L / e for (L, e, _) in rows])
     y = np.array([S for (_, _, S) in rows])
     slope, _, r2 = linear_fit(x, y)
-    fit = FitRecord(slope, r2)          # S against ln(L/eps)
-    return [
-        EntropyResult(entropy=S, length=L, attenuation=e, fit_metadata=fit)
-        for (L, e, S) in rows
-    ]
+    return rows, FitRecord(slope, r2)
 
 
 def thermal_interval_entropies(lattice, beta, lengths):

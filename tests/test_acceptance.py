@@ -131,10 +131,14 @@ def test_criterion_8_oracle_equivalence_and_purity(suite):
     _assert_claims(suite("charge-scaling")[0], {
         "charge-scaling/lattice-oracle-agreement": ("<", 0.03),
     })
-    _assert_claims(suite("entropy-scan")[0], {
-        "entropy-scan/vacuum-purity/n=512": ("<", 1e-8),
-        "entropy-scan/vacuum-purity/n=2048": ("<", 1e-8),
-    })
+    purity = {"entropy-scan/vacuum-purity/n=512": ("<", 1e-8),
+              "entropy-scan/vacuum-purity/n=2048": ("<", 1e-8)}
+    man = suite("entropy-scan")[0]
+    _assert_claims(man, purity)
+    # the spectrum is accurate far inside the claim's tolerance; a route
+    # through the eigendecomposition of X measures 2e-10 at n = 2048
+    measured = {r.name: r.measured for r in man.records}
+    assert all(measured[name] < 1e-10 for name in purity)
 
 
 def test_declared_out_of_reach_items_are_flagged(suite):

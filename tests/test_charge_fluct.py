@@ -133,13 +133,10 @@ def test_scaling_fit_preconditions():
 
 
 def test_area_law_report():
-    rows2 = cf.area_law_report(2, entropy_fit=None)
-    assert rows2[0].status == "unverified-by-design"
     rows4 = cf.area_law_report(4)
     assert len(rows4) == 2
-    assert all(r.status == "unverified-by-design" for r in rows4)
-    assert "ln(1/eps)" in rows4[0].formula
-    assert "strict area" in rows4[1].formula
+    assert "(R/dR)^2 ln(1/eps)" in rows4[0]
+    assert "strict area" in rows4[1]
 
 
 def test_validation():

@@ -47,9 +47,9 @@ def test_two_site_closed_form():
 @pytest.mark.parametrize("n,mass", [(16, 1.0), (64, 0.3), (33, 2.0)])
 def test_vacuum_purity(n, mass):
     st = gc.build_vacuum_state(gc.HarmonicLattice(n, mass))
-    sp = gc.symplectic_spectrum(st)
-    assert np.max(np.abs(sp.nus - 0.5)) < 1e-10
-    assert gc.entanglement_entropy(sp).entropy < 1e-8
+    nus = gc.symplectic_spectrum(st)
+    assert np.max(np.abs(nus - 0.5)) < 1e-10
+    assert gc.entanglement_entropy(nus) < 1e-8
 
 
 def dense_covariances(lattice, beta=None):
@@ -84,9 +84,9 @@ def test_plane_wave_build_matches_dense_eigh():
 
 def test_thermal_single_mode_occupancy():
     st = gc.build_thermal_state(decoupled_lattice(), beta=1.0)
-    sp = gc.symplectic_spectrum(st)
-    assert sp.nus[0] == pytest.approx(NU_THERMAL, abs=1e-9)
-    assert sp.nus[0] == pytest.approx(1.0820, abs=2e-4)
+    nus = gc.symplectic_spectrum(st)
+    assert nus[0] == pytest.approx(NU_THERMAL, abs=1e-9)
+    assert nus[0] == pytest.approx(1.0820, abs=2e-4)
 
 
 def test_thermal_zero_temperature_limit():
@@ -99,7 +99,7 @@ def test_thermal_zero_temperature_limit():
 
 def test_thermal_strictly_impure():
     st = gc.build_thermal_state(gc.HarmonicLattice(12, 1.0), beta=2.0)
-    assert np.all(gc.symplectic_spectrum(st).nus > 0.5)
+    assert np.all(gc.symplectic_spectrum(st) > 0.5)
 
 
 def test_reduce_identity_region():
@@ -112,13 +112,13 @@ def test_reduce_identity_region():
 def test_reduce_decoupled_is_pure():
     st = gc.build_vacuum_state(decoupled_lattice())
     red = gc.reduce_state(st, gc.Region((0,)))
-    assert gc.symplectic_spectrum(red).nus[0] == pytest.approx(0.5, abs=1e-10)
+    assert gc.symplectic_spectrum(red)[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_reduce_coupled_half_chain_oracle():
     st = gc.build_vacuum_state(gc.HarmonicLattice(2, 1.0))
     red = gc.reduce_state(st, gc.Region((0,)))
-    nu = gc.symplectic_spectrum(red).nus[0]
+    nu = gc.symplectic_spectrum(red)[0]
     assert nu > 0.5
     assert nu == pytest.approx(NU_HALF_CHAIN, abs=1e-12)
 
@@ -127,34 +127,41 @@ def test_spectrum_invariant_under_relabeling():
     st = gc.build_vacuum_state(gc.HarmonicLattice(12, 0.5))
     a = gc.symplectic_spectrum(gc.reduce_state(st, gc.Region((1, 2, 3, 4))))
     b = gc.symplectic_spectrum(gc.reduce_state(st, gc.Region((4, 2, 1, 3))))
-    assert np.allclose(a.nus, b.nus, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
 
 
-def test_general_symplectic_path_matches_block_path():
-    st = gc.build_vacuum_state(gc.HarmonicLattice(6, 1.0))
-    red = gc.reduce_state(st, gc.Region.interval(0, 3))
-    nus_block = gc.symplectic_spectrum(red).nus
-    nus_gen = gc._sympl_eigs_general(red.phi_phi, red.pi_pi, red.phi_pi)
+@pytest.mark.parametrize("lattice,beta,length", [
+    pytest.param(gc.HarmonicLattice(6, 1.0), None, 3, id="vacuum-6"),
+    pytest.param(gc.HarmonicLattice(64, 1.0), 2.0, 16, id="gibbs-64"),
+    pytest.param(gc.HarmonicLattice(200, 0.0, ir_regulator=1e-3 / 200), None, 32,
+                 id="critical-200"),
+])
+def test_general_symplectic_path_matches_block_path(lattice, beta, length):
+    st = (gc.build_vacuum_state(lattice) if beta is None
+          else gc.build_thermal_state(lattice, beta))
+    red = gc.reduce_state(st, gc.Region.interval(0, length))
+    nus_block = gc.symplectic_spectrum(red)
+    nus_gen = gc._sympl_eigs_general(red.phi_phi, red.pi_pi,
+                                     np.zeros_like(red.phi_phi))
     assert np.allclose(np.sort(nus_block), np.sort(nus_gen), atol=1e-10)
 
 
 def test_entropy_values():
-    zero = gc.entanglement_entropy(gc.ModularSpectrum(np.array([0.5, 0.5])))
-    assert zero.entropy == 0.0
-    one = gc.entanglement_entropy(gc.ModularSpectrum(np.array([NU_THERMAL])))
-    assert one.entropy == pytest.approx(S_THERMAL, rel=1e-12)
-    assert one.entropy == pytest.approx(1.041, abs=2e-3)
+    assert gc.entanglement_entropy(np.array([0.5, 0.5])) == 0.0
+    one = gc.entanglement_entropy(np.array([NU_THERMAL]))
+    assert one == pytest.approx(S_THERMAL, rel=1e-12)
+    assert one == pytest.approx(1.041, abs=2e-3)
 
 
 def test_entropy_additive_over_uncoupled_blocks():
     st = gc.build_vacuum_state(decoupled_lattice(4))
     th = gc.build_thermal_state(decoupled_lattice(4), beta=0.7)
     s_pair = gc.entanglement_entropy(
-        gc.symplectic_spectrum(gc.reduce_state(th, gc.Region((0, 1))))).entropy
+        gc.symplectic_spectrum(gc.reduce_state(th, gc.Region((0, 1)))))
     s_each = gc.entanglement_entropy(
-        gc.symplectic_spectrum(gc.reduce_state(th, gc.Region((0,))))).entropy
+        gc.symplectic_spectrum(gc.reduce_state(th, gc.Region((0,)))))
     assert s_pair == pytest.approx(2 * s_each, rel=1e-10)
-    assert gc.entanglement_entropy(gc.symplectic_spectrum(st)).entropy < 1e-10
+    assert gc.entanglement_entropy(gc.symplectic_spectrum(st)) < 1e-10
 
 
 def test_restriction_impurity_all_proper_intervals():
@@ -172,7 +179,7 @@ def test_uncertainty_bound_across_states():
               else gc.build_thermal_state(lat, beta))
         for region in (gc.Region.interval(0, 20), gc.Region.interval(3, 9),
                        gc.Region((0, 5, 11))):
-            nus = gc.symplectic_spectrum(gc.reduce_state(st, region)).nus
+            nus = gc.symplectic_spectrum(gc.reduce_state(st, region))
             assert np.all(nus >= 0.5 - 1e-9)
 
 
@@ -180,23 +187,22 @@ def test_entropy_scan_log_fit():
     n = 900
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
     regions = [gc.Region.interval(0, L) for L in (8, 16, 32, 64, 128)]
-    rows = gc.entropy_scan(lat, regions, [1.0])
-    fit = rows[0].fit_metadata
+    rows, fit = gc.entropy_scan(lat, regions, [1.0])
     assert fit.r_squared > 0.995
     assert fit.slope == pytest.approx(1.0 / 3.0, abs=0.02)
     # doubling the interval at fixed eps increases the entropy
-    ents = [r.entropy for r in rows]
+    ents = [S for (_, _, S) in rows]
     assert all(b > a for a, b in zip(ents[:-1], ents[1:]))
 
 
 def test_entropy_scan_eps_direction():
     n = 600
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
-    rows = gc.entropy_scan(lat, [gc.Region.interval(0, 16)],
-                           [1.0, 0.5, 0.25, 0.125])
-    assert rows[0].fit_metadata.r_squared > 0.99
+    rows, fit = gc.entropy_scan(lat, [gc.Region.interval(0, 16)],
+                                [1.0, 0.5, 0.25, 0.125])
+    assert fit.r_squared > 0.99
     # sharper attenuation (smaller eps) raises the entropy
-    ents = [r.entropy for r in rows]
+    ents = [S for (_, _, S) in rows]
     assert all(b > a for a, b in zip(ents[:-1], ents[1:]))
 
 
@@ -233,9 +239,13 @@ def test_validation_errors():
 
 
 def test_spectral_error_reports_offender():
-    bad = gc.GaussianState(np.diag([0.1, 0.1]), np.diag([0.1, 0.1]),
-                           np.zeros((2, 2)), "vacuum")
+    bad = gc.GaussianState(np.diag([0.1, 0.1]), np.diag([0.1, 0.1]))
     with pytest.raises(SpectralError) as err:
         gc.symplectic_spectrum(bad)
     assert err.value.offending_value is not None
     assert err.value.offending_value < 0.5
+    # X not positive definite: the Cholesky factor does not exist
+    indefinite = gc.GaussianState(np.diag([-0.1, 0.1]), np.eye(2))
+    with pytest.raises(SpectralError) as err:
+        gc.symplectic_spectrum(indefinite)
+    assert err.value.offending_value < 0
