@@ -2,20 +2,23 @@
 fluctuation variances, and the exponential map between the heat-bath line
 and the vacuum half-line.
 
-Kernels (normalization N = 1/4 pi^2, level-1 convention):
+Kernels (normalization N = 1/4 pi^2, level-1 convention; eps -> 0 limit):
 
-    vacuum       <j(u) j(u')> = -N / (du - i eps)^2
-    thermal(b)   <j(u) j(u')> = -N (pi/b)^2 / sinh^2(pi (du - i eps)/b)
+    vacuum       <j(u) j(u')> = -N / du^2
+    thermal(b)   <j(u) j(u')> = -N (pi/b)^2 / sinh^2(pi du/b)
 
 The energy density is the Wick square T = :j^2:, so its connected two-point
 function is 2 K(u,u')^2.  Smeared variances are the double integrals
 Var = int int f(u) f(u') Re K du du'; they are evaluated in position space
 after reducing to the autocorrelation C(x) = (f star f)(x) and integrating
-the singular kernels by parts against C', C'', C''' (all exact identities),
-with fixed panelized Gauss-Legendre rules at two orders for an error
-estimate.  An independent momentum-space (spectral) route is provided for
-cross-checks: Var_j = N int_0^inf p w(p) |f~(p)|^2 dp with w = 1 or
-coth(b p / 2), and Var_T from the self-convolution of the spectral density.
+the singular kernels by parts against C', C'', C''' (all exact identities).
+The kernels left, 1/x, coth(ax), log|sinh(ax)| and x - coth(ax)/a, are
+integrable at x = 0 with no regulator, and each has the parity of the odd
+C', C''' or even C'' it multiplies, so every integrand is even and is
+integrated on (0, D] only, by fixed panelized Gauss-Legendre rules at two
+orders for an error estimate.  An independent momentum-space (spectral)
+route cross-checks it: Var_j = N int_0^inf p w(p) |f~(p)|^2 dp with w = 1
+or coth(b p / 2), and Var_T from the self-convolution of the spectral density.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +41,6 @@ NORMALIZATION = 1.0 / (4.0 * np.pi**2)
 class ChiralKernel:
     kind: str                       # "vacuum" | "thermal"
     beta: float | None = None
-    i_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("vacuum", "thermal"):
@@ -46,26 +48,23 @@ class ChiralKernel:
         if self.kind == "thermal":
             if self.beta is None or not (self.beta > 0):
                 raise ConfigurationError("thermal kernel needs beta > 0")
-        if not (self.i_epsilon > 0):
-            raise ConfigurationError("i_epsilon must be positive")
 
 
-def vacuum_kernel(i_epsilon=1e-8):
-    return ChiralKernel("vacuum", i_epsilon=i_epsilon)
+def vacuum_kernel():
+    return ChiralKernel("vacuum")
 
 
-def thermal_kernel(beta, i_epsilon=1e-8):
-    return ChiralKernel("thermal", beta=beta, i_epsilon=i_epsilon)
+def thermal_kernel(beta):
+    return ChiralKernel("thermal", beta=beta)
 
 
 def current_two_point(kernel, u, uprime):
     """<j(u) j(u')>; accepts complex du for strip evaluations."""
     du = np.asarray(u, complex) - np.asarray(uprime, complex)
-    z = du - 1j * kernel.i_epsilon
     if kernel.kind == "vacuum":
-        return -NORMALIZATION / z**2
+        return -NORMALIZATION / du**2
     a = np.pi / kernel.beta
-    return -NORMALIZATION * a**2 / np.sinh(a * z) ** 2
+    return -NORMALIZATION * a**2 / np.sinh(a * du) ** 2
 
 
 def _trigamma_asymptotic(x):
@@ -86,8 +85,7 @@ def thermal_image_sum(kernel, u, uprime, n_images=200):
     if kernel.kind != "thermal":
         raise DomainError("image sum is defined for thermal kernels")
     beta = kernel.beta
-    du = np.asarray(u, complex) - np.asarray(uprime, complex)
-    z = du - 1j * kernel.i_epsilon
+    z = np.asarray(u, complex) - np.asarray(uprime, complex)
     n = np.arange(-n_images, n_images + 1)
     total = np.sum(-NORMALIZATION / (z[..., None] + 1j * beta * n) ** 2, axis=-1)
     w = z / beta
@@ -260,15 +258,15 @@ def _corr_derivative(sm, oa, ob, xs, order_inner):
     return out
 
 
-def _outer_edges(sm, n_graded=46):
-    """Panel edges on (0, D]: graded binary refinement below the smallest
-    breakpoint separation (kernel near-singularity), exact splits at every
-    breakpoint difference (autocorrelation kinks), and logarithmic caps so
-    no panel spans more than about half an octave."""
+def _outer_edges(sm):
+    """Panel edges on (0, D]: 46 levels of binary refinement below the
+    smallest breakpoint separation (only the log|sinh| kernel needs them),
+    exact splits at every breakpoint difference (autocorrelation kinks), and
+    logarithmic caps so no panel spans more than about half an octave."""
     b = sm.breakpoints
     diffs = sorted({abs(x - y) for x in b for y in b if abs(x - y) > 1e-13 * abs(b[-1] - b[0])})
     d_min = diffs[0]
-    edges = [d_min * 0.5**k for k in range(n_graded, 0, -1)]
+    edges = [d_min * 0.5**k for k in range(46, 0, -1)]
     for lo, hi in zip(diffs[:-1], diffs[1:]):
         n_sub = max(1, int(np.ceil(np.log(hi / lo) / 0.5)))
         edges.extend(np.exp(np.linspace(np.log(lo), np.log(hi), n_sub + 1))[1:])
@@ -276,18 +274,16 @@ def _outer_edges(sm, n_graded=46):
 
 
 def _integrate_against(sm, corr_fn, kern, order_inner, order_outer):
+    """int_{-D}^{D} C K dx of an even integrand, as 2 int_0^D C K dx."""
     edges = _outer_edges(sm)
     total = 0.0
-    starts = np.concatenate([[edges[0] * 0.5**6], edges[:-1]])
-    for a, b in zip(starts, edges):
-        for lo, hi in ((a, b), (-b, -a)):
-            xn, xw = gl_nodes(lo, hi, order_outer)
-            total += float(np.sum(xw * corr_fn(xn, order_inner) * kern(xn)))
-    return total
+    for a, b in zip(np.concatenate([[0.0], edges[:-1]]), edges):
+        xn, xw = gl_nodes(a, b, order_outer)
+        total += float(np.sum(xw * corr_fn(xn, order_inner) * kern(xn)))
+    return 2.0 * total
 
 
 def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
-    eps = kernel.i_epsilon
     norm = NORMALIZATION
 
     def C1(x, oi):
@@ -300,18 +296,18 @@ def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
         return _corr_derivative(sm, 1, 2, x, oi)
 
     if kernel.kind == "vacuum":
-        inv = lambda x: np.real(1.0 / (x - 1j * eps))
+        inv = lambda x: 1.0 / x
         if which == "current":
             return -norm * _integrate_against(sm, C1, inv, order_inner, order_outer)
         return (norm**2 / 3.0) * _integrate_against(sm, C3, inv, order_inner, order_outer)
 
     a = np.pi / kernel.beta
     if which == "current":
-        kern = lambda x: np.real(1.0 / np.tanh(a * (x - 1j * eps)))
+        kern = lambda x: 1.0 / np.tanh(a * x)
         return -norm * a * _integrate_against(sm, C1, kern, order_inner, order_outer)
 
-    k_log = lambda x: np.log(np.abs(np.sinh(a * (x - 1j * eps))))
-    k_lin = lambda x: x - np.real(1.0 / np.tanh(a * (x - 1j * eps))) / a
+    k_log = lambda x: np.log(np.sinh(a * x))
+    k_lin = lambda x: x - 1.0 / (a * np.tanh(a * x))
     v1 = _integrate_against(sm, C2, k_log, order_inner, order_outer)
     v2 = _integrate_against(sm, C3, k_lin, order_inner, order_outer)
     J = (2.0 / (3.0 * a**2)) * v1 - (1.0 / (6.0 * a**2)) * v2
@@ -322,8 +318,7 @@ def _variance(sm, kernel, which, rtol):
     mid = _variance_by_parts(sm, kernel, which, order_inner=56, order_outer=26)
     hi = _variance_by_parts(sm, kernel, which, order_inner=88, order_outer=42)
     err = abs(hi - mid)
-    scale = max(abs(hi), 1e-300)
-    if err > max(rtol * scale, 1e-14):
+    if err > max(rtol * abs(hi), 1e-14):
         raise NumericError(
             f"{which} variance quadrature not converged (estimate {err:.3e})",
             achieved=hi,
@@ -444,11 +439,11 @@ def verify_isomorphism(imap, grid, min_separation=1e-9):
         K_thermal(beta)(u, u') = J(u) J(u') K_vacuum(x(u), x(u'))
 
     over a grid of (u, u') pairs.  The current has scaling dimension 1, so
-    one Jacobian factor transports each leg.  Kernels are evaluated in their
-    analytic eps -> 0 limit (i_epsilon = 1e-300, far below rounding).
+    one Jacobian factor transports each leg.  Off the diagonal both kernels
+    are regular, so they are compared at eps = 0 directly.
     """
-    th = thermal_kernel(imap.beta, i_epsilon=1e-300)
-    vac = vacuum_kernel(i_epsilon=1e-300)
+    th = thermal_kernel(imap.beta)
+    vac = vacuum_kernel()
     worst = 0.0
     for u, up in grid:
         if abs(u - up) < min_separation:

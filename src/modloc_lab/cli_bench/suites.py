@@ -47,7 +47,7 @@ def suite_thermal_map(cfg, man, out):
                    abs(imap.image[0] - 1.0) + abs(imap.image[1] - np.e), 1e-14,
                    note="(0,1) -> (1, e) at beta = 2 pi"),
     ])
-    k = ce.thermal_kernel(2.0, i_epsilon=1e-300)
+    k = ce.thermal_kernel(2.0)
     du = np.linspace(0.3, 2.0, 9) - 0.45j
     man.extend([check_less(
         "thermal-map/kms-periodicity", ce.kms_periodicity_defect(k, du),
@@ -303,7 +303,7 @@ def suite_unruh(cfg, man, out):
     )])
     man.extend([
         check_less("unruh/kms-strip-chiral",
-                   wk.kms_shift_check(ce.thermal_kernel(TWO_PI, i_epsilon=1e-300)),
+                   wk.kms_shift_check(ce.thermal_kernel(TWO_PI)),
                    _strictened(cfg["tol_strip"], cfg)),
         check_less("unruh/boost-stationarity",
                    wk.boost_orbit_consistency(1.0),

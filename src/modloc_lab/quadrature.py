@@ -8,6 +8,8 @@ bit-identical.
 
 import numpy as np
 
+from .errors import FitError
+
 _GL_CACHE = {}
 
 
@@ -60,13 +62,15 @@ def filon_cos_sin(sample_fn, a, b, omega, n_panels):
 
 
 def linear_fit(x, y):
-    """Least-squares slope/intercept/R^2 of y against x."""
+    """Least-squares slope/intercept/R^2 of y against x; FitError if x has
+    fewer than two distinct values or y is constant (no slope or R^2)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    if len(np.unique(x)) < 2 or np.ptp(y) == 0:
+        raise FitError("degenerate linear fit: need two distinct x values and a varying y")
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     pred = A @ coef
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot

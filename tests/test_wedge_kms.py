@@ -102,12 +102,12 @@ def test_truncation_leakage_detected():
 
 @pytest.mark.parametrize("beta", [1.0, TWO_PI])
 def test_kms_strip_identity(beta):
-    k = ce.thermal_kernel(beta, i_epsilon=1e-300)
+    k = ce.thermal_kernel(beta)
     assert wk.kms_shift_check(k) < 1e-10
 
 
 def test_kms_strip_domain_errors():
-    k = ce.thermal_kernel(TWO_PI, i_epsilon=1e-300)
+    k = ce.thermal_kernel(TWO_PI)
     with pytest.raises(DomainError):
         wk.kms_shift_check(k, taus=np.array([0.0]))
     with pytest.raises(DomainError):
