@@ -39,28 +39,25 @@ def _open(lo, hi):
 _POSITIVE = _open(0.0, math.inf)
 
 # key -> (converter, default, (lo, hi) or None); a list key's bounds apply
-# to each of its entries
+# to each of its entries.  The keys choose a check's inputs only: each
+# pass/fail bound is a constant of its check in suites.py.
 _SCHEMAS = {
     "ej-fluct": {
         "beta": (float, 6.283185307179586, (1e-3, 1e3)),
-        "tol_rel_diff": (float, 1e-6, (0.0, 1.0)),
-        "rtol": (float, 1e-7, (0.0, 1.0)),
     },
     "thermal-map": {
-        "betas": (_list(float, 1), (1.0, 6.283185307179586), _POSITIVE),
+        # below beta ~ 0.0174 the transported vacuum kernel on the
+        # u in [0.02, 0.98] grid overflows
+        "betas": (_list(float, 1), (1.0, 6.283185307179586), (0.02, _POSITIVE[1])),
         "grid_n": (int, 100, (4, 100000)),
-        "tol": (float, 1e-10, (0.0, 1.0)),
     },
     "entropy-scan": {
         "n_sites": (int, 2000, (64, 100000)),
         "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
-        "tol_r2": (float, 0.995, (0.0, 1.0)),
         "thermal_n_sites": (int, 1200, (64, 100000)),
         "thermal_beta": (float, 6.283185307179586, (1e-3, 1e3)),
         "thermal_lengths": (_list(_integer, 4), (40, 80, 120, 160, 200, 240), None),
-        "thermal_tol_r2": (float, 0.99, (0.0, 1.0)),
         "purity_sizes": (_list(_integer, 1), (512, 2048), (2, 100000)),
-        "purity_tol": (float, 1e-8, (0.0, 1.0)),
         "eps_values": (_list(float, 4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
         "eps_interval": (int, 48, (8, 100000)),
     },
@@ -69,34 +66,16 @@ _SCHEMAS = {
         "n2_ratio_lo": (float, 1.2e4, (1.0, 1e9)),
         "n2_ratio_hi": (float, 1.2e5, (1.0, 1e9)),
         "n2_samples": (int, 8, (6, 64)),
-        "n2_tol_exponent": (float, 0.1, (0.0, 10.0)),
-        "n2_tol_r2": (float, 0.999, (0.0, 1.0)),
-        "n34_tol_exponent": (float, 0.1, (0.0, 10.0)),
-        "oracle_tol": (float, 0.03, (0.0, 1.0)),
-        "limit_tol": (float, 1e-3, (0.0, 1.0)),
     },
     "unruh": {
         "accelerations": (_list(float, 1), (0.5, 1.0, 2.0), _POSITIVE),
-        "tol_balance": (float, 1e-3, (0.0, 10.0)),
-        "control_min_defect": (float, 0.5, (0.0, 100.0)),
-        "tol_strip": (float, 1e-10, (0.0, 1.0)),
-        "tol_stationarity": (float, 1e-10, (0.0, 1.0)),
     },
     "crossing": {
         "mass": (float, 1.0, (1e-6, 1e3)),
         "grid_n": (int, 20, (4, 200)),
-        "tol_crossing": (float, 1e-6, (0.0, 1.0)),
-        "tol_cr_residual": (float, 1e-8, (0.0, 1.0)),
-        "tol_involution": (float, 1e-8, (0.0, 1.0)),
-        "tol_kms": (float, 1e-6, (0.0, 1.0)),
     },
     "zf-algebra": {
         "couplings": (_list(float, 1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
-        "tol_smatrix": (float, 1e-12, (0.0, 1.0)),
-        "tol_exchange": (float, 1e-10, (0.0, 1.0)),
-        "tol_double": (float, 1e-12, (0.0, 1.0)),
-        "tol_associativity": (float, 1e-10, (0.0, 1.0)),
-        "tol_leak": (float, 1e-8, (0.0, 1.0)),
         "k_max": (int, 4, (2, 6)),
     },
 }
@@ -108,7 +87,6 @@ EXPERIMENTS = tuple(_SCHEMAS)
 class ExperimentConfig:
     experiment: str
     params: dict
-    strict: bool = False
 
     def __getitem__(self, key):
         return self.params[key]
@@ -150,7 +128,7 @@ def _coerce(experiment, raw):
     return params
 
 
-def load_config(experiment, path=None, strict=False):
+def load_config(experiment, path=None):
     """Defaults when no file is given; otherwise the file's section for this
     experiment is parsed (INI key = value, or JSON)."""
     if experiment not in _SCHEMAS:
@@ -193,4 +171,4 @@ def load_config(experiment, path=None, strict=False):
                 f"[{experiment}] parameter block is empty; expected keys: "
                 f"{', '.join(sorted(_SCHEMAS[experiment]))}"
             )
-    return ExperimentConfig(experiment, _coerce(experiment, raw), strict=strict)
+    return ExperimentConfig(experiment, _coerce(experiment, raw))

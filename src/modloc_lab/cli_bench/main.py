@@ -1,8 +1,11 @@
 """Command line entry point.
 
-    modloc-lab <experiment> [--config PATH] [--out DIR] [--strict]
-    modloc-lab verify-all   [--out DIR] [--strict] [--parallel N] [--only ...]
+    modloc-lab <experiment> [--config PATH] [--out DIR]
+    modloc-lab verify-all   [--out DIR] [--parallel N] [--only ...]
     modloc-lab emit-plots <run-dir> [--out DIR]
+
+A config file sets a suite's inputs (scan values and grid sizes); every
+pass/fail bound is fixed by its check and echoed in the record.
 
 Exit codes: 0 all checks pass (or unverified-by-design), 1 check failure,
 2 configuration error (a rejected flag or value, an unreadable or malformed
@@ -45,10 +48,8 @@ def build_parser():
         sp = sub.add_parser(name, help=f"run the {name} suite")
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default="runs")
-        sp.add_argument("--strict", action="store_true")
     va = sub.add_parser("verify-all", help="run every suite at desk scale")
     va.add_argument("--out", default="runs")
-    va.add_argument("--strict", action="store_true")
     va.add_argument("--parallel", type=int, default=1)
     va.add_argument("--only", nargs="*", default=None,
                     help="restrict to these suites")
@@ -71,10 +72,10 @@ def main(argv=None):
                 bad = set(args.only) - set(EXPERIMENTS)
                 if bad:
                     raise ConfigurationError(f"unknown suites: {sorted(bad)}")
-            manifest = verify_all(_out_dir(args), strict=args.strict,
-                                  parallel=args.parallel, only=args.only)
+            manifest = verify_all(_out_dir(args), parallel=args.parallel,
+                                  only=args.only)
             return _report(manifest)
-        cfg = load_config(args.command, args.config, strict=args.strict)
+        cfg = load_config(args.command, args.config)
         manifest = run_experiment(cfg, _out_dir(args))
         return _report(manifest)
     except ConfigurationError as exc:

@@ -48,10 +48,16 @@ def _assert_claims(man, claims, **inputs):
 
 def test_criterion_1_thermal_vacuum_isomorphism(suite):
     man, dt = suite("thermal-map")
-    _assert_claims(man, {
+    claims = {
         "thermal-map/kernel-defect/beta=1": ("<", 1e-10),
         "thermal-map/kernel-defect/beta=6.28319": ("<", 1e-10),
-    }, betas=(1.0, TWO_PI), grid_n=100)       # first 100 points of 11 x 11
+        "thermal-map/kms-periodicity": ("<", 1e-10),
+    }
+    _assert_claims(man, claims, betas=(1.0, TWO_PI),
+                   grid_n=100)                 # first 100 points of 11 x 11
+    # the identities hold to rounding at defaults (2.4e-15 and 8.7e-16)
+    measured = {r.name: r.measured for r in man.records}
+    assert all(measured[name] < 1e-11 for name in claims)
     assert dt < 1.0
 
 
@@ -60,7 +66,7 @@ def test_criterion_2_einstein_jordan_fluctuations(suite):
     claims = {f"ej-fluct/energy-variance-match/geometry-{i}": ("<", 1e-6)
               for i in range(3)}
     claims["ej-fluct/current-route-agreement"] = ("<", 1e-6)
-    _assert_claims(man, claims, beta=TWO_PI, rtol=1e-7)
+    _assert_claims(man, claims, beta=TWO_PI)
     # pinned far inside the claim's tolerance, so an O(eps) kernel regulator
     # bias (5e-8 to 1e-7 at eps = 1e-8) fails here
     measured = {r.name: r.measured for r in man.records}

@@ -165,6 +165,30 @@ def test_isomorphism_diagonal_behavior():
         assert abs(lhs / rhs - 1.0) < 1e-8    # both diverge together
 
 
+def test_isomorphism_overflow_is_not_a_pass():
+    # at beta = 1e-3, exp(2 pi u / beta) overflows: the defect is NaN, never
+    # a running max() that keeps 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        imap = ce.exp_map(1e-3, 0.0, 1.0)
+        defect = ce.verify_isomorphism(imap, [(0.1, 0.9), (0.9, 0.1)])
+    assert not defect < 1.0
+
+
+def test_ej_compare_rejects_overflowing_beta():
+    # exp(2 pi * 1.5 / 0.01) overflows a float: rejected before any
+    # quadrature, with no overflow warning
+    with pytest.raises(ConfigurationError, match="beta = 0.01"):
+        ce.ej_compare(ce.SmearingFn(0.0, 1.0, 0.5), 0.01)
+
+
+def test_corr_derivative_stays_inside_the_pieces():
+    # outer nodes of the beta = 0.5 transported bump where u - x rounded
+    # just outside its f'' piece, which took log(0) in d2
+    g = ce.TransportedSmearing(ce.SmearingFn(0.0, 1.0, 0.5), 0.5)
+    xs = [67216049.0333344, 69124903.33727264, 71136237.19477645]
+    assert np.all(np.isfinite(ce._corr_derivative(g, 1, 2, xs, 56)))
+
+
 def test_ej_compare_other_beta_and_zero():
     cmp = ce.ej_compare(ce.SmearingFn(0.0, 0.12, 0.13), 1.0)
     assert cmp.rel_diff < 1e-6

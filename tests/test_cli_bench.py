@@ -1,13 +1,32 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from modloc_lab.cli_bench import config as cbc
-from modloc_lab.cli_bench import plots
-from modloc_lab.cli_bench.main import main
+from modloc_lab.cli_bench import plots, suites
+from modloc_lab.cli_bench.main import build_parser, main
 from modloc_lab.cli_bench.manifest import RunManifest, check_less, unverified
 from modloc_lab.cli_bench.suites import run_experiment, verify_all
 from modloc_lab.errors import ConfigurationError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# pass/fail bounds are constants of their checks, never config inputs
+TOLERANCE_KEYS = {
+    "ej-fluct": ("tol_rel_diff", "rtol"),
+    "thermal-map": ("tol",),
+    "entropy-scan": ("tol_r2", "thermal_tol_r2", "purity_tol"),
+    "charge-scaling": ("n2_tol_exponent", "n2_tol_r2", "n34_tol_exponent",
+                       "oracle_tol", "limit_tol"),
+    "unruh": ("tol_balance", "control_min_defect", "tol_strip",
+              "tol_stationarity"),
+    "crossing": ("tol_crossing", "tol_cr_residual", "tol_involution", "tol_kms"),
+    "zf-algebra": ("tol_smatrix", "tol_exchange", "tol_double",
+                   "tol_associativity", "tol_leak"),
+}
 
 
 def test_defaults_load():
@@ -56,7 +75,7 @@ def test_json_config(tmp_path):
     p.write_text(json.dumps({"thermal-map": {"grid_n": 25}}))
     cfg = cbc.load_config("thermal-map", p)
     assert cfg["grid_n"] == 25
-    assert cfg["tol"] == 1e-10      # defaults fill the rest
+    assert cfg["betas"] == (1.0, 6.283185307179586)   # defaults fill the rest
     p.write_text(json.dumps({"thermal-map": {"betas": [1.0, 2.0]}}))
     assert cbc.load_config("thermal-map", p)["betas"] == (1.0, 2.0)
 
@@ -83,15 +102,12 @@ def test_thermal_map_suite_end_to_end(tmp_path):
     assert len(names) == len(set(names))
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     out = str(tmp_path / "runs")
     assert main(["thermal-map", "--out", out]) == 0
     bad = tmp_path / "bad.ini"
     bad.write_text("[thermal-map]\nnope = 2\n")
     assert main(["thermal-map", "--config", str(bad), "--out", out]) == 2
-    failing = tmp_path / "failing.ini"
-    failing.write_text("[thermal-map]\ntol = 1e-22\n")
-    assert main(["thermal-map", "--config", str(failing), "--out", out]) == 1
     assert main(["emit-plots", str(tmp_path / "missing")]) == 3
     # unreadable or malformed files, and list keys that would pass vacuously
     for suite, text in (
@@ -110,6 +126,9 @@ def test_exit_codes(tmp_path):
         # entries outside the engine's domain, rejected before any scan runs
         ("unruh", "[unruh]\naccelerations = 0\n"),
         ("thermal-map", "[thermal-map]\nbetas = 0\n"),
+        # exp(2 pi u / beta) overflows the kernel grid or the smearing image
+        ("thermal-map", "[thermal-map]\nbetas = 1.0, 0.001\n"),
+        ("ej-fluct", "[ej-fluct]\nbeta = 0.01\n"),
         ("zf-algebra", "[zf-algebra]\ncouplings = 0\n"),
         ("entropy-scan", "[entropy-scan]\neps_values = 1, 0.5, 0.25, 0\n"),
         ("entropy-scan", "[entropy-scan]\npurity_sizes = 1\n"),
@@ -121,15 +140,45 @@ def test_exit_codes(tmp_path):
         assert main([suite, "--config", str(path), "--out", out]) == 2, text
     # flags that used to be parsed and ignored are rejected by argparse
     for argv in (["thermal-map", "--parallel", "7", "--out", out],
-                 ["verify-all", "--only", "thermal-map", "--config", str(failing),
-                  "--out", out]):
+                 ["verify-all", "--only", "thermal-map", "--config", str(bad),
+                  "--out", out],
+                 # bounds are constants of their checks, not a run mode
+                 ["thermal-map", "--strict", "--out", out],
+                 ["verify-all", "--strict", "--out", out]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # no config can loosen a bound, so a failing check comes from a stub suite
+    def failing_suite(cfg, man, out):
+        man.extend([check_less("thermal-map/stub", 2.0, 1.0)])
+
+    monkeypatch.setitem(suites._SUITES, "thermal-map", failing_suite)
+    assert main(["thermal-map", "--out", out]) == 1
 
 
-def test_strict_profile(tmp_path):
-    assert main(["thermal-map", "--strict", "--out", str(tmp_path)]) == 0
+def test_tolerance_keys_rejected(tmp_path, capsys):
+    p = tmp_path / "c.ini"
+    for suite, keys in TOLERANCE_KEYS.items():
+        for key in keys:
+            p.write_text(f"[{suite}]\n{key} = 1\n")
+            assert main([suite, "--config", str(p), "--out",
+                         str(tmp_path / "runs")]) == 2, key
+            assert key in capsys.readouterr().err, key
+    assert not (tmp_path / "runs").exists()
+
+
+def test_readme_commands_and_config_parse(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    commands = [line for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("modloc-lab ")]
+    assert commands
+    for line in commands:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    ini, = re.findall(r"```ini\n(.*?)```", text, re.S)
+    p = tmp_path / "readme.ini"
+    p.write_text(ini)
+    assert cbc.load_config("thermal-map", p)
 
 
 def test_modloc_out_env_override(tmp_path, monkeypatch):
