@@ -181,6 +181,18 @@ def test_readme_commands_and_config_parse(tmp_path):
     assert cbc.load_config("thermal-map", p)
 
 
+def test_strict_profile(tmp_path):
+    # the former strict profile (numeric identities at a tenth of their
+    # bound) holds at defaults through the CLI, with no flag to ask for it
+    assert main(["thermal-map", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "thermal-map_manifest.json").read_text())
+    identities = [r for r in payload["records"]
+                  if r["name"].startswith("thermal-map/kernel-defect/")
+                  or r["name"] == "thermal-map/kms-periodicity"]
+    assert len(identities) == 3
+    assert all(r["measured"] < r["tolerance"] / 10.0 for r in identities)
+
+
 def test_modloc_out_env_override(tmp_path, monkeypatch):
     target = tmp_path / "env_dir"
     monkeypatch.setenv("MODLOC_OUT", str(target))
