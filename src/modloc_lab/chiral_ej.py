@@ -11,12 +11,11 @@ The energy density is the Wick square T = :j^2:, so its connected two-point
 function is 2 K(u,u')^2.  Smeared variances are the double integrals
 Var = int int f(u) f(u') Re K du du'; they are evaluated in position space
 after reducing to the autocorrelation C(x) = (f star f)(x) and integrating
-the singular kernels by parts against C', C'', C''' (all exact identities).
-The kernels left, 1/x, coth(ax), log|sinh(ax)| and x - coth(ax)/a, are
-integrable at x = 0 with no regulator, and each has the parity of the odd
-C', C''' or even C'' it multiplies, so every integrand is even and is
-integrated on (0, D] only, by fixed panelized Gauss-Legendre rules at two
-orders for an error estimate.  An independent momentum-space (spectral)
+the singular kernels by parts against C' and C''' (all exact identities).
+The kernels left, 1/x, coth(ax) and x - coth(ax)/a, are odd like C' and
+C''', which vanish at x = 0, so every integrand is even and smooth there
+and is integrated on (0, D] only, by fixed panelized Gauss-Legendre rules
+at two orders for an error estimate.  An independent momentum-space (spectral)
 route cross-checks it: Var_j = N int_0^inf p w(p) |f~(p)|^2 dp with w = 1
 or coth(b p / 2), and Var_T from the self-convolution of the spectral density.
 """
@@ -97,10 +96,13 @@ def thermal_image_sum(kernel, u, uprime, n_images=200):
 
 
 def kms_periodicity_defect(kernel, du_grid):
-    """max relative defect of K(du - i beta) = K(-du) on a complex-du grid."""
+    """max relative defect of K(du - i beta) = K(-du) on a complex-du grid
+    away from the strip singularity at du = 0."""
     if kernel.kind != "thermal":
         raise DomainError("KMS periodicity applies to thermal kernels")
     du = np.asarray(du_grid, complex)
+    if np.any(np.abs(du) < 1e-6 * kernel.beta):
+        raise DomainError("du = 0 sits on a strip singularity")
     lhs = current_two_point(kernel, du - 1j * kernel.beta, 0.0)
     rhs = current_two_point(kernel, -du, 0.0)
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
@@ -265,18 +267,21 @@ def _corr_derivative(sm, oa, ob, xs, order_inner):
 
 
 def _outer_edges(sm):
-    """Panel edges on (0, D]: 46 levels of binary refinement below the
-    smallest breakpoint separation (only the log|sinh| kernel needs them),
-    exact splits at every breakpoint difference (autocorrelation kinks), and
-    logarithmic caps so no panel spans more than about half an octave."""
+    """Panel edges on (0, D]: exact splits at every breakpoint difference
+    (autocorrelation kinks) and every piece length (the scale on which the
+    smearing itself varies), with logarithmic caps so no panel spans more
+    than about half an octave; the first panel is [0, smallest scale]."""
     b = sm.breakpoints
-    diffs = sorted({abs(x - y) for x in b for y in b if abs(x - y) > 1e-13 * abs(b[-1] - b[0])})
-    d_min = diffs[0]
-    edges = [d_min * 0.5**k for k in range(46, 0, -1)]
-    for lo, hi in zip(diffs[:-1], diffs[1:]):
+    scales = np.unique([abs(x - y) for x in b for y in b]
+                       + [hi - lo for lo, hi in sm.pieces(0)])
+    # drop 0 and every scale within rounding of the one below it, which
+    # would only add a sliver panel
+    scales = scales[np.diff(scales, prepend=0.0) > 1e-12 * scales]
+    edges = [scales[0]]
+    for lo, hi in zip(scales[:-1], scales[1:]):
         n_sub = max(1, int(np.ceil(np.log(hi / lo) / 0.5)))
         edges.extend(np.exp(np.linspace(np.log(lo), np.log(hi), n_sub + 1))[1:])
-    return np.array(sorted(set(edges)))
+    return np.array(edges)
 
 
 def _integrate_against(sm, corr_fn, kern, order_inner, order_outer):
@@ -295,9 +300,6 @@ def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
     def C1(x, oi):
         return -_corr_derivative(sm, 0, 1, x, oi)
 
-    def C2(x, oi):
-        return -_corr_derivative(sm, 1, 1, x, oi)
-
     def C3(x, oi):
         return _corr_derivative(sm, 1, 2, x, oi)
 
@@ -308,13 +310,13 @@ def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
         return (norm**2 / 3.0) * _integrate_against(sm, C3, inv, order_inner, order_outer)
 
     a = np.pi / kernel.beta
+    coth = lambda x: 1.0 / np.tanh(a * x)
+    # the current's term, and by parts (C'(0) = C'(D) = 0) the energy's
+    # int C'' log|sinh(ax)| term
+    v1 = -a * _integrate_against(sm, C1, coth, order_inner, order_outer)
     if which == "current":
-        kern = lambda x: 1.0 / np.tanh(a * x)
-        return -norm * a * _integrate_against(sm, C1, kern, order_inner, order_outer)
-
-    k_log = lambda x: np.log(np.sinh(a * x))
-    k_lin = lambda x: x - 1.0 / (a * np.tanh(a * x))
-    v1 = _integrate_against(sm, C2, k_log, order_inner, order_outer)
+        return norm * v1
+    k_lin = lambda x: x - coth(x) / a
     v2 = _integrate_against(sm, C3, k_lin, order_inner, order_outer)
     J = (2.0 / (3.0 * a**2)) * v1 - (1.0 / (6.0 * a**2)) * v2
     return 2.0 * (norm * a**2) ** 2 * J
@@ -368,8 +370,10 @@ def _spectral_pmax(f):
 
 def current_variance_spectral(f, kernel):
     """Var j(f) = N int_0^inf p w(p) |f~(p)|^2 dp, w = 1 or coth(beta p/2)."""
-    pmax = _spectral_pmax(f)
-    pn, pw = gl_nodes(1e-12, pmax, 1600)
+    # 16 panels of 100 nodes: the nodes of one 1600-node rule cost a
+    # 1600 x 1600 eigensolve
+    e = np.linspace(0.0, _spectral_pmax(f), 17)
+    pn, pw = (v.ravel() for v in gl_nodes(e[:-1, None], e[1:, None], 100))
     w = np.ones_like(pn)
     if kernel.kind == "thermal":
         w = 1.0 / np.tanh(kernel.beta * pn / 2.0)

@@ -12,7 +12,6 @@ from .. import crossing_zf as cz
 from .. import gaussian_core as gc
 from .. import wedge_kms as wk
 from ..errors import NumericError
-from ..quadrature import linear_fit
 from .config import EXPERIMENTS, load_config
 from .manifest import (RunManifest, check_bool, check_greater, check_less,
                        record_value, unverified, write_csv)
@@ -102,18 +101,17 @@ def suite_ej_fluct(cfg, man, out):
 def suite_entropy_scan(cfg, man, out):
     n = cfg["n_sites"]
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
-    state = gc.build_vacuum_state(lat)
     lengths = cfg["lengths"]
-    entropies = [gc.interval_entropy(state, 0, L) for L in lengths]
-    slope, intercept, r2 = linear_fit(np.log(lengths), entropies)
+    rows, fit = gc.entropy_scan(lat, [gc.Region.interval(0, L) for L in lengths],
+                                [1.0])
     man.extend([
-        check_greater("entropy-scan/log-fit-r2", r2, 0.995,
+        check_greater("entropy-scan/log-fit-r2", fit.r_squared, 0.995,
                       note=f"S = s ln L + c on the {n}-site critical chain"),
-        record_value("entropy-scan/log-slope", slope,
+        record_value("entropy-scan/log-slope", fit.slope,
                      note="recorded, not asserted (c=1 chain gives ~1/3)"),
-        record_value("entropy-scan/log-slope-per-chirality", slope / 2.0),
+        record_value("entropy-scan/log-slope-per-chirality", fit.slope / 2.0),
     ])
-    rows = [(L, S) for L, S in zip(lengths, entropies)]
+    rows = [(L, S) for L, (_, _, S) in zip(lengths, rows)]
     path, digest = write_csv(out, "entropy-scan", "S_vs_L",
                              ("length", "entropy"), rows)
     man.files[path.name] = digest
@@ -296,7 +294,9 @@ def suite_unruh(cfg, man, out):
     )])
     man.extend([
         check_less("unruh/kms-strip-chiral",
-                   wk.kms_shift_check(ce.thermal_kernel(TWO_PI)), 1e-10),
+                   ce.kms_periodicity_defect(
+                       ce.thermal_kernel(TWO_PI),
+                       np.linspace(0.15 * TWO_PI, 1.5 * TWO_PI, 40)), 1e-10),
         check_less("unruh/boost-stationarity",
                    wk.boost_orbit_consistency(1.0), 1e-10),
     ])

@@ -48,6 +48,18 @@ def test_kms_periodicity_complex_grid():
         k = ce.thermal_kernel(beta)
         grid = np.linspace(0.2, 1.8, 9) * beta / 2 - 0.31j * beta
         assert ce.kms_periodicity_defect(k, grid) < 1e-10
+        # the real strip-boundary grid of unruh/kms-strip-chiral
+        real = np.linspace(0.15 * beta, 1.5 * beta, 40)
+        assert ce.kms_periodicity_defect(k, real) < 1e-10
+    k = ce.thermal_kernel(TWO_PI)
+    with pytest.raises(DomainError):               # du = 0 is the singularity
+        ce.kms_periodicity_defect(k, np.array([0.0]))
+    with pytest.raises(DomainError):
+        ce.kms_periodicity_defect(ce.vacuum_kernel(), real)
+    # du -> 0 limit of the identity is hermiticity of the kernel itself
+    lhs = ce.current_two_point(k, -0.3, 0.0)
+    rhs = np.conj(ce.current_two_point(k, 0.3, 0.0))
+    assert abs(lhs - rhs) < 1e-15
 
 
 def test_profile_derivatives_match_finite_differences():
@@ -179,6 +191,13 @@ def test_ej_compare_rejects_overflowing_beta():
     # quadrature, with no overflow warning
     with pytest.raises(ConfigurationError, match="beta = 0.01"):
         ce.ej_compare(ce.SmearingFn(0.0, 1.0, 0.5), 0.01)
+
+
+def test_first_outer_panel_resolves_the_smallest_piece():
+    # at small beta the exp-mapped smearing varies on scales far below its
+    # smallest breakpoint difference; the outer rule must start below them
+    g = ce.TransportedSmearing(ce.SmearingFn(0.0, 1.0, 0.5), 0.7)
+    assert ce._outer_edges(g)[0] <= min(hi - lo for lo, hi in g.pieces(0))
 
 
 def test_corr_derivative_stays_inside_the_pieces():

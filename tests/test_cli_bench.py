@@ -129,6 +129,11 @@ def test_exit_codes(tmp_path, monkeypatch):
         # exp(2 pi u / beta) overflows the kernel grid or the smearing image
         ("thermal-map", "[thermal-map]\nbetas = 1.0, 0.001\n"),
         ("ej-fluct", "[ej-fluct]\nbeta = 0.01\n"),
+        # below the by-parts engine's resolution floor of 0.7
+        ("ej-fluct", "[ej-fluct]\nbeta = 0.5\n"),
+        ("ej-fluct", "[ej-fluct]\nbeta = 0.02\n"),
+        # entropy_scan resolves no 1-site interval
+        ("entropy-scan", "[entropy-scan]\nlengths = 1, 2, 4, 8\n"),
         ("zf-algebra", "[zf-algebra]\ncouplings = 0\n"),
         ("entropy-scan", "[entropy-scan]\neps_values = 1, 0.5, 0.25, 0\n"),
         ("entropy-scan", "[entropy-scan]\npurity_sizes = 1\n"),

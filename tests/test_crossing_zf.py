@@ -33,7 +33,7 @@ def test_wedge_classification():
 
 def test_strip_analyticity_and_involution():
     rf = cz.mass_shell_restrict(right_fn())
-    assert rf.cauchy_riemann_residual() < 1e-8
+    assert rf.cauchy_riemann_residual() < 1e-11
     assert rf.involution_defect() < 1e-8
 
 
