@@ -48,18 +48,6 @@ def test_kms_periodicity_complex_grid():
         k = ce.thermal_kernel(beta)
         grid = np.linspace(0.2, 1.8, 9) * beta / 2 - 0.31j * beta
         assert ce.kms_periodicity_defect(k, grid) < 1e-10
-        # the real strip-boundary grid of unruh/kms-strip-chiral
-        real = np.linspace(0.15 * beta, 1.5 * beta, 40)
-        assert ce.kms_periodicity_defect(k, real) < 1e-10
-    k = ce.thermal_kernel(TWO_PI)
-    with pytest.raises(DomainError):               # du = 0 is the singularity
-        ce.kms_periodicity_defect(k, np.array([0.0]))
-    with pytest.raises(DomainError):
-        ce.kms_periodicity_defect(ce.vacuum_kernel(), real)
-    # du -> 0 limit of the identity is hermiticity of the kernel itself
-    lhs = ce.current_two_point(k, -0.3, 0.0)
-    rhs = np.conj(ce.current_two_point(k, 0.3, 0.0))
-    assert abs(lhs - rhs) < 1e-15
 
 
 def test_profile_derivatives_match_finite_differences():

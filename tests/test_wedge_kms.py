@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import hankel2, kv
 
+from modloc_lab import chiral_ej as ce
 from modloc_lab import wedge_kms as wk
 from modloc_lab.errors import ConfigurationError, DomainError, NumericError
 
@@ -106,6 +107,27 @@ def test_truncation_leakage_detected():
     corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
     with pytest.raises(NumericError):
         wk.spectral_function(corr, np.array([1.0]))
+
+
+@pytest.mark.parametrize("beta", [1.0, TWO_PI])
+def test_kms_strip_identity(beta):
+    # the real strip-boundary grid of unruh/kms-strip-chiral
+    k = ce.thermal_kernel(beta)
+    taus = np.linspace(0.15 * beta, 1.5 * beta, 40)
+    assert ce.kms_periodicity_defect(k, taus) < 1e-10
+
+
+def test_kms_strip_domain_errors():
+    k = ce.thermal_kernel(TWO_PI)
+    with pytest.raises(DomainError):               # tau = 0 is the singularity
+        ce.kms_periodicity_defect(k, np.array([0.0]))
+    with pytest.raises(DomainError):
+        ce.kms_periodicity_defect(ce.vacuum_kernel(), np.array([1.0]))
+    # tau -> 0 limit of the identity is hermiticity of the kernel itself
+    du = 0.3
+    lhs = ce.current_two_point(k, -du, 0.0)
+    rhs = np.conj(ce.current_two_point(k, du, 0.0))
+    assert abs(lhs - rhs) < 1e-15
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
