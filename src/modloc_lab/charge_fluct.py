@@ -159,16 +159,22 @@ class _PairKernel:
 # radial Fourier transforms of the plateau profile
 # ----------------------------------------------------------------------
 
+def _ramp_rule(spec, kmax):
+    """Nodes s on [0, dR] and weights w_s rho(s) resolving cos(k s) up to
+    |k| = kmax; rho the unit ramp."""
+    dR = spec.ramp_width
+    n = int(max(32, min(360, 16 + 1.4 * kmax * dR)))
+    sn, sw = gl_nodes(0.0, dR, n)
+    return sn, sw * ramp(spec.profile, 0)(sn / dR)
+
+
 def _ramp_moments(spec, ks, weight_r=False):
     """(C, S) with C = int_0^dR rho(s) w(s) cos(k s) ds and S the sine
     moment; rho the unit ramp, w = 1 or (R + s)."""
     ks = np.atleast_1d(ks)
-    dR = spec.ramp_width
-    n = int(max(32, min(360, 16 + 1.4 * np.max(np.abs(ks)) * dR)))
-    sn, sw = gl_nodes(0.0, dR, n)
-    rho = ramp(spec.profile, 0)(sn / dR)
-    w = (spec.radius + sn) if weight_r else 1.0
-    base = sw * rho * w
+    sn, base = _ramp_rule(spec, np.max(np.abs(ks)))
+    if weight_r:
+        base = base * (spec.radius + sn)
     C = np.cos(np.outer(ks, sn)) @ base
     S = np.sin(np.outer(ks, sn)) @ base
     return C, S
@@ -210,6 +216,21 @@ def ftilde_radial(spec, D, ks):
     rho = ramp(spec.profile, 0)((rn - R) / dR)
     out = out + 2.0 * np.pi * (j0(np.outer(kk, rn)) @ (rw * rn * rho))
     return spec.amplitude * out
+
+
+def _ftilde_1d_differences(spec, p):
+    """The matrix f~(p_i - p_j) in D = 1, equal to ftilde_radial(spec, 1,
+    p_i - p_j).  f~(k) = 2 sin(kR)/k + 2 sum_s w_s rho_s cos(k (R + s)), and
+    angle addition turns the ramp sum into C^T W C + S^T W S with
+    C = cos(p (R + s)), S = sin(p (R + s)): two GEMMs over the ramp nodes
+    instead of one cosine per matrix entry and node."""
+    dd = p[:, None] - p[None, :]
+    kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
+    sn, base = _ramp_rule(spec, np.max(kk))
+    x = np.outer(spec.radius + sn, p)
+    C, S = np.cos(x), np.sin(x)
+    ramp_part = (C.T * base) @ C + (S.T * base) @ S
+    return spec.amplitude * 2.0 * (np.sin(kk * spec.radius) / kk + ramp_part)
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +300,14 @@ def _variance_panels(spec, D, pair, ang_over_tp):
 
 def charge_variance(model, spec):
     """F = |Q(f_{R,dR}, g_T) Omega|^2 >= 0 for the free complex scalar."""
+    pair = _PairKernel(model.spacetime_dim - 1, model.mass, spec.time_width,
+                       _kmax(spec))
+    return _variance(model, spec, pair)
+
+
+def _variance(model, spec, pair):
+    """charge_variance on a given pair kernel I_D(k) for (T, kmax) of spec."""
     D = model.spacetime_dim - 1
-    kmax = _kmax(spec)
-    pair = _PairKernel(D, model.mass, spec.time_width, kmax)
     ang = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[D]
     ang_over_tp = ang / (2.0 * np.pi) ** (2 * D)
     if D == 2:
@@ -335,7 +361,11 @@ def scaling_fit(model, spec_family):
     x = np.array([s.ratio for s in specs])
     if np.max(x) / np.min(x) < 10.0 - 1e-9:
         raise FitError("samples must span at least one decade in R/dR")
-    F = np.array([charge_variance(model, s) for s in specs])
+    # one pair kernel per (T, kmax): a scan at fixed dR and T shares one
+    keys = [(s.time_width, _kmax(s)) for s in specs]
+    pairs = {key: _PairKernel(model.spacetime_dim - 1, model.mass, *key)
+             for key in dict.fromkeys(keys)}
+    F = np.array([_variance(model, s, pairs[key]) for s, key in zip(specs, keys)])
     if np.any(F <= 0):
         raise FitError("nonpositive variance in scan")
     exp_fit, _, r2_pow = linear_fit(np.log(x), np.log(F))
@@ -383,8 +413,7 @@ def _one_particle_deviation(model, spec, p_center, p_halfwidth, t_shift=0.0,
     psi = r((np.abs(pn - p_center) - 0.5 * p_halfwidth) / (0.5 * p_halfwidth))
     E = _energy(pn, m)
     mu = pw / (2.0 * np.pi * 2.0 * E)
-    dd = pn[:, None] - pn[None, :]
-    ft = ftilde_radial(spec, 1, dd.ravel()).reshape(dd.shape)
+    ft = _ftilde_1d_differences(spec, pn)
     gh = np.exp(-0.5 * ((E[:, None] - E[None, :]) * spec.time_width) ** 2)
     if t_shift != 0.0:
         gh = gh * np.exp(1j * (E[:, None] - E[None, :]) * t_shift)

@@ -368,12 +368,16 @@ def _spectral_pmax(f):
     return 140.0 / width
 
 
+def _panel_rule(a, b, n_panels):
+    """n_panels Gauss-Legendre panels of 100 nodes each on [a, b]; the nodes
+    of one rule with as many nodes cost a dense eigensolve of that order."""
+    e = np.linspace(a, b, n_panels + 1)
+    return tuple(v.ravel() for v in gl_nodes(e[:-1, None], e[1:, None], 100))
+
+
 def current_variance_spectral(f, kernel):
     """Var j(f) = N int_0^inf p w(p) |f~(p)|^2 dp, w = 1 or coth(beta p/2)."""
-    # 16 panels of 100 nodes: the nodes of one 1600-node rule cost a
-    # 1600 x 1600 eigensolve
-    e = np.linspace(0.0, _spectral_pmax(f), 17)
-    pn, pw = (v.ravel() for v in gl_nodes(e[:-1, None], e[1:, None], 100))
+    pn, pw = _panel_rule(0.0, _spectral_pmax(f), 16)
     w = np.ones_like(pn)
     if kernel.kind == "thermal":
         w = 1.0 / np.tanh(kernel.beta * pn / 2.0)
@@ -393,13 +397,13 @@ def energy_variance_spectral(f, kernel):
     norm = NORMALIZATION
     pmax = _spectral_pmax(f)
     if kernel.kind == "vacuum":
-        pn, pw = gl_nodes(1e-12, pmax, 1600)
+        pn, pw = _panel_rule(0.0, pmax, 16)
         return float(np.sum(pw * (norm**2 / 3.0) * pn**3 * _fourier_sq(f, pn)))
     beta = kernel.beta
-    pn, pw = gl_nodes(-pmax, pmax, 1200)
+    pn, pw = _panel_rule(-pmax, pmax, 12)
     f2 = _fourier_sq(f, pn)
     qmax = pmax + 80.0 / beta
-    qn, qw = gl_nodes(-qmax, qmax, 3200)
+    qn, qw = _panel_rule(-qmax, qmax, 32)
     r1 = _thermal_density(qn, beta, norm)
     sig = np.empty_like(pn)
     chunk = 200

@@ -40,6 +40,16 @@ def test_ftilde_3d_against_direct():
     assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
+@pytest.mark.parametrize("R, dR", [(4.0, 1.0), (64.0, 1.0), (3.0, 0.5)])
+def test_ftilde_differences_against_ftilde_radial(R, dR):
+    s = spec(R, dR)
+    pn, _ = gl_nodes(-0.5, 1.5, 200)
+    dd = pn[:, None] - pn[None, :]            # diagonal: dd = 0
+    ref = cf.ftilde_radial(s, 1, dd.ravel()).reshape(dd.shape)
+    mine = cf._ftilde_1d_differences(s, pn)
+    assert np.max(np.abs(mine - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 # ----- pair phase-space integrals against brute-force oracles -----
 
 def test_pair_integral_2d_brute():
@@ -92,11 +102,23 @@ def test_log_law_increments():
     assert np.max(np.abs(ratios - 1.0)) < 0.05
 
 
+def n3_specs():
+    return [spec(0.5 * x, 0.5, 0.05)
+            for x in np.exp(np.linspace(np.log(6), np.log(62), 7))]
+
+
+def n2_specs():
+    # six distinct T = 0.1 dR, so six distinct pair kernels
+    specs = []
+    for x in np.exp(np.linspace(np.log(100), np.log(1100), 6)):
+        R = 6.0 * np.sqrt(x / 100.0)
+        specs.append(spec(R, R / x, 0.1 * R / x))
+    return specs
+
+
 def test_scaling_fit_n3_exponent():
     model = cf.ScalarModel(1.0, 3)
-    specs = [spec(0.5 * x, 0.5, 0.05)
-             for x in np.exp(np.linspace(np.log(6), np.log(62), 7))]
-    rep = cf.scaling_fit(model, specs)
+    rep = cf.scaling_fit(model, n3_specs())
     assert not rep.fitted_log_flag
     assert rep.fitted_exponent == pytest.approx(1.0, abs=0.1)
     assert rep.r_squared > 0.999
@@ -113,14 +135,30 @@ def test_scaling_fit_n4_exponent():
 
 def test_scaling_fit_n2_log_flag():
     model = cf.ScalarModel(1e-6, 2)
-    specs = []
-    for x in np.exp(np.linspace(np.log(100), np.log(1100), 6)):
-        R = 6.0 * np.sqrt(x / 100.0)
-        specs.append(spec(R, R / x, 0.1 * R / x))
-    rep = cf.scaling_fit(model, specs)
+    rep = cf.scaling_fit(model, n2_specs())
     assert rep.fitted_log_flag
     assert rep.r_squared > 0.999          # F linear in ln(R/dR)
     assert rep.log_slope > 0
+
+
+@pytest.mark.parametrize("mass, dim, make_specs, builds",
+                         [(1.0, 3, n3_specs, 1), (1e-6, 2, n2_specs, 6)])
+def test_scaling_fit_builds_each_kernel_once(monkeypatch, mass, dim,
+                                             make_specs, builds):
+    model = cf.ScalarModel(mass, dim)
+    specs = make_specs()
+    alone = [cf.charge_variance(model, s) for s in specs]
+    built = []
+
+    class CountingKernel(cf._PairKernel):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cf, "_PairKernel", CountingKernel)
+    rep = cf.scaling_fit(model, specs)
+    assert len(built) == builds
+    assert [F for _, F in rep.samples] == alone
 
 
 def test_scaling_fit_preconditions():
