@@ -441,15 +441,16 @@ def zf_apply(op, packet, state, S, leak_tol=None):
     n = len(state.theta_grid)
     leaked = state.leaked_norm
     if op == "create":
-        new = [np.zeros_like(c) for c in comps]
+        # np.zeros is lazily zeroed: a component never written costs no pages
+        new = [np.zeros(c.shape, complex) for c in comps]
         new[0] = np.array(0.0 + 0.0j)
         for k in range(state.k_max):
             src = comps[k]
-            if np.max(np.abs(src)) == 0.0:
+            if not src.any():
                 continue
-            new[k + 1] = new[k + 1] + _insert_packet(S, f_vals, src, state.theta_grid)
+            new[k + 1] = _insert_packet(S, f_vals, src, state.theta_grid)
         top = comps[state.k_max]
-        if np.max(np.abs(top)) != 0.0:
+        if top.any():
             overflow = _insert_packet(S, f_vals, top, state.theta_grid)
             leak = _tensor_norm_sq(state.weights, overflow)
             leaked += leak
@@ -459,10 +460,10 @@ def zf_apply(op, packet, state, S, leak_tol=None):
                     leaked_norm=leaked,
                 )
     elif op == "annihilate":
-        new = [np.zeros_like(c) for c in comps]
+        new = [np.zeros(c.shape, complex) for c in comps]
         for k in range(1, state.k_max + 1):
             src = comps[k]
-            if np.max(np.abs(src)) == 0.0:
+            if not src.any():
                 continue
             contracted = np.tensordot(np.conj(f_vals) * state.weights, src,
                                       axes=([0], [0]))

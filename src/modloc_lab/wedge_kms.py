@@ -148,7 +148,7 @@ def flat_taper(taus, t_flat, t_end):
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    values: np.ndarray             # Richardson-extrapolated G~(omega)
+    values: np.ndarray             # Richardson-extrapolated Re G~(omega)
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,21 @@ class BalanceReport:
     max_defect: float
 
 
-def _windowed_transform(taus, values, win, omegas):
+def _windowed_transforms(taus, slices, win, omegas):
+    """Re G~(+w) and Re G~(-w) of each sampled slice, each of shape
+    (len(slices), len(omegas)).  exp(-i w tau) is taken as the conjugate of
+    exp(i w tau), so one phase per frequency serves every sum."""
     dt = taus[1] - taus[0]
-    out = np.empty(len(omegas), complex)
-    gw = values * win
+    gws = [values * win for values in slices]
+    plus = np.empty((len(gws), len(omegas)))
+    minus = np.empty_like(plus)
     for i, w in enumerate(omegas):
-        out[i] = np.sum(gw * np.exp(1j * w * taus)) * dt
-    return out
+        phase = np.exp(1j * w * taus)
+        back = np.conj(phase)
+        for s, gw in enumerate(gws):
+            plus[s, i] = np.real(np.sum(gw * phase) * dt)
+            minus[s, i] = np.real(np.sum(gw * back) * dt)
+    return plus, minus
 
 
 def spectral_function(corr, omegas, flat_fraction=0.7):
@@ -181,8 +189,8 @@ def spectral_function(corr, omegas, flat_fraction=0.7):
             f"(flat_fraction={flat_fraction}, span={t_end:.3g})"
         )
     omegas = np.asarray(omegas, float)
-    g_full = _windowed_transform(taus, corr.values, win, omegas)
-    g_half = _windowed_transform(taus, corr.values_half, win, omegas)
+    (g_full, g_half), _ = _windowed_transforms(
+        taus, (corr.values, corr.values_half), win, omegas)
     return SpectralFunction(values=2.0 * g_half - g_full)
 
 
@@ -196,16 +204,11 @@ def detailed_balance(corr, beta, omega_band=(0.5, 3.0), n_omega=26,
     taus = corr.taus
     t_end = float(np.max(np.abs(taus)))
     win = flat_taper(taus, flat_fraction * t_end, t_end)
-
-    def log_ratio(values):
-        gp = np.real(_windowed_transform(taus, values, win, omegas))
-        gm = np.real(_windowed_transform(taus, values, win, -omegas))
-        if np.any(gp <= 0) or np.any(gm <= 0):
-            raise NumericError("spectral transform lost positivity in band")
-        return np.log(gm / gp)
-
-    r_full = log_ratio(corr.values)
-    r_half = log_ratio(corr.values_half)
+    gp, gm = _windowed_transforms(
+        taus, (corr.values, corr.values_half), win, omegas)
+    if np.any(gp <= 0) or np.any(gm <= 0):
+        raise NumericError("spectral transform lost positivity in band")
+    r_full, r_half = np.log(gm / gp)
     r = 2.0 * r_half - r_full
     defects = np.abs(r + beta * omegas)
     return BalanceReport(

@@ -266,3 +266,24 @@ def test_norm_and_exchange_consistency_on_states():
     two = cz.zf_two_particle(S, f, g, tn)
     assert np.max(np.abs(s_fg.components[2] - two)) < 1e-13
     assert cz.zf_norm_sq(s_fg) > 0.0
+
+
+def test_deep_sequence_leaves_inputs_and_top_component_untouched():
+    # the zf-algebra suite's k_max = 6 in/out sequence on its 14-point grid
+    S = cz.SMatrixModel(1.0)
+    st = cz.zf_vacuum(n_grid=14, k_max=6)
+    tn = st.theta_grid
+    packets = [np.exp(-((tn - c) ** 2) / w)
+               for c, w in ((0.5, 1.0), (-0.7, 0.6), (0.0, 1.0), (1.0, 0.8))]
+    steps = [("create", p) for p in packets]
+    steps += [("annihilate", packets[0]), ("create", np.exp(-((tn + 1.2) ** 2)))]
+    for op, p in steps:
+        # zero components are checked with any(): a copy of the 120 MB
+        # rank-6 tensor would cost what zf_apply itself no longer does
+        before = [c.copy() if c.any() else None for c in st.components]
+        out = cz.zf_apply(op, p, st, S)
+        for c, b in zip(st.components, before):
+            assert (not c.any()) if b is None else np.array_equal(c, b)
+        st = out
+    assert st.leaked_norm == 0.0
+    assert not st.components[6].any()

@@ -78,6 +78,39 @@ def test_vacuum_spectrum_one_sided():
     assert abs(np.real(sf.values[0]) / np.real(sf.values[1])) < 1e-4
 
 
+@pytest.mark.parametrize("taus", [
+    wk.Trajectory.uniform(1.0).tau_grid,
+    wk.Trajectory.uniform(0.95).tau_grid,
+    np.linspace(-40.0, 40.0, 1 << 16),     # test_vacuum_spectrum_one_sided's
+], ids=["uniform-1", "uniform-0.95", "linspace"])
+def test_windowed_transforms_match_literal_sum(taus):
+    # one shared phase per frequency gives the real parts of the literal
+    # one-frequency sums bit for bit, at +w and -w, for each slice
+    dt = taus[1] - taus[0]
+    eps = 16 * dt
+    slices = (-(1.0 / (4 * np.pi**2)) / np.sinh((taus - 1j * eps) / 2.0) ** 2,
+              -(1.0 / (4 * np.pi**2)) / np.sinh((taus - 0.5j * eps) / 2.0) ** 2)
+    t_end = float(np.max(np.abs(taus)))
+    win = wk.flat_taper(taus, 0.7 * t_end, t_end)
+    omegas = np.array([0.5, 1.0, 1.7, 3.0])
+    plus, minus = wk._windowed_transforms(taus, slices, win, omegas)
+    assert plus.shape == minus.shape == (2, len(omegas))
+    for s, v in enumerate(slices):
+        for i, w in enumerate(omegas):
+            for sign, got in ((1.0, plus), (-1.0, minus)):
+                ref = np.real(np.sum(v * win * np.exp(1j * (sign * w) * taus)) * dt)
+                assert got[s, i] == ref
+
+
+def test_detailed_balance_positivity_check():
+    # a transform that is negative in the band is refused, not logged
+    corr = wk.pullback(wk.WightmanModel(0.0, 4), wk.Trajectory.uniform(1.0))
+    flipped = wk.PullbackCorrelator(corr.taus, -corr.values,
+                                    -corr.values_half, corr.acceleration)
+    with pytest.raises(NumericError, match="lost positivity"):
+        wk.detailed_balance(flipped, TWO_PI)
+
+
 def test_detailed_balance_off_power_of_two_accelerations():
     # a = 0.95 and 1.1 are no power-of-two rescaling of a = 1: on a linspace
     # grid their tau ~ 0 samples carried rounding that the e^{-beta w}-small
