@@ -22,11 +22,14 @@ continuum quadrature at the few-percent level.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .errors import ConfigurationError, FitError, NumericError
 from .profiles import ramp
 from .quadrature import filon_cos_sin, gl_nodes, linear_fit
+
+# scipy.special is imported inside the D = 2 branch that calls it: loading
+# scipy takes about 0.4 s, which a CLI run of any suite that never calls it
+# would otherwise pay.
 
 _ECUT_SIGMAS = 5.7     # |g~|^2 = exp(-(E T)^2) < 1e-14 beyond E = 5.7/T
 _KFAC = 40.0           # ramp cutoff k <= KFAC / dR
@@ -209,6 +212,8 @@ def ftilde_radial(spec, D, ks):
         A, B = _envelope_3d(spec, kk)
         return A * np.sin(kk * R) + B * np.cos(kk * R)
     # D == 2: disc part closed form, ramp by quadrature of J0
+    from scipy.special import j0, j1
+
     out = 2.0 * np.pi * R * j1(kk * R) / kk
     dR = spec.ramp_width
     n = int(max(32, min(360, 16 + 1.4 * np.max(kk) * dR)))

@@ -68,10 +68,18 @@ def main(argv=None):
                 print(path)
             return 0
         if args.command == "verify-all":
-            if args.only:
+            if args.parallel < 1:
+                raise ConfigurationError(
+                    f"--parallel must be at least 1, got {args.parallel}")
+            if args.only is not None:
+                if not args.only:
+                    raise ConfigurationError("--only needs at least one suite")
                 bad = set(args.only) - set(EXPERIMENTS)
                 if bad:
                     raise ConfigurationError(f"unknown suites: {sorted(bad)}")
+                repeated = sorted({n for n in args.only if args.only.count(n) > 1})
+                if repeated:
+                    raise ConfigurationError(f"--only repeats {repeated}")
             manifest = verify_all(_out_dir(args), parallel=args.parallel,
                                   only=args.only)
             return _report(manifest)

@@ -5,7 +5,7 @@ directory.  No plotting library is invoked; files are named
 import math
 from pathlib import Path
 
-from ..errors import NumericError
+from ..errors import ConfigurationError
 from .manifest import format_float
 
 
@@ -81,5 +81,5 @@ def emit_plots(run_dir, out_dir=None):
                 data = [build(r) for r in rows]
             written.append(_write_dat(out_dir, f"{experiment}_{scan}", columns, data))
     if not written:
-        raise NumericError(f"no scan data found under {run_dir}")
+        raise ConfigurationError(f"no scan data found under {run_dir}")
     return written

@@ -23,10 +23,13 @@ is the von Neumann entropy of the reduced Gaussian state (nats).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, circulant, eigh
 
 from .errors import ConfigurationError, DomainError, FitError, SpectralError
 from .quadrature import linear_fit
+
+# scipy.linalg is imported inside the two functions that call it: loading
+# scipy takes about 0.4 s, which a CLI run of any suite that never calls it
+# would otherwise pay.
 
 UNCERTAINTY_TOL = 1e-9
 IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * (n_sites * spacing)
@@ -116,6 +119,8 @@ def _plane_wave_frequencies(lattice):
 
 def _circulant(spectrum):
     """The matrix that is diagonal in the plane-wave basis with this spectrum."""
+    from scipy.linalg import circulant
+
     return circulant(np.fft.ifft(spectrum).real)
 
 
@@ -148,6 +153,8 @@ def reduce_state(state, region):
 def _sympl_eigs_block(X, P):
     """nu_k, ascending: with X = L L^T, X P = L (L^T P L) L^{-1}, so nu_k^2
     are the eigenvalues of the symmetric L^T P L."""
+    from scipy.linalg import LinAlgError, cholesky, eigh
+
     try:
         L = cholesky(X, lower=True)
     except LinAlgError:
@@ -161,22 +168,6 @@ def _sympl_eigs_block(X, P):
             f"covariance numerically indefinite ({ev[0]:.3e})", offending_value=float(ev[0])
         )
     return np.sqrt(ev)
-
-
-def _sympl_eigs_general(X, P, M):
-    """|eigenvalues| of i sigma Gamma, Gamma = [[X, M], [M^T, P]], paired.
-
-    The reference route the tests compare the block route against; no
-    production code calls it.
-    """
-    n = X.shape[0]
-    gamma = np.block([[X, M], [M.T, P]])
-    sigma = np.block(
-        [[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]]
-    )
-    ev = np.abs(np.linalg.eigvals(1j * sigma @ gamma))
-    ev.sort()
-    return 0.5 * (ev[0::2] + ev[1::2])  # average the +/- partners
 
 
 def symplectic_spectrum(state, tol=UNCERTAINTY_TOL):

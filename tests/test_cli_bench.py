@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,13 +105,29 @@ def test_thermal_map_suite_end_to_end(tmp_path):
     assert len(names) == len(set(names))
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "runs")
     assert main(["thermal-map", "--out", out]) == 0
     bad = tmp_path / "bad.ini"
     bad.write_text("[thermal-map]\nnope = 2\n")
     assert main(["thermal-map", "--config", str(bad), "--out", out]) == 2
-    assert main(["emit-plots", str(tmp_path / "missing")]) == 3
+    # a run directory that is missing or holds no scan CSVs is a rejected value
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for run_dir in (tmp_path / "missing", empty):
+        capsys.readouterr()
+        assert main(["emit-plots", str(run_dir)]) == 2
+        assert str(run_dir) in capsys.readouterr().err
+    # verify-all flags that would run nothing, a suite twice, or serially
+    for argv, flag in ((["--only"], "--only"),
+                       (["--only", "zf-algebra", "zf-algebra", "--parallel", "2"],
+                        "--only"),
+                       (["--parallel", "0"], "--parallel"),
+                       (["--parallel", "-5"], "--parallel")):
+        capsys.readouterr()
+        assert main(["verify-all", *argv, "--out", str(tmp_path / "va")]) == 2
+        assert flag in capsys.readouterr().err, argv
+    assert not (tmp_path / "va").exists()
     # unreadable or malformed files, and list keys that would pass vacuously
     for suite, text in (
         ("thermal-map", None),                               # missing file
@@ -159,6 +178,33 @@ def test_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setitem(suites._SUITES, "thermal-map", failing_suite)
     assert main(["thermal-map", "--out", out]) == 1
+
+
+# Only entropy-scan and charge-scaling call scipy; the other suites must run
+# without importing it, so a CLI process that does not need it skips the
+# import.  A fresh interpreter is needed to see what gets imported.
+STARTUP_PROBE = """
+import sys
+from modloc_lab.cli_bench.main import main
+assert main(["thermal-map", "--out", sys.argv[1]]) == 0
+assert main(["zf-algebra", "--out", sys.argv[1]]) == 0
+SCIPY = ("scipy.linalg", "scipy.special")
+assert not [m for m in SCIPY if m in sys.modules], "scipy loaded by a suite"
+from modloc_lab import charge_fluct as cf, gaussian_core as gc
+gc.symplectic_spectrum(gc.build_vacuum_state(gc.HarmonicLattice(4, 1.0)))
+cf.ftilde_radial(cf.PartialChargeSpec(2.0, 0.5, 0.1), 2, [1.0])
+assert all(m in sys.modules for m in SCIPY), "scipy not loaded on first use"
+"""
+
+
+def test_scipy_loaded_only_on_first_use(tmp_path):
+    src = str(Path(cbc.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tolerance_keys_rejected(tmp_path, capsys):
