@@ -18,6 +18,7 @@ def _read_csv(path):
 
 def _write_dat(out_dir, name, columns, rows):
     path = Path(out_dir) / f"{name}.dat"
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# " + " ".join(columns)]
     for row in rows:
         lines.append(" ".join(format_float(v) for v in row))

@@ -262,18 +262,24 @@ def suite_charge_scaling(cfg, man, out):
 
 def suite_unruh(cfg, man, out):
     rows = []
+    unit = None            # the a = 1 pullback and its report, when scanned
     for a in cfg["accelerations"]:
         traj = wk.Trajectory.uniform(a)
         corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
         rep = wk.detailed_balance(corr, TWO_PI / a)
+        if a == 1.0:
+            unit = corr, rep
         rows += [(a, w, d) for w, d in zip(rep.omegas, rep.defects)]
         man.extend([check_less(
             f"unruh/detailed-balance/a={a:g}", rep.max_defect, 1e-3,
             note="beta = 2 pi / a over omega in [0.5, 3] a",
         )])
     traj = wk.Trajectory.uniform(1.0)
-    corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
-    neg = wk.detailed_balance(corr, np.pi)
+    if unit is None:
+        corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
+        unit = corr, wk.detailed_balance(corr, TWO_PI)
+    corr, rep = unit
+    neg = rep.at(np.pi)
     man.extend([
         check_greater("unruh/negative-control", neg.max_defect, 0.5,
                       note="beta = pi must fail loudly"),
@@ -361,11 +367,10 @@ def suite_crossing(cfg, man, out):
         "general interacting crossing requires the unsolved multi-particle "
         "emulator action; only free/integrable instances are tested",
     )])
-    rep0 = reps[0]
-    rows = [(a, b, np.real(v), np.imag(v), np.real(w), np.imag(w))
-            for a, b, v, w in zip(
-                np.repeat(t1, n), np.tile(t2, n),
-                rep0.continued.ravel(), rep0.crossed.ravel())]
+    c = reps[0].continued.ravel()
+    x = reps[0].crossed.ravel()
+    rows = np.column_stack((np.repeat(t1, n), np.tile(t2, n),
+                            c.real, c.imag, x.real, x.imag)).tolist()
     path, digest = write_csv(
         out, "crossing", "formfactor_grid",
         ("theta1", "theta2", "re_continued", "im_continued", "re_crossed",

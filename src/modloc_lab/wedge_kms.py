@@ -18,7 +18,7 @@ recorded) and removes the i-eps damping by Richardson extrapolation over
 two eps values; KMS at beta = 2 pi / a means log(G~(-w)/G~(w)) = -beta w.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .quadrature import gl_nodes
 
 _EPS_SAMPLES = 16          # i_epsilon = _EPS_SAMPLES * grid spacing
 _MIN_EPS_SAMPLES = 4.0     # below this the grid cannot resolve the peak
+_K1_BLOCK = 1024           # z values per block of the bessel_k1 kernel
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,16 @@ def bessel_k1(z):
     int_1^inf exp(-z t) sqrt(t^2-1) dt representation)."""
     z = np.atleast_1d(np.asarray(z, complex))
     vn, vw = gl_nodes(0.0, 6.5, 160)
-    core = vw * np.exp(-vn**2) * vn**2
-    rad = np.sqrt(2.0 + np.divide.outer(1.0 / z, np.ones_like(vn)) * vn**2)
-    integral = rad @ core
-    return 2.0 * np.exp(-z) * integral / np.sqrt(z)
+    vsq = vn**2
+    core = vw * np.exp(-vsq) * vsq
+    # the (z, v) kernel is formed _K1_BLOCK z values at a time, so its
+    # temporaries stay a few MiB whatever the size of z
+    inv = (1.0 / z).ravel()
+    integral = np.empty_like(inv)
+    for s in range(0, inv.size, _K1_BLOCK):
+        rad = np.sqrt(2.0 + np.multiply.outer(inv[s:s + _K1_BLOCK], vsq))
+        integral[s:s + _K1_BLOCK] = rad @ core
+    return 2.0 * np.exp(-z) * integral.reshape(z.shape) / np.sqrt(z)
 
 
 def _massless_profile(tau, eps, a):
@@ -154,8 +161,20 @@ class SpectralFunction:
 @dataclass(frozen=True)
 class BalanceReport:
     omegas: np.ndarray
-    defects: np.ndarray
-    max_defect: float
+    log_ratio: np.ndarray          # eps-extrapolated log(G~(-w)/G~(w))
+    beta: float
+
+    @property
+    def defects(self):
+        return np.abs(self.log_ratio + self.beta * self.omegas)
+
+    @property
+    def max_defect(self):
+        return float(np.max(self.defects))
+
+    def at(self, beta):
+        """The same transforms read at another inverse temperature."""
+        return replace(self, beta=beta)
 
 
 def _windowed_transforms(taus, slices, win, omegas):
@@ -198,7 +217,9 @@ def detailed_balance(corr, beta, omega_band=(0.5, 3.0), n_omega=26,
                      flat_fraction=0.7):
     """max_w | log(G~(-w)/G~(w)) + beta w | over the band (in units of the
     acceleration).  The log-ratio is extrapolated linearly in eps (the
-    damping is exactly exp(-2 eps w)), so two eps slices suffice."""
+    damping is exactly exp(-2 eps w)), so two eps slices suffice.  The
+    transforms do not depend on beta: the report's at() reads the same
+    log-ratio at another temperature."""
     a = corr.acceleration
     omegas = np.linspace(omega_band[0] * a, omega_band[1] * a, n_omega)
     taus = corr.taus
@@ -209,13 +230,8 @@ def detailed_balance(corr, beta, omega_band=(0.5, 3.0), n_omega=26,
     if np.any(gp <= 0) or np.any(gm <= 0):
         raise NumericError("spectral transform lost positivity in band")
     r_full, r_half = np.log(gm / gp)
-    r = 2.0 * r_half - r_full
-    defects = np.abs(r + beta * omegas)
-    return BalanceReport(
-        omegas=omegas,
-        defects=defects,
-        max_defect=float(np.max(defects)),
-    )
+    return BalanceReport(omegas=omegas, log_ratio=2.0 * r_half - r_full,
+                         beta=beta)
 
 
 # ----------------------------------------------------------------------

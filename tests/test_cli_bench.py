@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from modloc_lab import wedge_kms as wk
 from modloc_lab.cli_bench import config as cbc
 from modloc_lab.cli_bench import plots, suites
 from modloc_lab.cli_bench.main import build_parser, main
@@ -271,6 +273,39 @@ def test_emit_plots(tmp_path):
     assert "zf-algebra_defects_vs_coupling.dat" in names
     text = (tmp_path / "zf-algebra_defects_vs_coupling.dat").read_text()
     assert text.startswith("#")
+
+
+def test_emit_plots_creates_missing_out_dir(tmp_path):
+    run_dir = str(tmp_path / "run")
+    assert main(["thermal-map", "--out", run_dir]) == 0
+    out = tmp_path / "plots" / "nested"
+    assert main(["emit-plots", run_dir, "--out", str(out)]) == 0
+    assert (out / "thermal-map_defect_vs_beta.dat").read_text().startswith("#")
+
+
+def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,
+                                                                 monkeypatch):
+    # the default scan holds a = 1, so the negative control and the a = 1
+    # checks share one pullback and one set of transforms
+    built, transformed = [], []
+    pullback, transforms = wk.pullback, wk._windowed_transforms
+
+    def counted_pullback(model, traj, *args):
+        built.append((model, traj.acceleration, traj.tau_grid.size))
+        return pullback(model, traj, *args)
+
+    def counted_transforms(taus, slices, win, omegas):
+        transformed.append(hashlib.sha256(slices[0].tobytes()
+                                          + omegas.tobytes()).hexdigest())
+        return transforms(taus, slices, win, omegas)
+
+    monkeypatch.setattr(wk, "pullback", counted_pullback)
+    monkeypatch.setattr(wk, "_windowed_transforms", counted_transforms)
+    cfg = cbc.load_config("unruh")
+    assert 1.0 in cfg["accelerations"]
+    assert run_experiment(cfg, tmp_path).passed
+    assert len(built) == len(set(built))
+    assert len(transformed) == len(set(transformed))
 
 
 def test_verify_all_subset_and_parallel(tmp_path):

@@ -71,16 +71,36 @@ def test_free_crossing_zero_smearing():
 
 
 def test_formfactor_hermiticity():
-    # for real g (B* = B): <t1,t2|B|0> = conj <0|B|t1,t2>, each side its own
-    # quadrature of g~ on the 20 x 20 real rapidity grid
+    # for real g (B* = B): <t1,t2|B|0> = conj <0|B|t1,t2>; the ket is the
+    # outer-grid transform, the bra per-point quadratures of g~ on the same
+    # 20 x 20 real rapidity grid
     g = right_fn(0.0, 2.5, 0.7, 0.9)
-    t1, t2 = np.meshgrid(np.linspace(-1.5, 1.5, 20), np.linspace(-1.2, 1.8, 20),
-                         indexing="ij")
+    t1 = np.linspace(-1.5, 1.5, 20)
+    t2 = np.linspace(-1.2, 1.8, 20)
     ket = cz.pair_formfactor(g, t1, t2)
-    p0 = g.mass * (np.cosh(t1) + np.cosh(t2))
-    p1 = g.mass * (np.sinh(t1) + np.sinh(t2))
-    bra = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(t1.shape)
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    p0 = g.mass * (np.cosh(T1) + np.cosh(T2))
+    p1 = g.mass * (np.sinh(T1) + np.sinh(T2))
+    bra = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(T1.shape)
+    assert ket.shape == (20, 20)
     assert np.max(np.abs(bra - np.conj(ket))) / np.max(np.abs(ket)) < 1e-12
+
+
+def test_formfactor_grids_match_pointwise_quadrature():
+    # both GEMM grids against per-point g~ on a 7 x 11 grid: with n1 != n2 a
+    # transposed axis cannot hide
+    g = right_fn(0.3, 3.0, 0.5, 0.8, m=1.3)
+    t1 = np.linspace(-1.5, 1.5, 7)
+    t2 = np.linspace(-1.2, 1.8, 11)
+    T1, T2 = np.meshgrid(t1 + 1j * np.pi, t2.astype(complex), indexing="ij")
+    for got, sign, a in (
+            (cz.pair_formfactor(g, t1 + 1j * np.pi, t2), -1.0, T1),
+            (cz.crossed_formfactor(g, t1, t2), 1.0, T1.real)):
+        p0 = g.mass * (sign * np.cosh(a) - np.cosh(T2))
+        p1 = g.mass * (sign * np.sinh(a) - np.sinh(T2))
+        ref = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(a.shape)
+        assert got.shape == (7, 11)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_free_crossing_needs_right_wedge():

@@ -5,6 +5,7 @@ from scipy.special import hankel2, kv
 from modloc_lab import chiral_ej as ce
 from modloc_lab import wedge_kms as wk
 from modloc_lab.errors import ConfigurationError, DomainError, NumericError
+from modloc_lab.quadrature import gl_nodes
 
 TWO_PI = 2.0 * np.pi
 
@@ -21,6 +22,26 @@ def test_bessel_k1_imaginary_axis():
         mine = complex(wk.bessel_k1(np.array([1e-14 + 1j * y]))[0])
         ref = -(np.pi / 2) * hankel2(1, y)
         assert abs(mine - ref) / abs(ref) < 1e-10
+
+
+def _bessel_k1_one_shot(z):
+    # the unblocked kernel: one (z.size, 160) matrix
+    z = np.atleast_1d(np.asarray(z, complex))
+    vn, vw = gl_nodes(0.0, 6.5, 160)
+    core = vw * np.exp(-vn**2) * vn**2
+    rad = np.sqrt(2.0 + np.divide.outer(1.0 / z, np.ones_like(vn)) * vn**2)
+    return 2.0 * np.exp(-z) * (rad @ core) / np.sqrt(z)
+
+
+@pytest.mark.parametrize("shape", [(2500,), (60, 45), (1,)])
+def test_bessel_k1_blocks_bit_identical(shape):
+    # 2500 and 60 x 45 span blocks and end on a partial one
+    assert 2500 % wk._K1_BLOCK and 60 * 45 > wk._K1_BLOCK
+    rng = np.random.default_rng(3)
+    z = rng.uniform(1e-3, 15.0, shape) + 1j * rng.uniform(-8.0, 8.0, shape)
+    mine = wk.bessel_k1(z)
+    assert mine.shape == shape
+    assert np.array_equal(mine, _bessel_k1_one_shot(z))
 
 
 def test_massless_pullback_closed_form():
@@ -100,6 +121,17 @@ def test_windowed_transforms_match_literal_sum(taus):
             for sign, got in ((1.0, plus), (-1.0, minus)):
                 ref = np.real(np.sum(v * win * np.exp(1j * (sign * w) * taus)) * dt)
                 assert got[s, i] == ref
+
+
+def test_balance_report_read_at_another_beta():
+    # the transforms do not depend on beta: reading the beta = 2 pi report
+    # at pi gives the recomputed negative control bit for bit
+    corr = wk.pullback(wk.WightmanModel(0.0, 4), wk.Trajectory.uniform(1.0))
+    rep = wk.detailed_balance(corr, TWO_PI)
+    neg = wk.detailed_balance(corr, np.pi)
+    assert np.array_equal(rep.at(np.pi).defects, neg.defects)
+    assert rep.at(np.pi).max_defect == neg.max_defect > 0.5
+    assert rep.max_defect < 1e-6
 
 
 def test_detailed_balance_positivity_check():
