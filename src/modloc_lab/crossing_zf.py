@@ -29,6 +29,7 @@ from .quadrature import gl_nodes
 
 C0_SQ = 1.0 / (4.0 * np.pi)     # <phi phi> rapidity density: dtheta / 4 pi
 _GROWTH_THRESHOLD = 1e3
+_ORDER = 96                     # Gauss-Legendre nodes per axis of the box
 
 
 def _bump(s):
@@ -74,37 +75,37 @@ class WedgeTestFn:
                 * _bump((np.asarray(t) - self.center_t) / self.half_width_t)
                 * _bump((np.asarray(x) - self.center_x) / self.half_width_x))
 
-    def _nodes(self, order=96):
+    def _nodes(self):
         tn, tw = gl_nodes(self.center_t - self.half_width_t,
-                          self.center_t + self.half_width_t, order)
+                          self.center_t + self.half_width_t, _ORDER)
         xn, xw = gl_nodes(self.center_x - self.half_width_x,
-                          self.center_x + self.half_width_x, order)
+                          self.center_x + self.half_width_x, _ORDER)
         return tn, tw, xn, xw
 
-    def _weighted_nodes(self, order=96):
+    def _weighted_nodes(self):
         """The box nodes with each weight times its factor of the product
         bump: (tn, tw ft, xn, xw fx)."""
-        tn, tw, xn, xw = self._nodes(order)
+        tn, tw, xn, xw = self._nodes()
         ft = self.amplitude * _bump((tn - self.center_t) / self.half_width_t)
         fx = _bump((xn - self.center_x) / self.half_width_x)
         return tn, tw * ft, xn, xw * fx
 
-    def fourier(self, p0, p1, order=96):
+    def fourier(self, p0, p1):
         """int f(t,x) exp(i (p0 t - p1 x)) dt dx, complex momenta allowed;
         separable, so two 1-d sums."""
-        tn, wt, xn, wx = self._weighted_nodes(order)
+        tn, wt, xn, wx = self._weighted_nodes()
         p0 = np.atleast_1d(np.asarray(p0, complex))
         p1 = np.atleast_1d(np.asarray(p1, complex))
         It = np.exp(1j * np.multiply.outer(p0, tn)) @ wt
         Ix = np.exp(-1j * np.multiply.outer(p1, xn)) @ wx
         return It * Ix
 
-    def fourier_outer(self, pa, pb, order=96):
+    def fourier_outer(self, pa, pb):
         """fourier(p0a_i + p0b_j, p1a_i + p1b_j) on the len(pa) x len(pb)
         grid, pa = (p0a, p1a) and pb = (p0b, p1b) 1-d momentum components.
         The exponential of the sum factors into a phase table per side, so
-        each separable 1-d node sum is one (n_a x order)(order x n_b) GEMM."""
-        tn, wt, xn, wx = self._weighted_nodes(order)
+        each separable 1-d node sum is one (n_a x _ORDER)(_ORDER x n_b) GEMM."""
+        tn, wt, xn, wx = self._weighted_nodes()
         (p0a, p1a), (p0b, p1b) = pa, pb
         It = ((np.exp(1j * np.multiply.outer(p0a, tn)) * wt)
               @ np.exp(1j * np.multiply.outer(tn, p0b)))
