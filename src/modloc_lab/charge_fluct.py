@@ -91,11 +91,11 @@ def _g2(E, T):
 # pair phase-space integrals I_D(k)
 # ----------------------------------------------------------------------
 
-def _pair_integral_1d(k, m, T, n_y=320):
+def _pair_integral_1d(k, m, T):
     """D=1; rapidity substitution p = m sinh(y) resolves the 1/E spikes."""
     y_hi = np.arcsinh(k / (2.0 * m))
     y_lo = -np.arcsinh((_ECUT_SIGMAS / T + k) / m)
-    yn, yw = gl_nodes(y_lo, y_hi, n_y)
+    yn, yw = gl_nodes(y_lo, y_hi, 320)
     p = m * np.sinh(yn)
     ep = m * np.cosh(yn)
     eq = _energy(k - p, m)
@@ -103,11 +103,11 @@ def _pair_integral_1d(k, m, T, n_y=320):
     return 2.0 * float(np.sum(yw * val))
 
 
-def _pair_integral_2d(k, m, T, n_p=240, n_phi=160):
+def _pair_integral_2d(k, m, T):
     """D=2; polar (p, phi) with q = |k - p|."""
     pmax = _ECUT_SIGMAS / T + k
-    pn, pw = gl_nodes(1e-12, pmax, n_p)
-    hn, hw = gl_nodes(0.0, np.pi, n_phi)
+    pn, pw = gl_nodes(1e-12, pmax, 240)
+    hn, hw = gl_nodes(0.0, np.pi, 160)
     P = pn[:, None]
     Q = np.sqrt(P * P + k * k - 2.0 * P * k * np.cos(hn)[None, :])
     ep = _energy(P, m)
@@ -116,15 +116,15 @@ def _pair_integral_2d(k, m, T, n_p=240, n_phi=160):
     return 2.0 * float(((pw[:, None] * hw[None, :]) * P * val).sum())
 
 
-def _pair_integral_3d(k, m, T, n_p=240, n_e=120):
+def _pair_integral_3d(k, m, T):
     """D=3; the angular integral collapses to an energy integral:
     I = (2 pi / k) int p dp / (4 E_p) int_{E|k-p|}^{E(k+p)} dE (E_p-E)^2 g2."""
     pmax = _ECUT_SIGMAS / T + k
-    pn, pw = gl_nodes(1e-12, pmax, n_p)
+    pn, pw = gl_nodes(1e-12, pmax, 240)
     ep = _energy(pn, m)
     e_lo = _energy(np.abs(k - pn), m)
     e_hi = _energy(k + pn, m)
-    xg, wg = gl_nodes(0.0, 1.0, n_e)
+    xg, wg = gl_nodes(0.0, 1.0, 120)
     emid = e_lo[:, None] + (e_hi - e_lo)[:, None] * xg[None, :]
     ew = (e_hi - e_lo)[:, None] * wg[None, :]
     inner = (ew * (ep[:, None] - emid) ** 2 * _g2(ep[:, None] + emid, T)).sum(axis=1)
@@ -138,9 +138,9 @@ class _PairKernel:
     """log-log interpolant of I_D(k) on a fixed grid; below the grid the
     exact leading behavior I ~ k^2 extrapolates."""
 
-    def __init__(self, D, m, T, kmax, n_grid=320):
+    def __init__(self, D, m, T, kmax):
         k_lo = 1e-3 * min(m, 1.0 / kmax) if kmax > 0 else 1e-3
-        kg = np.exp(np.linspace(np.log(k_lo), np.log(kmax) + 0.02, n_grid))
+        kg = np.exp(np.linspace(np.log(k_lo), np.log(kmax) + 0.02, 320))
         fn = _PAIR_INTEGRALS[D]
         vals = np.array([fn(k, m, T) for k in kg])
         self._lnk = np.log(kg)
@@ -324,7 +324,7 @@ def _variance(model, spec, pair):
     return max(val, 0.0)
 
 
-def charge_variance_lattice(model, spec, n_sites=512, spacing=None):
+def charge_variance_lattice(model, spec):
     """Independent mode-sum oracle on a periodic spatial chain (n = 2 only).
 
     Plane-wave modes k_j = 2 pi j / (N a) with lattice dispersion
@@ -333,10 +333,8 @@ def charge_variance_lattice(model, spec, n_sites=512, spacing=None):
     """
     if model.spacetime_dim != 2:
         raise ConfigurationError("lattice oracle implemented for n = 2")
-    if spacing is None:
-        spacing = 4.0 * (spec.radius + spec.ramp_width) / n_sites
-    a = spacing
-    N = n_sites
+    N = 512
+    a = 4.0 * (spec.radius + spec.ramp_width) / N
     L = N * a
     xs = (np.arange(N) - N // 2) * a
     r = ramp(spec.profile, 0)
@@ -357,8 +355,9 @@ def charge_variance_lattice(model, spec, n_sites=512, spacing=None):
 def scaling_fit(model, spec_family):
     """Fit of F against R/dR over a geometry family.
 
-    n = 2: primary fit F ~ s ln(R/dR) (log flag set) with the log-log power
-    exponent reported alongside; n > 2: primary fit log F ~ e log(R/dR).
+    n = 2: primary fit F ~ s ln(R/dR) with the log-log power exponent
+    reported alongside; n > 2: primary fit log F ~ e log(R/dR).  The log
+    flag says whether F ~ ln(R/dR) has the higher R^2, in every dimension.
     """
     specs = list(spec_family)
     if len(specs) < 6:
@@ -374,20 +373,14 @@ def scaling_fit(model, spec_family):
     if np.any(F <= 0):
         raise FitError("nonpositive variance in scan")
     exp_fit, _, r2_pow = linear_fit(np.log(x), np.log(F))
-    if model.spacetime_dim == 2:
-        slope, _, r2_log = linear_fit(np.log(x), F)
-        return ScalingReport(
-            samples=tuple(zip(x.tolist(), F.tolist())),
-            fitted_exponent=exp_fit,
-            fitted_log_flag=True,
-            r_squared=r2_log,
-            log_slope=slope,
-        )
+    slope, _, r2_log = linear_fit(np.log(x), F)
+    log_law = model.spacetime_dim == 2
     return ScalingReport(
         samples=tuple(zip(x.tolist(), F.tolist())),
         fitted_exponent=exp_fit,
-        fitted_log_flag=False,
-        r_squared=r2_pow,
+        fitted_log_flag=bool(r2_log > r2_pow),
+        r_squared=r2_log if log_law else r2_pow,
+        log_slope=slope if log_law else None,
     )
 
 
@@ -402,8 +395,7 @@ class ChargeLimitReport:
     t_shift_change: float | None = None
 
 
-def _one_particle_deviation(model, spec, p_center, p_halfwidth, t_shift=0.0,
-                            n_p=360):
+def _one_particle_deviation(model, spec, t_shift=0.0):
     """|| P_1 (Q - 1) psi ||^2 / ||psi||^2 for a smooth momentum packet.
 
     The charge acting inside the one-particle sector has kernel
@@ -412,8 +404,9 @@ def _one_particle_deviation(model, spec, p_center, p_halfwidth, t_shift=0.0,
     vacuum-polarization background, which charge_variance measures.
     """
     m = model.mass
+    p_center, p_halfwidth = 0.5, 0.25          # of the momentum packet
     cut = 4.0 * p_halfwidth
-    pn, pw = gl_nodes(p_center - cut, p_center + cut, n_p)
+    pn, pw = gl_nodes(p_center - cut, p_center + cut, 360)
     r = ramp("smooth_bump", 0)
     psi = r((np.abs(pn - p_center) - 0.5 * p_halfwidth) / (0.5 * p_halfwidth))
     E = _energy(pn, m)
@@ -429,8 +422,7 @@ def _one_particle_deviation(model, spec, p_center, p_halfwidth, t_shift=0.0,
     return float(np.real(dev)) / norm
 
 
-def global_charge_limit(model, ramp_width, time_width, radii,
-                        p_center=0.5, p_halfwidth=0.25):
+def global_charge_limit(model, ramp_width, time_width, radii):
     """Deviation of Q(f_R) from the global charge on a one-particle packet,
     as R grows at fixed ramp width, and its change under a time shift.  A
     non-monotone tail is flagged, not fatal; the caller sets the bounds."""
@@ -440,11 +432,10 @@ def global_charge_limit(model, ramp_width, time_width, radii,
     devs = []
     for R in radii:
         spec = PartialChargeSpec(R, ramp_width, time_width)
-        devs.append(_one_particle_deviation(model, spec, p_center, p_halfwidth))
+        devs.append(_one_particle_deviation(model, spec))
     monotone = all(b <= a * (1 + 1e-6) for a, b in zip(devs[:-1], devs[1:]))
     spec_big = PartialChargeSpec(radii[-1], ramp_width, time_width)
-    d1 = _one_particle_deviation(model, spec_big, p_center, p_halfwidth,
-                                 t_shift=0.5 * time_width)
+    d1 = _one_particle_deviation(model, spec_big, t_shift=0.5 * time_width)
     return ChargeLimitReport(
         monotone=monotone,
         final_deviation=devs[-1],

@@ -30,6 +30,7 @@ from .profiles import ramp
 from .quadrature import gauss_legendre, gl_nodes, linear_fit
 
 NORMALIZATION = 1.0 / (4.0 * np.pi**2)
+_N_IMAGES = 200        # N, the Matsubara images summed before the psi' tail
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +74,7 @@ def _trigamma_asymptotic(x):
     return ix * (1.0 + 0.5 * ix + ix2 * (1.0 / 6 - ix2 * (1.0 / 30 - ix2 / 42.0)))
 
 
-def thermal_image_sum(kernel, u, uprime, n_images=200):
+def thermal_image_sum(kernel, u, uprime):
     """Thermal kernel as the sum of vacuum kernels over Matsubara images,
 
         K_b(z) = sum_n K_vac(z + i n b),
@@ -85,12 +86,12 @@ def thermal_image_sum(kernel, u, uprime, n_images=200):
         raise DomainError("image sum is defined for thermal kernels")
     beta = kernel.beta
     z = np.asarray(u, complex) - np.asarray(uprime, complex)
-    n = np.arange(-n_images, n_images + 1)
+    n = np.arange(-_N_IMAGES, _N_IMAGES + 1)
     total = np.sum(-NORMALIZATION / (z[..., None] + 1j * beta * n) ** 2, axis=-1)
     w = z / beta
     tail = (NORMALIZATION / beta**2) * (
-        _trigamma_asymptotic(n_images + 1.0 - 1j * w)
-        + _trigamma_asymptotic(n_images + 1.0 + 1j * w)
+        _trigamma_asymptotic(_N_IMAGES + 1.0 - 1j * w)
+        + _trigamma_asymptotic(_N_IMAGES + 1.0 + 1j * w)
     )
     return total + tail
 
@@ -334,9 +335,9 @@ def _variance(sm, kernel, which, rtol):
     return hi
 
 
-def smeared_current_variance(f, kernel, rtol=1e-6):
+def smeared_current_variance(f, kernel):
     """Var j(f) = int int f f' Re<j j'>; nonnegative for real f."""
-    return _variance(f, kernel, "current", rtol)
+    return _variance(f, kernel, "current", 1e-6)
 
 
 def energy_variance(f, kernel, rtol=1e-6):
@@ -447,7 +448,7 @@ def exp_map(beta, a, b):
     return IntervalMap(beta=float(beta), source=(float(a), float(b)))
 
 
-def verify_isomorphism(imap, grid, min_separation=1e-9):
+def verify_isomorphism(imap, grid):
     """max relative defect of
 
         K_thermal(beta)(u, u') = J(u) J(u') K_vacuum(x(u), x(u'))
@@ -457,7 +458,7 @@ def verify_isomorphism(imap, grid, min_separation=1e-9):
     are regular, so they are compared at eps = 0 directly.
     """
     u, up = np.asarray(grid, float).T
-    if np.any(np.abs(u - up) < min_separation):
+    if np.any(np.abs(u - up) < 1e-9):
         raise DomainError("grid point on the diagonal")
     lhs = current_two_point(thermal_kernel(imap.beta), u, up)
     rhs = (imap.jacobian(u) * imap.jacobian(up)
@@ -473,7 +474,7 @@ class EJComparison:
     rel_diff: float
 
 
-def ej_compare(f, beta, rtol=1e-7):
+def ej_compare(f, beta):
     """Connected energy-density fluctuation of f in the heat-bath state
     versus the same observable transported to the vacuum half-line.
 
@@ -482,8 +483,8 @@ def ej_compare(f, beta, rtol=1e-7):
     plain weight-2 Jacobian transport, realized as g(x) = (2pi/beta) x f(u).
     """
     g = TransportedSmearing(f, beta)        # rejects beta before any quadrature
-    v_th = energy_variance(f, thermal_kernel(beta), rtol=rtol)
-    v_tr = energy_variance(g, vacuum_kernel(), rtol=rtol)
+    v_th, v_tr = (energy_variance(h, kernel, rtol=1e-7) for h, kernel in
+                  ((f, thermal_kernel(beta)), (g, vacuum_kernel())))
     scale = max(abs(v_th), abs(v_tr))
     rel = 0.0 if scale == 0.0 else abs(v_th - v_tr) / scale
     return EJComparison(v_th, v_tr, rel)
@@ -503,7 +504,7 @@ class EntropyRelationReport:
 
 
 def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
-                           interval_sites=32, r2_min=0.99):
+                           interval_sites=32):
     """Fit thermal entropy ~ s1 * L (heat bath, extensive) and vacuum-interval
     entropy ~ s2 * ln(1/eps) (localization), and report the calibration ratio
     s1 / (2 pi s2) implied by matching ln(1/eps) to 2 pi L.  The thermal
@@ -527,7 +528,7 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     y = np.array([S for (_, _, S) in rows])
     s2, _, r2_loc = linear_fit(x, y)
 
-    if r2_th < r2_min or r2_loc < r2_min:
+    if any(r2 < 0.99 for r2 in (r2_th, r2_loc)):
         raise FitError(
             f"entropy fits degenerate (thermal R2={r2_th:.4f}, localization R2={r2_loc:.4f})"
         )

@@ -46,7 +46,7 @@ def suite_thermal_map(cfg, man, out):
         "thermal-map/kms-periodicity", ce.kms_periodicity_defect(k, du),
         1e-10, note="K(du - i beta) = K(-du), complex grid",
     )])
-    img = ce.thermal_image_sum(k, 1.0, 0.0, n_images=200)
+    img = ce.thermal_image_sum(k, 1.0, 0.0)
     direct = ce.current_two_point(k, 1.0, 0.0)
     man.extend([check_less(
         "thermal-map/image-sum", float(abs(img - direct) / abs(direct)), 1e-8,

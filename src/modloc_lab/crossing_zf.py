@@ -175,25 +175,20 @@ class RapidityFn:
         return float(np.max(np.abs(top - np.conj(bot))) / scale)
 
 
-def _strip_growth_ratio(f, theta_probe):
+def _strip_growth_ratio(f):
     mid = abs(complex(f.mass_shell(0.5j * np.pi)))
-    far = max(abs(complex(f.mass_shell(theta_probe + 0.5j * np.pi))),
-              abs(complex(f.mass_shell(-theta_probe + 0.5j * np.pi))))
+    far = max(abs(complex(f.mass_shell(sign * 3.5 + 0.5j * np.pi)))
+              for sign in (1.0, -1.0))
     return far / max(mid, 1e-300)
 
 
-def mass_shell_restrict(f, thetas=None, lambdas=None, theta_probe=3.5):
-    """Strip values of fhat; raises NumericError when the continuation
-    grows instead of damping (support in the wrong wedge leaks)."""
-    if thetas is None:
-        thetas = np.linspace(-2.5, 2.5, 21)
-    if lambdas is None:
-        lambdas = np.linspace(0.0, np.pi, 9)
-    thetas = np.asarray(thetas, float)
-    lambdas = np.asarray(lambdas, float)
-    if np.any(lambdas < -1e-12) or np.any(lambdas > np.pi + 1e-12):
-        raise DomainError("strip is 0 <= Im theta <= pi")
-    ratio = _strip_growth_ratio(f, theta_probe)
+def mass_shell_restrict(f):
+    """Strip values of fhat on a fixed grid; raises NumericError when the
+    continuation grows instead of damping (support in the wrong wedge
+    leaks)."""
+    thetas = np.linspace(-2.5, 2.5, 21)
+    lambdas = np.linspace(0.0, np.pi, 9)
+    ratio = _strip_growth_ratio(f)
     if ratio > _GROWTH_THRESHOLD:
         raise NumericError(
             f"strip continuation diverges (growth ratio {ratio:.3e}); "
@@ -271,12 +266,12 @@ class KMSIdentityReport:
     rel_diff: float
 
 
-def _rapidity_cutoff(f, tol=1e-9):
+def _rapidity_cutoff(f):
     th = 0.5
-    base = abs(complex(f.mass_shell(0.0)))
+    floor = 1e-9 * abs(complex(f.mass_shell(0.0)))
     while th < 12.0:
-        if (abs(complex(f.mass_shell(th))) < tol * base
-                and abs(complex(f.mass_shell(-th))) < tol * base):
+        if (abs(complex(f.mass_shell(th))) < floor
+                and abs(complex(f.mass_shell(-th))) < floor):
             return th
         th += 0.5
     return 12.0
@@ -289,7 +284,7 @@ def _cone_ranges(f):
     return (xm - tp, xp - tm), (xm + tm, xp + tp)
 
 
-def kms_free_identity(g, f1, f2, n_nodes=90):
+def kms_free_identity(g, f1, f2):
     """Two-point instance of the wedge KMS identity for B = :phi^2:(g):
 
         <B phi(f1) phi(f2)> = int w1(t1) fhat2(t2) <t2|B|t1> dt1 dt2 / 4 pi,
@@ -314,7 +309,7 @@ def kms_free_identity(g, f1, f2, n_nodes=90):
             "coordinates for the boost continuation to converge"
         )
     cut = max(_rapidity_cutoff(f1), max(_rapidity_cutoff(f2), 1.5))
-    n_theta = max(n_nodes, int(80 * cut))
+    n_theta = max(90, int(80 * cut))
     tn, tw = gl_nodes(-cut, cut, n_theta)
     w1 = tw * f1.creation_wave(tn)
     w2 = tw * f2.creation_wave(tn)
@@ -363,16 +358,12 @@ class SMatrixModel:
         return (sh - ib) / (sh + ib)
 
 
-def smatrix_properties(S, thetas=None, complex_points=None):
+def smatrix_properties(S):
     """Defects of |S| = 1 (real line), S(t)S(-t) = 1, S(i pi - t) = S(t)."""
-    if thetas is None:
-        thetas = np.linspace(-6.0, 6.0, 121)
-    thetas = np.asarray(thetas, float)
-    if complex_points is None:
-        complex_points = thetas[::6] + 0.37j
+    thetas = np.linspace(-6.0, 6.0, 121)
     unit = float(np.max(np.abs(np.abs(S(thetas)) - 1.0)))
     inv = float(np.max(np.abs(S(thetas) * S(-thetas) - 1.0)))
-    zz = np.asarray(complex_points, complex)
+    zz = thetas[::6] + 0.37j
     crossing = float(np.max(np.abs(S(1j * np.pi - zz) - S(zz))))
     return {"unitarity": unit, "inverse": inv, "crossing": crossing}
 
@@ -391,8 +382,8 @@ class ZFState:
     leaked_norm: float = 0.0
 
 
-def zf_vacuum(n_grid=16, theta_span=4.0, k_max=4):
-    tn, tw = gl_nodes(-theta_span, theta_span, n_grid)
+def zf_vacuum(n_grid=16, k_max=4):
+    tn, tw = gl_nodes(-4.0, 4.0, n_grid)
     comps = [np.zeros((n_grid,) * k, complex) for k in range(k_max + 1)]
     comps[0] = np.array(1.0 + 0.0j)
     return ZFState(tn, tw, tuple(comps), k_max)

@@ -170,14 +170,14 @@ def _sympl_eigs_block(X, P):
     return np.sqrt(ev)
 
 
-def symplectic_spectrum(state, tol=UNCERTAINTY_TOL):
+def symplectic_spectrum(state):
     """Symplectic eigenvalues of the state's covariance, sorted descending.
 
-    Raises SpectralError (with the offending value) if any nu < 1/2 - tol,
-    which would violate the uncertainty bound.
+    Raises SpectralError (with the offending value) if any nu falls below
+    1/2 - UNCERTAINTY_TOL, which would violate the uncertainty bound.
     """
     nus = _sympl_eigs_block(state.phi_phi, state.pi_pi)[::-1]
-    if nus[-1] < 0.5 - tol:
+    if nus[-1] < 0.5 - UNCERTAINTY_TOL:
         raise SpectralError(
             f"symplectic eigenvalue {nus[-1]:.12f} below the uncertainty bound",
             offending_value=float(nus[-1]),
@@ -185,10 +185,10 @@ def symplectic_spectrum(state, tol=UNCERTAINTY_TOL):
     return nus
 
 
-def entanglement_entropy(nus, tol=UNCERTAINTY_TOL):
+def entanglement_entropy(nus):
     """S = sum (nu+1/2)ln(nu+1/2) - (nu-1/2)ln(nu-1/2), nats; 0 ln 0 := 0."""
     nus = np.asarray(nus, float)
-    if nus.size and nus.min() < 0.5 - tol:
+    if nus.size and nus.min() < 0.5 - UNCERTAINTY_TOL:
         raise SpectralError(
             f"spectrum below uncertainty bound ({nus.min():.12f})",
             offending_value=float(nus.min()),

@@ -29,6 +29,7 @@ from .quadrature import gl_nodes
 _EPS_SAMPLES = 16          # i_epsilon = _EPS_SAMPLES * grid spacing
 _MIN_EPS_SAMPLES = 4.0     # below this the grid cannot resolve the peak
 _K1_BLOCK = 1024           # z values per block of the bessel_k1 kernel
+_FLAT_FRACTION = 0.7       # flat share of the transform window
 
 
 @dataclass(frozen=True)
@@ -194,39 +195,42 @@ def _windowed_transforms(taus, slices, win, omegas):
     return plus, minus
 
 
-def spectral_function(corr, omegas, flat_fraction=0.7):
-    """Windowed transform of the sampled correlator; the two stored eps
-    slices are Richardson-combined to remove the exp(-eps w) damping."""
+def _window(corr):
+    """The flat-top taper over the sampled span, flat on the central
+    _FLAT_FRACTION of it.  The correlator must have decayed below 1e-6 of
+    its peak where the roll-off starts, or the window truncates it."""
     taus = corr.taus
     t_end = float(np.max(np.abs(taus)))
-    win = flat_taper(taus, flat_fraction * t_end, t_end)
-    tail = np.max(np.abs(corr.values[np.abs(taus) > flat_fraction * t_end]))
+    t_flat = _FLAT_FRACTION * t_end
+    tail = np.max(np.abs(corr.values[np.abs(taus) > t_flat]))
     peak = np.max(np.abs(corr.values))
     if tail / peak > 1e-6:
         raise NumericError(
             f"truncation leakage {tail / peak:.2e} above 1e-6 "
-            f"(flat_fraction={flat_fraction}, span={t_end:.3g})"
+            f"(flat fraction {_FLAT_FRACTION}, span={t_end:.3g})"
         )
+    return flat_taper(taus, t_flat, t_end)
+
+
+def spectral_function(corr, omegas):
+    """Windowed transform of the sampled correlator; the two stored eps
+    slices are Richardson-combined to remove the exp(-eps w) damping."""
     omegas = np.asarray(omegas, float)
     (g_full, g_half), _ = _windowed_transforms(
-        taus, (corr.values, corr.values_half), win, omegas)
+        corr.taus, (corr.values, corr.values_half), _window(corr), omegas)
     return SpectralFunction(values=2.0 * g_half - g_full)
 
 
-def detailed_balance(corr, beta, omega_band=(0.5, 3.0), n_omega=26,
-                     flat_fraction=0.7):
-    """max_w | log(G~(-w)/G~(w)) + beta w | over the band (in units of the
-    acceleration).  The log-ratio is extrapolated linearly in eps (the
-    damping is exactly exp(-2 eps w)), so two eps slices suffice.  The
-    transforms do not depend on beta: the report's at() reads the same
-    log-ratio at another temperature."""
+def detailed_balance(corr, beta):
+    """max_w | log(G~(-w)/G~(w)) + beta w | over w in [0.5, 3] a, 26
+    points.  The log-ratio is extrapolated linearly in eps (the damping is
+    exactly exp(-2 eps w)), so two eps slices suffice.  The transforms do
+    not depend on beta: the report's at() reads the same log-ratio at
+    another temperature."""
     a = corr.acceleration
-    omegas = np.linspace(omega_band[0] * a, omega_band[1] * a, n_omega)
-    taus = corr.taus
-    t_end = float(np.max(np.abs(taus)))
-    win = flat_taper(taus, flat_fraction * t_end, t_end)
+    omegas = np.linspace(0.5 * a, 3.0 * a, 26)
     gp, gm = _windowed_transforms(
-        taus, (corr.values, corr.values_half), win, omegas)
+        corr.taus, (corr.values, corr.values_half), _window(corr), omegas)
     if np.any(gp <= 0) or np.any(gm <= 0):
         raise NumericError("spectral transform lost positivity in band")
     r_full, r_half = np.log(gm / gp)
@@ -243,11 +247,11 @@ def wightman_massless_4d(dt, dx2):
     return 1.0 / (4.0 * np.pi**2 * (dx2 - dt**2))
 
 
-def boost_orbit_consistency(acceleration, tau_pairs=None, min_separation=1e-3):
+def boost_orbit_consistency(acceleration, tau_pairs=None):
     """Stationarity of the pullback: G(tau1, tau2) computed from spacetime
     coordinates must equal G(tau1 - tau2, 0), both through the same massless
     Wightman kernel.  Exact for boost orbits, so the defect is pure rounding;
-    min_separation keeps each (timelike) pair off the light cone."""
+    each (timelike) pair must lie 1e-3 apart, off the light cone."""
     a = acceleration
     if tau_pairs is None:
         t1 = np.linspace(-2.0, 2.0, 9)
@@ -255,7 +259,7 @@ def boost_orbit_consistency(acceleration, tau_pairs=None, min_separation=1e-3):
         tau_pairs = [(x, y) for x in t1 for y in t2 if abs(x - y) > 0.2]
     worst = 0.0
     for t1, t2 in tau_pairs:
-        if abs(t1 - t2) < min_separation:
+        if abs(t1 - t2) < 1e-3:
             raise DomainError("coincident proper times are excluded")
         dt = (np.sinh(a * t1) - np.sinh(a * t2)) / a
         dx = (np.cosh(a * t1) - np.cosh(a * t2)) / a

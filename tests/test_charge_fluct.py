@@ -141,6 +141,16 @@ def test_scaling_fit_n2_log_flag():
     assert rep.log_slope > 0
 
 
+def test_scaling_fit_log_flag_read_from_data(monkeypatch):
+    # a d = 2 scan with F ~ (R/dR)^0.5 fits ln F ~ p ln(R/dR) better than
+    # F ~ ln(R/dR), so the log flag is down
+    monkeypatch.setattr(cf, "_PairKernel", lambda *args: None)
+    monkeypatch.setattr(cf, "_variance", lambda model, s, pair: s.ratio ** 0.5)
+    rep = cf.scaling_fit(cf.ScalarModel(1e-6, 2), n2_specs())
+    assert rep.fitted_exponent == pytest.approx(0.5)
+    assert not rep.fitted_log_flag
+
+
 @pytest.mark.parametrize("mass, dim, make_specs, builds",
                          [(1.0, 3, n3_specs, 1), (1e-6, 2, n2_specs, 6)])
 def test_scaling_fit_builds_each_kernel_once(monkeypatch, mass, dim,

@@ -144,6 +144,14 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         ("entropy-scan", "[entropy-scan]\nlengths = 8, 8, 8, 8\n"),
         ("entropy-scan", "[entropy-scan]\nlengths = 8, 8.2, 8.3, 8.4\n"),
         ("entropy-scan", "[entropy-scan]\npurity_sizes = 64.7\n"),
+        # every count is an integer in JSON too, and no number is a boolean
+        ("zf-algebra", '{"zf-algebra": {"k_max": 3.9}}'),
+        ("crossing", '{"crossing": {"grid_n": 25.7}}'),
+        ("crossing", '{"crossing": {"grid_n": true}}'),
+        ("ej-fluct", '{"ej-fluct": {"beta": true}}'),
+        ("thermal-map", '{"thermal-map": {"betas": [true, 2.0]}}'),
+        # the in/out sequence creates four particles: k_max = 3 cannot pass
+        ("zf-algebra", "[zf-algebra]\nk_max = 3\n"),
         # entries outside the engine's domain, rejected before any scan runs
         ("unruh", "[unruh]\naccelerations = 0\n"),
         ("thermal-map", "[thermal-map]\nbetas = 0\n"),

@@ -1,0 +1,56 @@
+"""Engine functions take inputs only: quadrature orders, grids and thresholds
+are constants of their modules.  Each public signature below is pinned, so
+such a value cannot come back as a keyword parameter, and every function
+the benchmark tracer wraps by name must still exist under that name."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+SIGNATURES = {
+    "wedge_kms.detailed_balance": ("corr", "beta"),
+    "wedge_kms.spectral_function": ("corr", "omegas"),
+    "wedge_kms.boost_orbit_consistency": ("acceleration", "tau_pairs"),
+    "crossing_zf.mass_shell_restrict": ("f",),
+    "crossing_zf.kms_free_identity": ("g", "f1", "f2"),
+    "crossing_zf.smatrix_properties": ("S",),
+    "crossing_zf.zf_vacuum": ("n_grid", "k_max"),
+    "chiral_ej.thermal_image_sum": ("kernel", "u", "uprime"),
+    "chiral_ej.smeared_current_variance": ("f", "kernel"),
+    "chiral_ej.ej_compare": ("f", "beta"),
+    "chiral_ej.verify_isomorphism": ("imap", "grid"),
+    "chiral_ej.entropy_relation_check": ("L_values", "eps_values", "n_sites",
+                                         "beta", "interval_sites"),
+    "gaussian_core.symplectic_spectrum": ("state",),
+    "gaussian_core.entanglement_entropy": ("nus",),
+    "charge_fluct.charge_variance_lattice": ("model", "spec"),
+    "charge_fluct.global_charge_limit": ("model", "ramp_width", "time_width",
+                                         "radii"),
+}
+
+
+def _resolve(dotted):
+    module, name = dotted.split(".")
+    return getattr(importlib.import_module(f"modloc_lab.{module}"), name)
+
+
+@pytest.mark.parametrize("dotted", SIGNATURES)
+def test_engine_signature(dotted):
+    params = tuple(inspect.signature(_resolve(dotted)).parameters)
+    assert params == SIGNATURES[dotted]
+
+
+def test_traced_functions_exist():
+    # the tracer wraps each name with getattr, so a missing one breaks a
+    # traced benchmark run; load it from its file, as it is not a package
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.LAYERS.items():
+        for name in names:
+            assert callable(_resolve(f"{layer}.{name}")), f"{layer}.{name}"

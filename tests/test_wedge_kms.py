@@ -167,11 +167,14 @@ def test_grid_too_coarse_for_epsilon():
 
 
 def test_truncation_leakage_detected():
-    # a span too short for the kernel decay trips the window diagnostic
+    # a span too short for the kernel decay trips the window diagnostic of
+    # both transforms, before any transform is taken
     traj = wk.Trajectory.uniform(1.0, span=8.0, n=1 << 13)
     corr = wk.pullback(wk.WightmanModel(0.0, 4), traj)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="truncation leakage"):
         wk.spectral_function(corr, np.array([1.0]))
+    with pytest.raises(NumericError, match="truncation leakage"):
+        wk.detailed_balance(corr, TWO_PI)
 
 
 @pytest.mark.parametrize("beta", [1.0, TWO_PI])
