@@ -215,11 +215,9 @@ def ftilde_radial(spec, D, ks):
     from scipy.special import j0, j1
 
     out = 2.0 * np.pi * R * j1(kk * R) / kk
-    dR = spec.ramp_width
-    n = int(max(32, min(360, 16 + 1.4 * np.max(kk) * dR)))
-    rn, rw = gl_nodes(R, R + dR, n)
-    rho = ramp(spec.profile, 0)((rn - R) / dR)
-    out = out + 2.0 * np.pi * (j0(np.outer(kk, rn)) @ (rw * rn * rho))
+    sn, base = _ramp_rule(spec, np.max(kk))
+    rn = R + sn
+    out = out + 2.0 * np.pi * (j0(np.outer(kk, rn)) @ (base * rn))
     return spec.amplitude * out
 
 

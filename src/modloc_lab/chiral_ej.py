@@ -114,17 +114,19 @@ def kms_periodicity_defect(kernel, du_grid):
 # ----------------------------------------------------------------------
 
 class SmearingFn:
-    """Plateau test function: 1 on |u-center| <= plateau, ramp to 0 over
-    [plateau, plateau+ramp_width].  C-infinity for the smooth_bump profile,
-    C^1 for raised_cosine; derivatives are closed-form."""
+    """Plateau test function: amplitude on |u-center| <= plateau, ramp to 0
+    over [plateau, plateau+ramp_width].  C-infinity for the smooth_bump
+    profile, C^1 for raised_cosine; derivatives are closed-form."""
 
-    def __init__(self, center, plateau, ramp_width, profile="smooth_bump"):
+    def __init__(self, center, plateau, ramp_width, profile="smooth_bump",
+                 amplitude=1.0):
         if plateau <= 0 or ramp_width <= 0:
             raise ConfigurationError("plateau and ramp_width must be positive")
         self.center = float(center)
         self.plateau = float(plateau)
         self.ramp_width = float(ramp_width)
         self.profile = profile
+        self.amplitude = float(amplitude)
         self._r = ramp(profile, 0)
         self._r1 = ramp(profile, 1)
         self._r2 = ramp(profile, 2)
@@ -136,15 +138,15 @@ class SmearingFn:
         return (np.abs(np.asarray(u, float) - self.center) - self.plateau) / self.ramp_width
 
     def __call__(self, u):
-        return self._r(self._s(u))
+        return self.amplitude * self._r(self._s(u))
 
     def d1(self, u):
         u = np.asarray(u, float)
         x = u - self.center
-        return self._r1(self._s(u)) * np.sign(x) / self.ramp_width
+        return self.amplitude * self._r1(self._s(u)) * np.sign(x) / self.ramp_width
 
     def d2(self, u):
-        return self._r2(self._s(u)) / self.ramp_width**2
+        return self.amplitude * self._r2(self._s(u)) / self.ramp_width**2
 
     def deriv(self, order):
         return [self, self.d1, self.d2][order]
@@ -155,37 +157,9 @@ class SmearingFn:
             return [(b[0], b[1]), (b[1], b[2]), (b[2], b[3])]
         return [(b[0], b[1]), (b[2], b[3])]
 
-    def scaled(self, amplitude):
-        return _ScaledSmearing(self, amplitude)
-
     def translated(self, shift):
         return SmearingFn(self.center + shift, self.plateau, self.ramp_width,
-                          self.profile)
-
-
-class _ScaledSmearing:
-    """lambda * f, sharing f's piece structure."""
-
-    def __init__(self, base, amplitude):
-        self.base = base
-        self.amplitude = float(amplitude)
-        self.breakpoints = base.breakpoints
-        self.support = base.support
-
-    def __call__(self, u):
-        return self.amplitude * self.base(u)
-
-    def d1(self, u):
-        return self.amplitude * self.base.d1(u)
-
-    def d2(self, u):
-        return self.amplitude * self.base.d2(u)
-
-    def deriv(self, order):
-        return [self, self.d1, self.d2][order]
-
-    def pieces(self, order):
-        return self.base.pieces(order)
+                          self.profile, self.amplitude)
 
 
 class TransportedSmearing:

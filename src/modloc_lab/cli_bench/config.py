@@ -137,6 +137,14 @@ def _coerce(experiment, raw):
                     f"[{experiment}] {key} entries {bad} outside "
                     f"[{lo}, {limit} = {params[limit]}]"
                 )
+    if experiment == "charge-scaling":
+        # scaling_fit needs the R/dR samples to span at least one decade
+        lo, hi = sorted((params["n2_ratio_lo"], params["n2_ratio_hi"]))
+        if hi / lo < 10.0 - 1e-9:
+            raise ConfigurationError(
+                f"[{experiment}] n2_ratio_lo and n2_ratio_hi span a factor "
+                f"{hi / lo:.4g} in R/dR; the fit needs at least 10"
+            )
     return params
 
 

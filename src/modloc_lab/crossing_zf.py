@@ -20,6 +20,7 @@ inserts a packet with one S factor per transposition needed to reach its
 ordered slot, annihilation contracts with the matching S-dressed terms.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,21 @@ def _bump(s):
     m = np.abs(s) < 1.0
     out[m] = np.exp(-s[m] ** 2 / (1.0 - s[m] ** 2))
     return out
+
+
+def _in_float_range(transform):
+    """Deep in the strip at large mass the t factor of a separable box sum
+    leaves the float range before the x factor damps it: the wrapped
+    transform raises NumericError there instead of returning inf or nan."""
+    @functools.wraps(transform)
+    def guarded(self, *momenta):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = transform(self, *momenta)
+            if np.isfinite(np.abs(out)).all():
+                return out
+        raise NumericError(f"strip transform of the mass-{self.mass:g} "
+                           f"smearing overflows the float range")
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -70,26 +86,18 @@ class WedgeTestFn:
             return "left"
         return None
 
-    def __call__(self, t, x):
-        return (self.amplitude
-                * _bump((np.asarray(t) - self.center_t) / self.half_width_t)
-                * _bump((np.asarray(x) - self.center_x) / self.half_width_x))
-
-    def _nodes(self):
+    def _weighted_nodes(self):
+        """The box nodes with each weight times its factor of the product
+        bump: (tn, tw ft, xn, xw fx)."""
         tn, tw = gl_nodes(self.center_t - self.half_width_t,
                           self.center_t + self.half_width_t, _ORDER)
         xn, xw = gl_nodes(self.center_x - self.half_width_x,
                           self.center_x + self.half_width_x, _ORDER)
-        return tn, tw, xn, xw
-
-    def _weighted_nodes(self):
-        """The box nodes with each weight times its factor of the product
-        bump: (tn, tw ft, xn, xw fx)."""
-        tn, tw, xn, xw = self._nodes()
         ft = self.amplitude * _bump((tn - self.center_t) / self.half_width_t)
         fx = _bump((xn - self.center_x) / self.half_width_x)
         return tn, tw * ft, xn, xw * fx
 
+    @_in_float_range
     def fourier(self, p0, p1):
         """int f(t,x) exp(i (p0 t - p1 x)) dt dx, complex momenta allowed;
         separable, so two 1-d sums."""
@@ -100,6 +108,7 @@ class WedgeTestFn:
         Ix = np.exp(-1j * np.multiply.outer(p1, xn)) @ wx
         return It * Ix
 
+    @_in_float_range
     def fourier_outer(self, pa, pb):
         """fourier(p0a_i + p0b_j, p1a_i + p1b_j) on the len(pa) x len(pb)
         grid, pa = (p0a, p1a) and pb = (p0b, p1b) 1-d momentum components.
@@ -118,17 +127,15 @@ class WedgeTestFn:
         rapidities.  |exp| = exp(-m sin(Im theta) (x cosh - t sinh)), so for
         right-wedge support (x > |t|) the strip 0 <= Im theta <= pi damps."""
         theta = np.asarray(theta, complex)
-        p0 = self.mass * np.cosh(theta)
-        p1 = self.mass * np.sinh(theta)
-        return self.fourier(-p0.ravel(), -p1.ravel()).reshape(theta.shape)
+        p0, p1 = _on_shell(self, theta.ravel(), -1.0)
+        return self.fourier(p0, p1).reshape(theta.shape)
 
     def creation_wave(self, theta):
         """Wave function of phi(f)|0> in rapidity: int f exp(+i p(theta).x);
         equals mass_shell(theta + i pi) by p(theta + i pi) = -p(theta)."""
         theta = np.asarray(theta, complex)
-        p0 = self.mass * np.cosh(theta)
-        p1 = self.mass * np.sinh(theta)
-        return self.fourier(p0.ravel(), p1.ravel()).reshape(theta.shape)
+        p0, p1 = _on_shell(self, theta.ravel(), 1.0)
+        return self.fourier(p0, p1).reshape(theta.shape)
 
 
 # ----------------------------------------------------------------------
@@ -230,17 +237,13 @@ class CrossingReport:
     max_rel_defect: float
 
 
-def free_crossing_check(g, thetas1=None, thetas2=None):
+def free_crossing_check(g, thetas1, thetas2):
     """Continue the vacuum pair formfactor in theta1 by i pi through the
     strip and compare with the crossed matrix element.  The path through
     the strip must stay bounded (wedge support); both endpoints are
     independent quadratures."""
     if g.wedge != "right":
         raise DomainError("crossing check needs a right-wedge smearing")
-    if thetas1 is None:
-        thetas1 = np.linspace(-1.5, 1.5, 20)
-    if thetas2 is None:
-        thetas2 = np.linspace(-1.2, 1.8, 20)
     t1 = np.asarray(thetas1, float)
     t2 = np.asarray(thetas2, float)
 
@@ -296,8 +299,9 @@ def kms_free_identity(g, f1, f2):
     The shift converges when f2 sits between the wedge edge and g in both
     lightray coordinates (the nonoverlapping configuration); outside that
     cone ordering the free two-point instantiation has no convergent
-    continuation and a DomainError is raised.  All four ingredient
-    quadratures are independent."""
+    continuation and a DomainError is raised.  Both sides use the crossing
+    check's form-factor grids, pair_formfactor and crossed_formfactor, on
+    the rapidity nodes; the three wave functions are separate quadratures."""
     for fn, name in ((g, "g"), (f1, "f1"), (f2, "f2")):
         if fn.wedge != "right":
             raise DomainError(f"{name} must be right-wedge localized")
@@ -314,22 +318,8 @@ def kms_free_identity(g, f1, f2):
     w1 = tw * f1.creation_wave(tn)
     w2 = tw * f2.creation_wave(tn)
     w2c = tw * f2.mass_shell(tn)     # = creation wave continued by i pi
-
-    # factor the double rapidity integral through the position nodes of g:
-    # M(t1, t2) = 2 c0^2 sum_z wz g(z) e^{-i p1.z} e^{-i p2.z}, so each side
-    # collapses to sum_z wz g(z) V1(z) V2(z) with 1-d theta sums V.
-    tg, twg, xg, xwg = g._nodes()
-    gz = g(tg[:, None], xg[None, :])
-    wz = twg[:, None] * xwg[None, :]
-    p0 = g.mass * np.cosh(tn)
-    p1 = g.mass * np.sinh(tn)
-    A_minus = np.exp(-1j * np.outer(p0, tg))    # e^{-i p0 t}
-    B_minus = np.exp(1j * np.outer(p1, xg))     # e^{+i p1 x}
-    v1 = np.einsum("q,qj,qk->jk", w1, A_minus, B_minus)
-    v2 = np.einsum("q,qj,qk->jk", w2, A_minus, B_minus)
-    v2c = np.einsum("q,qj,qk->jk", w2c, np.conj(A_minus), np.conj(B_minus))
-    lhs = 2.0 * C0_SQ**2 * np.sum(wz * gz * v1 * v2)
-    rhs = 2.0 * C0_SQ**2 * np.sum(wz * gz * v1 * v2c)
+    lhs = C0_SQ * (w1 @ pair_formfactor(g, tn, tn) @ w2)
+    rhs = C0_SQ * (w1 @ crossed_formfactor(g, tn, tn).T @ w2c)
     scale = max(abs(lhs), abs(rhs))
     rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
     return KMSIdentityReport(lhs=complex(lhs), rel_diff=rel)
@@ -487,23 +477,15 @@ def zf_apply(op, packet, state, S, leak_tol=None):
                    state.k_max, leaked)
 
 
-def zf_two_particle(S, f_vals, g_vals, thetas):
-    """Z*(f) Z*(g) |0> as a pointwise two-particle function on a grid."""
-    f = np.asarray(f_vals, complex)
-    g = np.asarray(g_vals, complex)
-    smat = S(thetas[None, :] - thetas[:, None])    # smat[a, b] = S(t_b - t_a)
-    return (f[:, None] * g[None, :] + smat * f[None, :] * g[:, None]) / np.sqrt(2.0)
-
-
 def zf_exchange_check(S, f_vals, g_vals, thetas):
     """Defect of the exchange relation Z*(t1)Z*(t2) = S(t1-t2)Z*(t2)Z*(t1),
-    smeared: the left side is built by ordered insertion, the right side by
-    weaving S(t1-t2) through the opposite insertion order and contracting
-    the deltas; both are explicit pointwise evaluations and the S products
-    are left unsimplified, so the two orders are mutual oracles."""
+    smeared: the left side is the ordered insertion _insert_packet that
+    zf_apply creates with, the right side weaves S(t1-t2) through the
+    opposite insertion order and contracts the deltas pointwise; the S
+    products are left unsimplified, so the two orders are mutual oracles."""
     f = np.asarray(f_vals, complex)
     g = np.asarray(g_vals, complex)
-    direct = zf_two_particle(S, f, g, thetas)
+    direct = _insert_packet(S, f, g, thetas)
     sab = S(thetas[:, None] - thetas[None, :])     # S(alpha - beta)
     sba = S(thetas[None, :] - thetas[:, None])     # S(beta - alpha)
     woven = (sba * f[None, :] * g[:, None]

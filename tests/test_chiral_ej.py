@@ -13,8 +13,10 @@ VAC_AT_1 = -N0                                       # -1/(4 pi^2) ~ -0.025330
 TH_2PI_AT_1 = -(1.0 / (16 * np.pi**2)) / np.sinh(0.5) ** 2
 
 
-def bump(center=0.5, plateau=0.4, ramp=0.3, profile="smooth_bump"):
-    return ce.SmearingFn(center, plateau, ramp, profile=profile)
+def bump(center=0.5, plateau=0.4, ramp=0.3, profile="smooth_bump",
+         amplitude=1.0):
+    return ce.SmearingFn(center, plateau, ramp, profile=profile,
+                         amplitude=amplitude)
 
 
 def test_kernel_values():
@@ -84,8 +86,16 @@ def test_variance_positivity_and_scaling():
     f = bump(profile="raised_cosine")
     v = ce.smeared_current_variance(f, vac)
     assert v >= -1e-10
-    v3 = ce.smeared_current_variance(f.scaled(3.0), vac)
+    f3 = bump(profile="raised_cosine", amplitude=3.0)
+    v3 = ce.smeared_current_variance(f3, vac)
     assert v3 == pytest.approx(9.0 * v, rel=1e-10)
+    # the amplitude scales the value and both derivatives, and a translate
+    # keeps it
+    u = np.linspace(0.0, 1.0, 11)
+    for order in (0, 1, 2):
+        ref = 3.0 * f.deriv(order)(u)
+        assert f3.deriv(order)(u) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert f3.translated(0.25).amplitude == 3.0
 
 
 def test_translation_covariance():
@@ -199,7 +209,7 @@ def test_corr_derivative_stays_inside_the_pieces():
 def test_ej_compare_other_beta_and_zero():
     cmp = ce.ej_compare(ce.SmearingFn(0.0, 0.12, 0.13), 1.0)
     assert cmp.rel_diff < 1e-6
-    zero = ce.ej_compare(bump().scaled(0.0), TWO_PI)
+    zero = ce.ej_compare(bump(amplitude=0.0), TWO_PI)
     assert zero.thermal_variance == 0.0
     assert zero.transported_variance == 0.0
     assert zero.rel_diff == 0.0

@@ -75,6 +75,19 @@ def test_bounds_checked(tmp_path):
             cbc.load_config(suite, p)
 
 
+def test_charge_scaling_ratio_span_checked(tmp_path):
+    # scaling_fit needs the R/dR scan to span a decade, in either order
+    p = tmp_path / "c.ini"
+    for lo, hi in (("1e5", "1.2e5"), ("1.2e5", "1e5"), ("100", "999")):
+        p.write_text(f"[charge-scaling]\nn2_ratio_lo = {lo}\nn2_ratio_hi = {hi}\n")
+        with pytest.raises(ConfigurationError,
+                           match="n2_ratio_lo .* n2_ratio_hi"):
+            cbc.load_config("charge-scaling", p)
+    for lo, hi in (("100", "1000"), ("1.2e5", "1.2e4")):
+        p.write_text(f"[charge-scaling]\nn2_ratio_lo = {lo}\nn2_ratio_hi = {hi}\n")
+        assert cbc.load_config("charge-scaling", p)["n2_ratio_lo"] == float(lo)
+
+
 def test_json_config(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"thermal-map": {"grid_n": 25}}))
@@ -166,12 +179,24 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         ("zf-algebra", "[zf-algebra]\ncouplings = 0\n"),
         ("entropy-scan", "[entropy-scan]\neps_values = 1, 0.5, 0.25, 0\n"),
         ("entropy-scan", "[entropy-scan]\npurity_sizes = 1\n"),
+        # scaling_fit needs a decade of R/dR
+        ("charge-scaling", "[charge-scaling]\nn2_ratio_lo = 1e5\n"
+                           "n2_ratio_hi = 1.2e5\n"),
     ):
         path = tmp_path / "case.cfg"
         path.unlink(missing_ok=True)
         if text is not None:
             path.write_text(text)
         assert main([suite, "--config", str(path), "--out", out]) == 2, text
+    # a valid mass whose strip transform leaves the float range is a numeric
+    # error with a message, not a traceback or a numpy warning: at 100 the
+    # per-point transform of the strip grid overflows, at 1000 already the
+    # pair form-factor grid of the crossing check
+    for mass in (100, 1000):
+        path.write_text(f"[crossing]\nmass = {mass}\n")
+        capsys.readouterr()
+        assert main(["crossing", "--config", str(path), "--out", out]) == 3
+        assert "overflows" in capsys.readouterr().err
     # flags that used to be parsed and ignored are rejected by argparse
     for argv in (["thermal-map", "--parallel", "7", "--out", out],
                  ["verify-all", "--only", "thermal-map", "--config", str(bad),

@@ -10,6 +10,11 @@ def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, m=1.0, amp=1.0):
     return cz.WedgeTestFn(ct, cx, wt, wx, mass=m, amplitude=amp)
 
 
+# the crossing suite's default 20 x 20 rapidity grid
+T1 = np.linspace(-1.5, 1.5, 20)
+T2 = np.linspace(-1.2, 1.8, 20)
+
+
 def inner(state_a, state_b):
     tot = 0.0 + 0.0j
     w = state_a.weights
@@ -60,12 +65,12 @@ def test_translation_along_edge_is_a_phase():
 def test_free_crossing_identity():
     for g in (right_fn(0.0, 2.5, 0.7, 0.9), right_fn(0.3, 3.0, 0.5, 0.8),
               right_fn(-0.2, 2.2, 0.6, 0.7)):
-        rep = cz.free_crossing_check(g)
+        rep = cz.free_crossing_check(g, T1, T2)
         assert rep.max_rel_defect < 1e-6
 
 
 def test_free_crossing_zero_smearing():
-    rep = cz.free_crossing_check(right_fn(amp=0.0))
+    rep = cz.free_crossing_check(right_fn(amp=0.0), T1, T2)
     assert np.max(np.abs(rep.continued)) == 0.0
     assert np.max(np.abs(rep.crossed)) == 0.0
 
@@ -75,13 +80,11 @@ def test_formfactor_hermiticity():
     # outer-grid transform, the bra per-point quadratures of g~ on the same
     # 20 x 20 real rapidity grid
     g = right_fn(0.0, 2.5, 0.7, 0.9)
-    t1 = np.linspace(-1.5, 1.5, 20)
-    t2 = np.linspace(-1.2, 1.8, 20)
-    ket = cz.pair_formfactor(g, t1, t2)
-    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-    p0 = g.mass * (np.cosh(T1) + np.cosh(T2))
-    p1 = g.mass * (np.sinh(T1) + np.sinh(T2))
-    bra = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(T1.shape)
+    ket = cz.pair_formfactor(g, T1, T2)
+    A1, A2 = np.meshgrid(T1, T2, indexing="ij")
+    p0 = g.mass * (np.cosh(A1) + np.cosh(A2))
+    p1 = g.mass * (np.sinh(A1) + np.sinh(A2))
+    bra = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(A1.shape)
     assert ket.shape == (20, 20)
     assert np.max(np.abs(bra - np.conj(ket))) / np.max(np.abs(ket)) < 1e-12
 
@@ -105,7 +108,8 @@ def test_formfactor_grids_match_pointwise_quadrature():
 
 def test_free_crossing_needs_right_wedge():
     with pytest.raises(DomainError):
-        cz.free_crossing_check(cz.WedgeTestFn(0.0, -2.5, 0.7, 0.9, mass=1.0))
+        cz.free_crossing_check(cz.WedgeTestFn(0.0, -2.5, 0.7, 0.9, mass=1.0),
+                               T1, T2)
 
 
 def test_kms_identity_and_cyclicity():
@@ -121,6 +125,21 @@ def test_kms_identity_and_cyclicity():
     rep_direct = cz.kms_free_identity(g, f1b, f2)
     assert rep_swapped.rel_diff < 1e-6
     assert rep_direct.lhs == pytest.approx(rep_swapped.lhs, rel=1e-9)
+
+
+def test_kms_identity_runs_through_the_crossed_formfactor(monkeypatch):
+    # a crossed element that forgets to flip the outgoing momentum is no
+    # longer the contour-shifted pair formfactor; the identity must see it
+    def wrong_sign(g, theta1, theta2):
+        return 2.0 * cz.C0_SQ * g.fourier_outer(cz._on_shell(g, theta1, -1.0),
+                                                cz._on_shell(g, theta2, -1.0))
+
+    g = right_fn(0.0, 2.5, 0.7, 0.9)
+    f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
+    f2 = right_fn(0.0, 0.45, 0.15, 0.2)
+    assert cz.kms_free_identity(g, f1, f2).rel_diff < 1e-6
+    monkeypatch.setattr(cz, "crossed_formfactor", wrong_sign)
+    assert cz.kms_free_identity(g, f1, f2).rel_diff > 1e-6
 
 
 def test_kms_identity_ordering_precondition():
@@ -147,7 +166,7 @@ def test_kms_spacelike_decay_is_correlated():
 
 def test_crossing_and_kms_agree():
     g = right_fn(0.0, 2.5, 0.7, 0.9)
-    cross = cz.free_crossing_check(g).max_rel_defect
+    cross = cz.free_crossing_check(g, T1, T2).max_rel_defect
     kms = cz.kms_free_identity(g, right_fn(-0.1, 2.2, 0.5, 0.7),
                                right_fn(0.0, 0.45, 0.15, 0.2)).rel_diff
     floor = 1e-12
@@ -175,11 +194,33 @@ FV = np.exp(-((THETAS - 0.4) ** 2))
 GV = np.exp(-((THETAS + 0.3) ** 2) / 0.5)
 
 
+def two_particle(S, f, g, thetas):
+    """Z*(f) Z*(g) |0> written out pointwise, the k = 1 oracle of
+    _insert_packet: (f(a) g(b) + S(t_b - t_a) f(b) g(a)) / sqrt 2."""
+    smat = S(thetas[None, :] - thetas[:, None])    # smat[a, b] = S(t_b - t_a)
+    return (f[:, None] * g[None, :] + smat * f[None, :] * g[:, None]) / np.sqrt(2.0)
+
+
 @pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
 def test_exchange_relation(b):
     S = cz.SMatrixModel(b)
     assert cz.zf_exchange_check(S, FV, GV, THETAS) < 1e-10
     assert cz.zf_double_exchange_check(S, FV, GV, THETAS) < 1e-12
+
+
+def test_exchange_check_runs_through_the_insertion(monkeypatch):
+    # an insertion that drops its S factor builds the free symmetric
+    # product, which breaks the exchange relation for any S != 1
+    insert = cz._insert_packet
+
+    def unit_s(theta):
+        return np.ones_like(np.asarray(theta, complex))
+
+    S = cz.SMatrixModel(1.0)
+    assert cz.zf_exchange_check(S, FV, GV, THETAS) < 1e-10
+    monkeypatch.setattr(cz, "_insert_packet",
+                        lambda _, f, psi, th: insert(unit_s, f, psi, th))
+    assert cz.zf_exchange_check(S, FV, GV, THETAS) > 1e-10
 
 
 @pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
@@ -196,7 +237,7 @@ def test_coincident_packets_fermionic_at_equal_rapidity():
     # f = g: S(0) = -1 forces the two-particle function to vanish on the
     # diagonal (effective Pauli exclusion at coincident rapidities)
     S = cz.SMatrixModel(1.0)
-    psi = cz.zf_two_particle(S, FV, FV, THETAS)
+    psi = cz._insert_packet(S, FV, FV, THETAS)
     diag = np.abs(np.diag(psi))
     assert np.max(diag) < 1e-12
     assert np.max(np.abs(psi)) > 0.1
@@ -283,7 +324,7 @@ def test_norm_and_exchange_consistency_on_states():
     f = np.exp(-((tn - 0.5) ** 2))
     g = np.exp(-((tn + 0.7) ** 2) / 0.6)
     s_fg = cz.zf_apply("create", f, cz.zf_apply("create", g, st, S), S)
-    two = cz.zf_two_particle(S, f, g, tn)
+    two = two_particle(S, f, g, tn)
     assert np.max(np.abs(s_fg.components[2] - two)) < 1e-13
     assert cz.zf_norm_sq(s_fg) > 0.0
 
