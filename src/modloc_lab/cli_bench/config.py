@@ -45,6 +45,8 @@ def _open(lo, hi):
 
 _POSITIVE = _open(0.0, math.inf)
 
+MAX_SITES = 4096  # largest dense lattice chain
+
 # key -> (converter, default, (lo, hi) or None); a list key's bounds apply
 # to each of its entries.  The keys choose a check's inputs only: each
 # pass/fail bound is a constant of its check in suites.py.
@@ -61,14 +63,17 @@ _SCHEMAS = {
         "grid_n": (_integer, 100, (4, 100000)),
     },
     "entropy-scan": {
-        "n_sites": (_integer, 2000, (64, 100000)),
+        # each chain is two dense N x N covariances, 256 MiB at MAX_SITES;
+        # n_sites = purity_sizes = 4096 runs in about 5 s at 505 MiB peak
+        # on a 2-core desk machine
+        "n_sites": (_integer, 2000, (64, MAX_SITES)),
         "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
-        "thermal_n_sites": (_integer, 1200, (64, 100000)),
+        "thermal_n_sites": (_integer, 1200, (64, MAX_SITES)),
         "thermal_beta": (_real, 6.283185307179586, (1e-3, 1e3)),
         "thermal_lengths": (_list(_integer, 4), (40, 80, 120, 160, 200, 240), None),
-        "purity_sizes": (_list(_integer, 1), (512, 2048), (2, 100000)),
+        "purity_sizes": (_list(_integer, 1), (512, 2048), (2, MAX_SITES)),
         "eps_values": (_list(_real, 4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
-        "eps_interval": (_integer, 48, (8, 100000)),
+        "eps_interval": (_integer, 48, (8, MAX_SITES)),
     },
     "charge-scaling": {
         "n2_mass": (_real, 1e-6, (0.0, 100.0)),
@@ -80,7 +85,9 @@ _SCHEMAS = {
         "accelerations": (_list(_real, 1), (0.5, 1.0, 2.0), _POSITIVE),
     },
     "crossing": {
-        "mass": (_real, 1.0, (1e-6, 1e3)),
+        # from mass 53.65 up the strip transform of the suite's smearings
+        # leaves the float range (scanned on [40, 60], every grid_n)
+        "mass": (_real, 1.0, (1e-6, 53.0)),
         "grid_n": (_integer, 20, (4, 200)),
     },
     "zf-algebra": {
@@ -128,10 +135,21 @@ def _coerce(experiment, raw):
             )
         params[key] = val
     if experiment == "entropy-scan":
-        # entropy_scan resolves an interval only from 2 sites up
-        for key, lo, limit in (("lengths", 2, "n_sites"),
-                               ("thermal_lengths", 1, "thermal_n_sites")):
-            bad = [L for L in params[key] if not lo <= L <= params[limit]]
+        # every interval the suite reads must fit its chain.  entropy_scan
+        # reads L sites at attenuation eps as round(L/eps) sites, and resolves
+        # an interval only from 2 sites up; the eps scan reads eps_interval
+        # sites of the n_sites chain, and entropy_relation_check reads its
+        # 32-site interval on the thermal_n_sites chain at every eps.
+        eps = params["eps_values"]
+        for key, sites, lo, limit in (
+                ("lengths", params["lengths"], 2, "n_sites"),
+                ("thermal_lengths", params["thermal_lengths"], 1, "thermal_n_sites"),
+                ("eps_interval", (params["eps_interval"],), 2, "n_sites"),
+                ("round(eps_interval / eps_values)",
+                 [round(params["eps_interval"] / e) for e in eps], 2, "n_sites"),
+                ("round(32 / eps_values)", [round(32 / e) for e in eps], 2,
+                 "thermal_n_sites")):
+            bad = [L for L in sites if not lo <= L <= params[limit]]
             if bad:
                 raise ConfigurationError(
                     f"[{experiment}] {key} entries {bad} outside "

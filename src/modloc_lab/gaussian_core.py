@@ -118,10 +118,16 @@ def _plane_wave_frequencies(lattice):
 
 
 def _circulant(spectrum):
-    """The matrix that is diagonal in the plane-wave basis with this spectrum."""
+    """The matrix that is diagonal in the plane-wave basis with this spectrum.
+
+    The spectrum is even in k, so the column obeys c_j = c_{N-j}; the inverse
+    FFT keeps that only to rounding, and averaging the column with its mirror
+    makes the matrix exactly symmetric and centrosymmetric, which
+    symplectic_spectrum relies on to split it into reflection sectors."""
     from scipy.linalg import circulant
 
-    return circulant(np.fft.ifft(spectrum).real)
+    c = np.fft.ifft(spectrum).real
+    return circulant((c + np.roll(c[::-1], 1)) / 2.0)
 
 
 def build_vacuum_state(lattice):
@@ -170,13 +176,45 @@ def _sympl_eigs_block(X, P):
     return np.sqrt(ev)
 
 
+def _reflection_sector(M, parity):
+    """Block of a centrosymmetric M in the reflection-even (parity +1) or
+    reflection-odd (-1) orthonormal basis (e_i +/- e_{n-1-i})/sqrt 2, i < n//2;
+    for odd n the even basis also holds the middle site e_{n//2}."""
+    n = M.shape[0]
+    h = n // 2
+    A, CJ = M[:h, :h], M[:h, ::-1][:, :h]
+    if parity < 0:
+        return A - CJ
+    if n % 2 == 0:
+        return A + CJ
+    S = np.empty((h + 1, h + 1))
+    np.add(A, CJ, out=S[:h, :h])
+    S[:h, h] = np.sqrt(2.0) * M[:h, h]
+    S[h, :h] = np.sqrt(2.0) * M[h, :h]
+    S[h, h] = M[h, h]
+    return S
+
+
 def symplectic_spectrum(state):
     """Symplectic eigenvalues of the state's covariance, sorted descending.
+
+    When X and P are both centrosymmetric (every interval of the periodic
+    chain), the reflection i -> n-1-i commutes with X P, so the spectrum is
+    the union of the spectra of its even and odd sectors; each half-size
+    sector is formed and solved in turn.  Any other state is solved whole.
 
     Raises SpectralError (with the offending value) if any nu falls below
     1/2 - UNCERTAINTY_TOL, which would violate the uncertainty bound.
     """
-    nus = _sympl_eigs_block(state.phi_phi, state.pi_pi)[::-1]
+    X, P = state.phi_phi, state.pi_pi
+    if X.shape[0] >= 2 and all(np.array_equal(M, M[::-1, ::-1]) for M in (X, P)):
+        nus = np.concatenate([
+            _sympl_eigs_block(_reflection_sector(X, parity),
+                              _reflection_sector(P, parity))
+            for parity in (1, -1)])
+        nus = np.sort(nus)[::-1]
+    else:
+        nus = _sympl_eigs_block(X, P)[::-1]
     if nus[-1] < 0.5 - UNCERTAINTY_TOL:
         raise SpectralError(
             f"symplectic eigenvalue {nus[-1]:.12f} below the uncertainty bound",

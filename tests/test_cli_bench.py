@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from modloc_lab import gaussian_core as gc
 from modloc_lab import wedge_kms as wk
 from modloc_lab.cli_bench import config as cbc
 from modloc_lab.cli_bench import plots, suites
@@ -86,6 +87,44 @@ def test_charge_scaling_ratio_span_checked(tmp_path):
     for lo, hi in (("100", "1000"), ("1.2e5", "1.2e4")):
         p.write_text(f"[charge-scaling]\nn2_ratio_lo = {lo}\nn2_ratio_hi = {hi}\n")
         assert cbc.load_config("charge-scaling", p)["n2_ratio_lo"] == float(lo)
+
+
+def test_entropy_scan_eps_intervals_checked(tmp_path):
+    # each eps reads round(L/eps) sites: the eps scan's eps_interval sites on
+    # the n_sites chain, and the calibration's 32 sites on the thermal chain
+    p = tmp_path / "c.ini"
+    for text, keys in (("eps_interval = 300", "eps_interval / eps_values.*n_sites"),
+                       ("eps_interval = 3000", "eps_interval .*n_sites"),
+                       ("eps_values = 40, 50, 60, 70", "eps_interval / eps_values"),
+                       ("thermal_n_sites = 64\nthermal_lengths = 8, 16, 24, 32\n"
+                        "eps_values = 0.4, 0.3, 0.2, 0.1",
+                        "32 / eps_values.*thermal_n_sites = 64")):
+        p.write_text(f"[entropy-scan]\n{text}\n")
+        with pytest.raises(ConfigurationError, match=keys):
+            cbc.load_config("entropy-scan", p)
+    # both ends of the range load: 32 / 16 = 2 sites, 250 / 0.125 = n_sites
+    for text in ("eps_values = 16, 12, 6, 3", "eps_interval = 250"):
+        p.write_text(f"[entropy-scan]\n{text}\n")
+        cbc.load_config("entropy-scan", p)
+
+
+def test_lattice_size_cap_rejected_before_any_build(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a chain was built at a rejected size")
+
+    monkeypatch.setattr(gc, "build_vacuum_state", no_build)
+    monkeypatch.setattr(gc, "build_thermal_state", no_build)
+    p = tmp_path / "c.ini"
+    for key in ("n_sites", "thermal_n_sites", "purity_sizes"):
+        p.write_text(f"[entropy-scan]\n{key} = {cbc.MAX_SITES + 1}\n")
+        capsys.readouterr()
+        assert main(["entropy-scan", "--config", str(p),
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert key in capsys.readouterr().err
+    for key in ("n_sites", "thermal_n_sites", "purity_sizes"):
+        p.write_text(f"[entropy-scan]\n{key} = {cbc.MAX_SITES}\n")
+        assert cbc.load_config("entropy-scan", p)[key] in (cbc.MAX_SITES,
+                                                           (cbc.MAX_SITES,))
 
 
 def test_json_config(tmp_path):
@@ -182,21 +221,23 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         # scaling_fit needs a decade of R/dR
         ("charge-scaling", "[charge-scaling]\nn2_ratio_lo = 1e5\n"
                            "n2_ratio_hi = 1.2e5\n"),
+        # the eps scan reads round(eps_interval / eps) sites of the chain
+        ("entropy-scan", "[entropy-scan]\neps_interval = 300\n"),
+        ("entropy-scan", "[entropy-scan]\neps_interval = 3000\n"),
+        ("entropy-scan", "[entropy-scan]\neps_values = 40, 50, 60, 70\n"),
     ):
         path = tmp_path / "case.cfg"
         path.unlink(missing_ok=True)
         if text is not None:
             path.write_text(text)
         assert main([suite, "--config", str(path), "--out", out]) == 2, text
-    # a valid mass whose strip transform leaves the float range is a numeric
-    # error with a message, not a traceback or a numpy warning: at 100 the
-    # per-point transform of the strip grid overflows, at 1000 already the
-    # pair form-factor grid of the crossing check
+    # a mass whose strip transform would leave the float range is rejected
+    # before the suite runs
     for mass in (100, 1000):
         path.write_text(f"[crossing]\nmass = {mass}\n")
         capsys.readouterr()
-        assert main(["crossing", "--config", str(path), "--out", out]) == 3
-        assert "overflows" in capsys.readouterr().err
+        assert main(["crossing", "--config", str(path), "--out", out]) == 2
+        assert "mass" in capsys.readouterr().err
     # flags that used to be parsed and ignored are rejected by argparse
     for argv in (["thermal-map", "--parallel", "7", "--out", out],
                  ["verify-all", "--only", "thermal-map", "--config", str(bad),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,20 @@ def test_strip_analyticity_and_involution():
 def test_left_wedge_fails_convergence():
     with pytest.raises(NumericError):
         cz.mass_shell_restrict(cz.WedgeTestFn(0.2, -2.0, 0.6, 0.8, mass=1.0))
+
+
+def test_strip_transform_overflow_is_a_numeric_error():
+    # from mass ~53.6 the t factor of the box sum leaves the float range deep
+    # in the strip: at 100 the per-point transform of the strip grid, at
+    # 1000 already the pair grid of the crossing check.  Each raises with a
+    # message, and no numpy warning escapes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="mass-100 smearing overflows"):
+            cz.mass_shell_restrict(right_fn(m=100.0))
+        with pytest.raises(NumericError, match="mass-1000 smearing overflows"):
+            cz.free_crossing_check(cz.WedgeTestFn(0.0, 2.5, 0.7, 0.9, mass=1000.0),
+                                   T1, T2)
 
 
 def test_translation_along_edge_is_a_phase():

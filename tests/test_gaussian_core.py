@@ -262,3 +262,87 @@ def test_spectral_error_reports_offender():
     with pytest.raises(SpectralError) as err:
         gc.symplectic_spectrum(indefinite)
     assert err.value.offending_value < 0
+
+
+@pytest.mark.parametrize("n", [511, 512])
+def test_covariances_exactly_symmetric_and_centrosymmetric(n):
+    for lat in (gc.HarmonicLattice(n, 1.0),
+                gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)):
+        for st in (gc.build_vacuum_state(lat), gc.build_thermal_state(lat, 2.0)):
+            for M in (st.phi_phi, st.pi_pi):
+                assert np.array_equal(M, M.T)
+                assert np.array_equal(M, M[::-1, ::-1])
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.5])
+@pytest.mark.parametrize("beta", [None, 2.0])
+def test_reflection_sectors_match_unsplit_spectrum(mass, beta):
+    for n in (63, 64):
+        lat = gc.HarmonicLattice(n, mass)
+        st = (gc.build_vacuum_state(lat) if beta is None
+              else gc.build_thermal_state(lat, beta))
+        for region in (gc.Region.interval(0, n), gc.Region.interval(5, 7),
+                       gc.Region.interval(9, 16)):
+            red = gc.reduce_state(st, region)
+            unsplit = gc._sympl_eigs_block(red.phi_phi, red.pi_pi)[::-1]
+            nus = gc.symplectic_spectrum(red)
+            assert nus.shape == unsplit.shape
+            assert np.max(np.abs(nus - unsplit)) < 1e-12
+
+
+def test_reflection_sector_sizes(monkeypatch):
+    sizes = []
+    solve = gc._sympl_eigs_block
+
+    def recording(X, P):
+        sizes.append(X.shape[0])
+        return solve(X, P)
+
+    monkeypatch.setattr(gc, "_sympl_eigs_block", recording)
+    st = gc.build_vacuum_state(gc.HarmonicLattice(64, 0.5))
+    for region, expected in ((gc.Region.interval(0, 64), [32, 32]),
+                             (gc.Region.interval(3, 7), [4, 3]),
+                             (gc.Region((4, 2, 1, 3)), [4]),   # not centrosymmetric
+                             (gc.Region((5,)), [1])):
+        sizes.clear()
+        gc.symplectic_spectrum(gc.reduce_state(st, region))
+        assert sizes == expected, region
+
+
+def test_thermal_interval_entropy_against_mpmath():
+    """Sector-route entropies of [0, L), L = 2..20, on the 64-site
+    IR-regulated chain at beta = 2 pi, against a 50-digit build and solve.
+    The zero mode puts ~1e7 into every entry of X, so both float routes
+    carry a rounding error: the unsplit route's worst is 6.9e-8 here, and
+    the bound is fixed at about three times that."""
+    mp = pytest.importorskip("mpmath")
+    n, lengths = 64, range(2, 21)
+    lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
+    st = gc.build_thermal_state(lat, 2 * np.pi)
+    with mp.workdps(50):
+        exact = _mp_gibbs_entropies(mp, n, lat.effective_mass, lengths)
+    for L, ref in zip(lengths, exact):
+        red = gc.reduce_state(st, gc.Region.interval(0, L))
+        unsplit = gc.entanglement_entropy(gc._sympl_eigs_block(red.phi_phi, red.pi_pi))
+        assert abs(float(unsplit - ref)) < 2e-7, L
+        assert abs(float(gc.interval_entropy(st, 0, L) - ref)) < 2e-7, L
+
+
+def _mp_gibbs_entropies(mp, n, m, lengths):
+    """Entropies of [0, L) in the beta = 2 pi Gibbs state of the n-site chain
+    of mass m, built and solved at the working precision of mp."""
+    m, half, d = mp.mpf(m), mp.mpf(1) / 2, max(lengths)
+    w = [mp.sqrt(m**2 + 4 * mp.sin(mp.pi * k / n) ** 2) for k in range(n)]
+    occ = [1 / mp.tanh(mp.pi * wk) for wk in w]     # coth(beta w / 2)
+    cos = [[mp.cos(2 * mp.pi * k * j / n) for k in range(n)] for j in range(d)]
+    x = [mp.fsum(o / (2 * wk) * c for o, wk, c in zip(occ, w, cj)) / n for cj in cos]
+    p = [mp.fsum(o * wk / 2 * c for o, wk, c in zip(occ, w, cj)) / n for cj in cos]
+    out = []
+    for L in lengths:
+        X = mp.matrix([[x[abs(i - j)] for j in range(L)] for i in range(L)])
+        P = mp.matrix([[p[abs(i - j)] for j in range(L)] for i in range(L)])
+        C = mp.cholesky(X)
+        nus = [mp.sqrt(e) for e in mp.eigsy(C.T * P * C, eigvals_only=True)]
+        out.append(mp.fsum((v + half) * mp.log(v + half) - (v - half) * mp.log(v - half)
+                           for v in nus))
+    return out
