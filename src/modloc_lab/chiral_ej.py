@@ -485,7 +485,8 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     entropies are returned with their fit, so a caller reads them instead of
     rebuilding the Gibbs state.
 
-    Coefficients are reported, not asserted against any closed-form value.
+    Coefficients and both R^2 are reported, not asserted: the caller checks
+    the fits.
     """
     L_values = [int(L) for L in L_values]
     if len(L_values) < 4 or len(eps_values) < 4:
@@ -496,16 +497,10 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     s_th = gaussian_core.thermal_interval_entropies(lat, beta, L_values)
     s1, _, r2_th = linear_fit(np.asarray(L_values, float), np.asarray(s_th))
 
-    region = [gaussian_core.Region.interval(0, interval_sites)]
-    rows, _ = gaussian_core.entropy_scan(lat, region, eps_values)
+    rows, _ = gaussian_core.entropy_scan(lat, [interval_sites], eps_values)
     x = np.log([1.0 / eps for (_, eps, _) in rows])
     y = np.array([S for (_, _, S) in rows])
     s2, _, r2_loc = linear_fit(x, y)
-
-    if any(r2 < 0.99 for r2 in (r2_th, r2_loc)):
-        raise FitError(
-            f"entropy fits degenerate (thermal R2={r2_th:.4f}, localization R2={r2_loc:.4f})"
-        )
     return EntropyRelationReport(
         thermal_entropies=tuple(s_th),
         thermal_slope=s1,

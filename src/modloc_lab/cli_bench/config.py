@@ -63,9 +63,10 @@ _SCHEMAS = {
         "grid_n": (_integer, 100, (4, 100000)),
     },
     "entropy-scan": {
-        # each chain is two dense N x N covariances, 256 MiB at MAX_SITES;
-        # n_sites = purity_sizes = 4096 runs in about 5 s at 505 MiB peak
-        # on a 2-core desk machine
+        # a chain is held as two N-entry columns; its full spectrum is solved
+        # in two N/2 x N/2 sectors, 32 MiB each at MAX_SITES.
+        # n_sites = purity_sizes = 4096 runs in about 3 s at 237 MiB peak on
+        # a 2-core desk machine
         "n_sites": (_integer, 2000, (64, MAX_SITES)),
         "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
         "thermal_n_sites": (_integer, 1200, (64, MAX_SITES)),
@@ -139,21 +140,27 @@ def _coerce(experiment, raw):
         # reads L sites at attenuation eps as round(L/eps) sites, and resolves
         # an interval only from 2 sites up; the eps scan reads eps_interval
         # sites of the n_sites chain, and entropy_relation_check reads its
-        # 32-site interval on the thermal_n_sites chain at every eps.
+        # 32-site interval on the thermal_n_sites chain at every eps.  A
+        # vacuum interval must also be shorter than its chain: the whole
+        # chain is pure, so its entropy is 0 and no fit can include it.  The
+        # Gibbs state is mixed, so a thermal length may equal its chain.
         eps = params["eps_values"]
-        for key, sites, lo, limit in (
-                ("lengths", params["lengths"], 2, "n_sites"),
-                ("thermal_lengths", params["thermal_lengths"], 1, "thermal_n_sites"),
-                ("eps_interval", (params["eps_interval"],), 2, "n_sites"),
+        for key, sites, lo, limit, pure in (
+                ("lengths", params["lengths"], 2, "n_sites", True),
+                ("thermal_lengths", params["thermal_lengths"], 1, "thermal_n_sites",
+                 False),
+                ("eps_interval", (params["eps_interval"],), 2, "n_sites", True),
                 ("round(eps_interval / eps_values)",
-                 [round(params["eps_interval"] / e) for e in eps], 2, "n_sites"),
+                 [round(params["eps_interval"] / e) for e in eps], 2, "n_sites", True),
                 ("round(32 / eps_values)", [round(32 / e) for e in eps], 2,
-                 "thermal_n_sites")):
-            bad = [L for L in sites if not lo <= L <= params[limit]]
+                 "thermal_n_sites", True)):
+            hi = params[limit] - pure
+            bad = [L for L in sites if not lo <= L <= hi]
             if bad:
+                why = "; a vacuum interval must be shorter than its chain" if pure else ""
                 raise ConfigurationError(
-                    f"[{experiment}] {key} entries {bad} outside "
-                    f"[{lo}, {limit} = {params[limit]}]"
+                    f"[{experiment}] {key} entries {bad} outside [{lo}, {hi}] "
+                    f"({limit} = {params[limit]}{why})"
                 )
     if experiment == "charge-scaling":
         # scaling_fit needs the R/dR samples to span at least one decade

@@ -102,8 +102,7 @@ def suite_entropy_scan(cfg, man, out):
     n = cfg["n_sites"]
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
     lengths = cfg["lengths"]
-    rows, fit = gc.entropy_scan(lat, [gc.Region.interval(0, L) for L in lengths],
-                                [1.0])
+    rows, fit = gc.entropy_scan(lat, lengths, [1.0])
     man.extend([
         check_greater("entropy-scan/log-fit-r2", fit.r_squared, 0.995,
                       note=f"S = s ln L + c on the {n}-site critical chain"),
@@ -119,15 +118,14 @@ def suite_entropy_scan(cfg, man, out):
     # restriction impurity and uncertainty bound on a small closed chain
     small = gc.HarmonicLattice(64, 0.0, ir_regulator=2e-4 / 64 * 32)
     sstate = gc.build_vacuum_state(small)
-    ent_small = gc.interval_entropy(sstate, 0, 16)
+    ent_small = gc.interval_entropy(sstate, 16)
     man.extend([check_greater("entropy-scan/restriction-impurity", ent_small,
                               1e-6, note="proper subinterval of the coupled vacuum")])
 
     # eps scan: attenuation length as short-distance cutoff; the interval is
     # kept well below the chain size so the periodic chord correction stays
     # in the fit tolerance
-    region = [gc.Region.interval(0, cfg["eps_interval"])]
-    rows, fit = gc.entropy_scan(lat, region, cfg["eps_values"])
+    rows, fit = gc.entropy_scan(lat, [cfg["eps_interval"]], cfg["eps_values"])
     man.extend([
         check_greater("entropy-scan/eps-fit-r2", fit.r_squared, 0.99,
                       note="S against ln(L/eps)"),
@@ -145,6 +143,8 @@ def suite_entropy_scan(cfg, man, out):
     man.extend([
         check_greater("entropy-scan/thermal-fit-r2", rel.thermal_r2, 0.99,
                       note="thermal entropy extensive in L"),
+        check_greater("entropy-scan/localization-fit-r2", rel.localization_r2, 0.99,
+                      note="32-site vacuum entropy against ln(1/eps)"),
         record_value("entropy-scan/thermal-slope", rel.thermal_slope),
         record_value("entropy-scan/thermal-slope-per-chirality",
                      rel.thermal_slope / 2.0),
@@ -175,8 +175,8 @@ def suite_entropy_scan(cfg, man, out):
     b = gc.HarmonicLattice(64, 1.0)
     d = gc.build_thermal_state(b, 1e6)
     v = gc.build_vacuum_state(b)
-    diff = max(np.max(np.abs(d.phi_phi - v.phi_phi)),
-               np.max(np.abs(d.pi_pi - v.pi_pi)))
+    diff = max(np.max(np.abs(d.phi_col - v.phi_col)),
+               np.max(np.abs(d.pi_col - v.pi_col)))
     man.extend([check_less("entropy-scan/thermal-limit", float(diff), 1e-6,
                            note="beta = 1e6 Gibbs state vs vacuum")])
 

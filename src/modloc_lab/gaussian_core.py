@@ -11,7 +11,9 @@ block is the circulant matrix of one inverse FFT of a function of omega_k.
 
 Vacuum and thermal states are fixed by their covariance blocks
 X = <phi phi> and P = <pi pi> (the mixed block <{phi, pi}/2> vanishes for
-both); restriction to a region is a sub-block, the symplectic spectrum
+both).  Both are symmetric Toeplitz, X_ij = x[|i-j|], so a state is held
+as the two first columns; restriction to an interval of L sites is the
+L-entry prefix wherever the interval starts.  The symplectic spectrum
 {nu_k} of the reduced covariance carries the whole modular (entanglement)
 data, and
 
@@ -23,13 +25,14 @@ is the von Neumann entropy of the reduced Gaussian state (nats).
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, FitError, SpectralError
 from .quadrature import linear_fit
 
-# scipy.linalg is imported inside the two functions that call it: loading
-# scipy takes about 0.4 s, which a CLI run of any suite that never calls it
-# would otherwise pay.
+# scipy.linalg is imported inside _sympl_eigs_block, its only caller:
+# loading scipy takes about 0.4 s, which a CLI run of any suite that never
+# solves a spectrum would otherwise pay.
 
 UNCERTAINTY_TOL = 1e-9
 IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * (n_sites * spacing)
@@ -70,37 +73,16 @@ class HarmonicLattice:
 
 
 @dataclass(frozen=True)
-class Region:
-    """Ordered set of lattice sites; contiguous intervals are the common case."""
-
-    sites: tuple
-
-    def __post_init__(self):
-        if len(self.sites) == 0:
-            raise DomainError("region must be nonempty")
-        if len(set(self.sites)) != len(self.sites):
-            raise DomainError("region sites must be distinct")
-
-    @classmethod
-    def interval(cls, start, length):
-        return cls(tuple(range(start, start + length)))
-
-    def validate(self, lattice):
-        if min(self.sites) < 0 or max(self.sites) >= lattice.n_sites:
-            raise DomainError("region outside lattice")
-
-    def __len__(self):
-        return len(self.sites)
-
-
-@dataclass(frozen=True)
 class GaussianState:
-    phi_phi: np.ndarray
-    pi_pi: np.ndarray
+    """First columns of the Toeplitz blocks: X_ij = phi_col[|i-j|] and
+    P_ij = pi_col[|i-j|]."""
+
+    phi_col: np.ndarray
+    pi_col: np.ndarray
 
     @property
     def n_modes(self):
-        return self.phi_phi.shape[0]
+        return self.phi_col.shape[0]
 
 
 @dataclass(frozen=True)
@@ -117,23 +99,22 @@ def _plane_wave_frequencies(lattice):
     return np.sqrt(lattice.effective_mass**2 + (2.0 * s / lattice.spacing) ** 2)
 
 
-def _circulant(spectrum):
-    """The matrix that is diagonal in the plane-wave basis with this spectrum.
+def _column(spectrum):
+    """First column of the matrix that is diagonal in the plane-wave basis
+    with this spectrum.
 
     The spectrum is even in k, so the column obeys c_j = c_{N-j}; the inverse
     FFT keeps that only to rounding, and averaging the column with its mirror
-    makes the matrix exactly symmetric and centrosymmetric, which
-    symplectic_spectrum relies on to split it into reflection sectors."""
-    from scipy.linalg import circulant
-
+    makes it exact, so the circulant matrix is the symmetric Toeplitz matrix
+    of this column."""
     c = np.fft.ifft(spectrum).real
-    return circulant((c + np.roll(c[::-1], 1)) / 2.0)
+    return (c + np.roll(c[::-1], 1)) / 2.0
 
 
 def build_vacuum_state(lattice):
     """Ground-state covariances X = K^{-1/2}/2, P = K^{1/2}/2."""
     w = _plane_wave_frequencies(lattice)
-    return GaussianState(_circulant(0.5 / w), _circulant(0.5 * w))
+    return GaussianState(_column(0.5 / w), _column(0.5 * w))
 
 
 def build_thermal_state(lattice, beta):
@@ -142,18 +123,15 @@ def build_thermal_state(lattice, beta):
         raise ConfigurationError("beta must be finite and positive")
     w = _plane_wave_frequencies(lattice)
     c = 1.0 / np.tanh(np.clip(beta * w / 2.0, 1e-300, 350.0))
-    return GaussianState(_circulant(0.5 * c / w), _circulant(0.5 * c * w))
+    return GaussianState(_column(0.5 * c / w), _column(0.5 * c * w))
 
 
-def reduce_state(state, region):
-    """Sub-block restriction of both covariance blocks to the region's sites."""
-    sites = np.asarray(region.sites, int)
-    if sites.size == 0:
-        raise DomainError("region must be nonempty")
-    if sites.min() < 0 or sites.max() >= state.n_modes:
-        raise DomainError("region outside state")
-    ix = np.ix_(sites, sites)
-    return GaussianState(state.phi_phi[ix], state.pi_pi[ix])
+def reduce_state(state, length):
+    """Restriction to an interval of `length` sites: the Toeplitz blocks of
+    every such interval are the same, with the column prefix."""
+    if not 1 <= length <= state.n_modes:
+        raise DomainError(f"interval length {length} outside [1, {state.n_modes}]")
+    return GaussianState(state.phi_col[:length], state.pi_col[:length])
 
 
 def _sympl_eigs_block(X, P):
@@ -176,45 +154,44 @@ def _sympl_eigs_block(X, P):
     return np.sqrt(ev)
 
 
-def _reflection_sector(M, parity):
-    """Block of a centrosymmetric M in the reflection-even (parity +1) or
-    reflection-odd (-1) orthonormal basis (e_i +/- e_{n-1-i})/sqrt 2, i < n//2;
-    for odd n the even basis also holds the middle site e_{n//2}."""
-    n = M.shape[0]
+def _sector(col, parity):
+    """Block of the n x n Toeplitz matrix of col in the reflection-even
+    (parity +1) or reflection-odd (-1) orthonormal basis
+    (e_i +/- e_{n-1-i})/sqrt 2, i < n//2: A +/- CJ with A_ij = col[|i-j|]
+    and (CJ)_ij = col[n-1-i-j].  For odd n the even basis also holds the
+    middle site e_{n//2}."""
+    n = col.shape[0]
     h = n // 2
-    A, CJ = M[:h, :h], M[:h, ::-1][:, :h]
+    # both h x h blocks as strided views of the column (h = 0 leaves no row)
+    A = sliding_window_view(np.concatenate([col[h - 1:0:-1], col[:h]]), h)[::-1][:h]
+    CJ = sliding_window_view(col[n - 2 * h + 1:][::-1], h)[:h]
     if parity < 0:
         return A - CJ
     if n % 2 == 0:
         return A + CJ
     S = np.empty((h + 1, h + 1))
     np.add(A, CJ, out=S[:h, :h])
-    S[:h, h] = np.sqrt(2.0) * M[:h, h]
-    S[h, :h] = np.sqrt(2.0) * M[h, :h]
-    S[h, h] = M[h, h]
+    S[:h, h] = S[h, :h] = np.sqrt(2.0) * col[h:0:-1]
+    S[h, h] = col[0]
     return S
 
 
 def symplectic_spectrum(state):
     """Symplectic eigenvalues of the state's covariance, sorted descending.
 
-    When X and P are both centrosymmetric (every interval of the periodic
-    chain), the reflection i -> n-1-i commutes with X P, so the spectrum is
-    the union of the spectra of its even and odd sectors; each half-size
-    sector is formed and solved in turn.  Any other state is solved whole.
+    The reflection i -> n-1-i maps every symmetric Toeplitz block to itself,
+    so it commutes with X P and the spectrum is the union of the spectra of
+    the even and odd sectors; each half-size sector is formed from the
+    columns and solved in turn.  One site has no odd sector.
 
     Raises SpectralError (with the offending value) if any nu falls below
     1/2 - UNCERTAINTY_TOL, which would violate the uncertainty bound.
     """
-    X, P = state.phi_phi, state.pi_pi
-    if X.shape[0] >= 2 and all(np.array_equal(M, M[::-1, ::-1]) for M in (X, P)):
-        nus = np.concatenate([
-            _sympl_eigs_block(_reflection_sector(X, parity),
-                              _reflection_sector(P, parity))
-            for parity in (1, -1)])
-        nus = np.sort(nus)[::-1]
-    else:
-        nus = _sympl_eigs_block(X, P)[::-1]
+    parities = (1, -1) if state.n_modes > 1 else (1,)
+    nus = np.concatenate([
+        _sympl_eigs_block(_sector(state.phi_col, parity), _sector(state.pi_col, parity))
+        for parity in parities])
+    nus = np.sort(nus)[::-1]
     if nus[-1] < 0.5 - UNCERTAINTY_TOL:
         raise SpectralError(
             f"symplectic eigenvalue {nus[-1]:.12f} below the uncertainty bound",
@@ -239,13 +216,12 @@ def entanglement_entropy(nus):
     return float(np.sum(s))
 
 
-def interval_entropy(state, start, length):
-    """Entropy of the contiguous interval [start, start+length)."""
-    red = reduce_state(state, Region.interval(start, length))
-    return entanglement_entropy(symplectic_spectrum(red))
+def interval_entropy(state, length):
+    """Entropy of an interval of `length` sites."""
+    return entanglement_entropy(symplectic_spectrum(reduce_state(state, length)))
 
 
-def entropy_scan(lattice, region_family, eps_family):
+def entropy_scan(lattice, lengths, eps_family):
     """(rows, fit): the (L, eps, S) rows over nested intervals and
     attenuation lengths, and the least-squares fit of S against ln(L/eps).
 
@@ -257,12 +233,13 @@ def entropy_scan(lattice, region_family, eps_family):
     through L/eps, which is what the least-squares fit of S against
     ln(L/eps) quantifies.
     """
-    regions = list(region_family)
+    lengths = list(lengths)
     eps_values = [float(e) for e in eps_family]
-    if len(regions) * len(eps_values) < 4:
+    if len(lengths) * len(eps_values) < 4:
         raise FitError("entropy scan needs at least 4 points")
-    for r in regions:
-        r.validate(lattice)
+    for n in lengths:
+        if not 1 <= n <= lattice.n_sites:
+            raise DomainError(f"interval length {n} outside [1, {lattice.n_sites}]")
     for e in eps_values:
         if e <= 0:
             raise ConfigurationError("attenuation lengths must be positive")
@@ -272,12 +249,12 @@ def entropy_scan(lattice, region_family, eps_family):
 
     def sharp_entropy(n_eff):
         if n_eff not in cache:
-            cache[n_eff] = interval_entropy(state, 0, n_eff)
+            cache[n_eff] = interval_entropy(state, n_eff)
         return cache[n_eff]
 
     rows = []
-    for region in regions:
-        L = len(region) * lattice.spacing
+    for n in lengths:
+        L = n * lattice.spacing
         for eps in eps_values:
             n_eff = int(round(L / eps))
             if n_eff < 2:
@@ -297,7 +274,7 @@ def entropy_scan(lattice, region_family, eps_family):
 
 
 def thermal_interval_entropies(lattice, beta, lengths):
-    """Entropies of [0, L) in the Gibbs state; extensive for L >> 1/T."""
+    """Entropies of L-site intervals in the Gibbs state; extensive for L >> 1/T."""
     state = build_thermal_state(lattice, beta)
-    return [interval_entropy(state, 0, int(L)) for L in lengths]
+    return [interval_entropy(state, int(L)) for L in lengths]
 

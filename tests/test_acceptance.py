@@ -99,6 +99,7 @@ def test_criterion_4_localization_entropy_scaling(suite):
     _assert_claims(man, {
         "entropy-scan/log-fit-r2": (">", 0.995),
         "entropy-scan/thermal-fit-r2": (">", 0.99),
+        "entropy-scan/localization-fit-r2": (">", 0.99),
     }, n_sites=2000, lengths=(8, 16, 32, 64, 128, 256), thermal_n_sites=1200,
         thermal_beta=TWO_PI, thermal_lengths=(40, 80, 120, 160, 200, 240))
     assert dt < 120.0

@@ -102,10 +102,32 @@ def test_entropy_scan_eps_intervals_checked(tmp_path):
         p.write_text(f"[entropy-scan]\n{text}\n")
         with pytest.raises(ConfigurationError, match=keys):
             cbc.load_config("entropy-scan", p)
-    # both ends of the range load: 32 / 16 = 2 sites, 250 / 0.125 = n_sites
-    for text in ("eps_values = 16, 12, 6, 3", "eps_interval = 250"):
+    # a vacuum interval of the whole chain is pure: 250 / 0.125 = n_sites
+    for text, keys in (("eps_interval = 250", "eps_interval / eps_values.*shorter"),
+                       ("lengths = 8, 16, 32, 2000", "lengths .*n_sites = 2000")):
+        p.write_text(f"[entropy-scan]\n{text}\n")
+        with pytest.raises(ConfigurationError, match=keys):
+            cbc.load_config("entropy-scan", p)
+    # both ends of the range load: 32 / 16 = 2 sites, 249 / 0.125 = n_sites - 8,
+    # and a thermal length may equal its (mixed) chain
+    for text in ("eps_values = 16, 12, 6, 3", "eps_interval = 249",
+                 "lengths = 8, 16, 32, 1999", "thermal_lengths = 40, 80, 120, 1200"):
         p.write_text(f"[entropy-scan]\n{text}\n")
         cbc.load_config("entropy-scan", p)
+
+
+def test_entropy_scan_poor_localization_fit_fails_its_record(tmp_path, capsys):
+    # every interval resolves, but 32 / 16 = 2 sites is far from the log
+    # regime: the run records the failed fit instead of stopping
+    p = tmp_path / "c.ini"
+    p.write_text("[entropy-scan]\neps_values = 16, 12, 6, 3\n")
+    capsys.readouterr()
+    assert main(["entropy-scan", "--config", str(p), "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in "".join(capsys.readouterr())
+    payload = json.loads((tmp_path / "entropy-scan_manifest.json").read_text())
+    verdicts = {r["name"]: r["verdict"] for r in payload["records"]}
+    assert verdicts["entropy-scan/localization-fit-r2"] == "fail"
+    assert verdicts["entropy-scan/thermal-fit-r2"] == "pass"
 
 
 def test_lattice_size_cap_rejected_before_any_build(tmp_path, monkeypatch, capsys):
@@ -225,6 +247,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         ("entropy-scan", "[entropy-scan]\neps_interval = 300\n"),
         ("entropy-scan", "[entropy-scan]\neps_interval = 3000\n"),
         ("entropy-scan", "[entropy-scan]\neps_values = 40, 50, 60, 70\n"),
+        # a vacuum interval of the whole chain is pure
+        ("entropy-scan", "[entropy-scan]\neps_interval = 250\n"),
     ):
         path = tmp_path / "case.cfg"
         path.unlink(missing_ok=True)

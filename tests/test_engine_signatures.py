@@ -27,6 +27,9 @@ SIGNATURES = {
     "chiral_ej.verify_isomorphism": ("imap", "grid"),
     "chiral_ej.entropy_relation_check": ("L_values", "eps_values", "n_sites",
                                          "beta", "interval_sites"),
+    "gaussian_core.reduce_state": ("state", "length"),
+    "gaussian_core.interval_entropy": ("state", "length"),
+    "gaussian_core.entropy_scan": ("lattice", "lengths", "eps_family"),
     "gaussian_core.symplectic_spectrum": ("state",),
     "gaussian_core.entanglement_entropy": ("nus",),
     "charge_fluct.charge_variance_lattice": ("model", "spec"),

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import circulant, eigh, toeplitz
 
 from modloc_lab import gaussian_core as gc
 from modloc_lab.errors import ConfigurationError, DomainError, FitError, SpectralError
@@ -31,17 +33,17 @@ def decoupled_lattice(n=2, mass=1.0):
 
 def test_decoupled_oscillator_ground_state():
     st = gc.build_vacuum_state(decoupled_lattice())
-    assert np.allclose(np.diag(st.phi_phi), 0.5, atol=1e-10)
-    assert np.allclose(np.diag(st.pi_pi), 0.5, atol=1e-10)
-    assert abs(st.phi_phi[0, 1]) < 1e-10
+    assert st.phi_col[0] == pytest.approx(0.5, abs=1e-10)
+    assert st.pi_col[0] == pytest.approx(0.5, abs=1e-10)
+    assert abs(st.phi_col[1]) < 1e-10
 
 
 def test_two_site_closed_form():
     lat = gc.HarmonicLattice(2, 1.0)
     st = gc.build_vacuum_state(lat)
-    assert st.phi_phi[0, 0] == pytest.approx(X00, abs=1e-12)
-    assert st.phi_phi[0, 1] == pytest.approx(X01, abs=1e-12)
-    assert st.pi_pi[0, 0] == pytest.approx(P00, abs=1e-12)
+    assert st.phi_col[0] == pytest.approx(X00, abs=1e-12)
+    assert st.phi_col[1] == pytest.approx(X01, abs=1e-12)
+    assert st.pi_col[0] == pytest.approx(P00, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,mass", [(16, 1.0), (64, 0.3), (33, 2.0)])
@@ -70,14 +72,14 @@ def test_plane_wave_build_matches_dense_eigh():
         for beta, st in ((None, gc.build_vacuum_state(lat)),
                          (2.0, gc.build_thermal_state(lat, 2.0))):
             X, P = dense_covariances(lat, beta)
-            assert np.max(np.abs(st.phi_phi - X)) < 1e-12
-            assert np.max(np.abs(st.pi_pi - P)) < 1e-12
+            assert np.max(np.abs(toeplitz(st.phi_col) - X)) < 1e-12
+            assert np.max(np.abs(toeplitz(st.pi_col) - P)) < 1e-12
     # zero mode of the IR-regulated critical chain, where the dense build
     # is 9e-4 off: K 1 = m_eff^2 1, so every row of X = K^{-1/2}/2 sums
     # to 1/(2 m_eff)
     n = 2000
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
-    row_sums = gc.build_vacuum_state(lat).phi_phi.sum(axis=1)
+    row_sums = toeplitz(gc.build_vacuum_state(lat).phi_col).sum(axis=1)
     target = 0.5 / lat.effective_mass
     assert np.max(np.abs(row_sums / target - 1.0)) < 1e-12
 
@@ -93,8 +95,8 @@ def test_thermal_zero_temperature_limit():
     lat = gc.HarmonicLattice(24, 1.0)
     th = gc.build_thermal_state(lat, 1e6)
     vac = gc.build_vacuum_state(lat)
-    assert np.max(np.abs(th.phi_phi - vac.phi_phi)) < 1e-8
-    assert np.max(np.abs(th.pi_pi - vac.pi_pi)) < 1e-8
+    assert np.max(np.abs(th.phi_col - vac.phi_col)) < 1e-8
+    assert np.max(np.abs(th.pi_col - vac.pi_col)) < 1e-8
 
 
 def test_thermal_strictly_impure():
@@ -105,29 +107,32 @@ def test_thermal_strictly_impure():
 def test_reduce_identity_region():
     lat = gc.HarmonicLattice(8, 1.0)
     st = gc.build_vacuum_state(lat)
-    red = gc.reduce_state(st, gc.Region.interval(0, 8))
-    assert np.array_equal(red.phi_phi, st.phi_phi)
+    red = gc.reduce_state(st, 8)
+    assert np.array_equal(red.phi_col, st.phi_col)
+    assert np.array_equal(red.pi_col, st.pi_col)
 
 
 def test_reduce_decoupled_is_pure():
     st = gc.build_vacuum_state(decoupled_lattice())
-    red = gc.reduce_state(st, gc.Region((0,)))
+    red = gc.reduce_state(st, 1)
     assert gc.symplectic_spectrum(red)[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_reduce_coupled_half_chain_oracle():
     st = gc.build_vacuum_state(gc.HarmonicLattice(2, 1.0))
-    red = gc.reduce_state(st, gc.Region((0,)))
+    red = gc.reduce_state(st, 1)
     nu = gc.symplectic_spectrum(red)[0]
     assert nu > 0.5
     assert nu == pytest.approx(NU_HALF_CHAIN, abs=1e-12)
 
 
 def test_spectrum_invariant_under_relabeling():
+    # the dense solver on the sites of [0, 4) listed as (3, 1, 0, 2)
     st = gc.build_vacuum_state(gc.HarmonicLattice(12, 0.5))
-    a = gc.symplectic_spectrum(gc.reduce_state(st, gc.Region((1, 2, 3, 4))))
-    b = gc.symplectic_spectrum(gc.reduce_state(st, gc.Region((4, 2, 1, 3))))
-    assert np.allclose(a, b, atol=1e-12)
+    a = gc.symplectic_spectrum(gc.reduce_state(st, 4))
+    ix = np.ix_(*2 * ([3, 1, 0, 2],))
+    b = gc._sympl_eigs_block(toeplitz(st.phi_col[:4])[ix], toeplitz(st.pi_col[:4])[ix])
+    assert np.allclose(a, b[::-1], atol=1e-12)
 
 
 def _sympl_eigs_general(X, P, M):
@@ -152,10 +157,10 @@ def _sympl_eigs_general(X, P, M):
 def test_general_symplectic_path_matches_block_path(lattice, beta, length):
     st = (gc.build_vacuum_state(lattice) if beta is None
           else gc.build_thermal_state(lattice, beta))
-    red = gc.reduce_state(st, gc.Region.interval(0, length))
+    red = gc.reduce_state(st, length)
     nus_block = gc.symplectic_spectrum(red)
-    nus_gen = _sympl_eigs_general(red.phi_phi, red.pi_pi,
-                                  np.zeros_like(red.phi_phi))
+    X = toeplitz(red.phi_col)
+    nus_gen = _sympl_eigs_general(X, toeplitz(red.pi_col), np.zeros_like(X))
     assert np.allclose(np.sort(nus_block), np.sort(nus_gen), atol=1e-10)
 
 
@@ -170,9 +175,9 @@ def test_entropy_additive_over_uncoupled_blocks():
     st = gc.build_vacuum_state(decoupled_lattice(4))
     th = gc.build_thermal_state(decoupled_lattice(4), beta=0.7)
     s_pair = gc.entanglement_entropy(
-        gc.symplectic_spectrum(gc.reduce_state(th, gc.Region((0, 1)))))
+        gc.symplectic_spectrum(gc.reduce_state(th, 2)))
     s_each = gc.entanglement_entropy(
-        gc.symplectic_spectrum(gc.reduce_state(th, gc.Region((0,)))))
+        gc.symplectic_spectrum(gc.reduce_state(th, 1)))
     assert s_pair == pytest.approx(2 * s_each, rel=1e-10)
     assert gc.entanglement_entropy(gc.symplectic_spectrum(st)) < 1e-10
 
@@ -181,7 +186,7 @@ def test_restriction_impurity_all_proper_intervals():
     lat = gc.HarmonicLattice(32, 0.0, ir_regulator=5e-3 / 32)
     st = gc.build_vacuum_state(lat)
     for L in (1, 5, 16, 31):
-        s = gc.interval_entropy(st, 0, L)
+        s = gc.interval_entropy(st, L)
         assert s > 1e-6
 
 
@@ -190,17 +195,19 @@ def test_uncertainty_bound_across_states():
         lat = gc.HarmonicLattice(20, 0.7)
         st = (gc.build_vacuum_state(lat) if beta is None
               else gc.build_thermal_state(lat, beta))
-        for region in (gc.Region.interval(0, 20), gc.Region.interval(3, 9),
-                       gc.Region((0, 5, 11))):
-            nus = gc.symplectic_spectrum(gc.reduce_state(st, region))
+        for length in (20, 9):
+            nus = gc.symplectic_spectrum(gc.reduce_state(st, length))
             assert np.all(nus >= 0.5 - 1e-9)
+        # a region that is no interval, through the dense solver
+        ix = np.ix_(*2 * ([0, 5, 11],))
+        nus = gc._sympl_eigs_block(toeplitz(st.phi_col)[ix], toeplitz(st.pi_col)[ix])
+        assert np.all(nus >= 0.5 - 1e-9)
 
 
 def test_entropy_scan_log_fit():
     n = 900
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
-    regions = [gc.Region.interval(0, L) for L in (8, 16, 32, 64, 128)]
-    rows, fit = gc.entropy_scan(lat, regions, [1.0])
+    rows, fit = gc.entropy_scan(lat, (8, 16, 32, 64, 128), [1.0])
     assert fit.r_squared > 0.995
     assert fit.slope == pytest.approx(1.0 / 3.0, abs=0.02)
     # doubling the interval at fixed eps increases the entropy
@@ -211,8 +218,7 @@ def test_entropy_scan_log_fit():
 def test_entropy_scan_eps_direction():
     n = 600
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
-    rows, fit = gc.entropy_scan(lat, [gc.Region.interval(0, 16)],
-                                [1.0, 0.5, 0.25, 0.125])
+    rows, fit = gc.entropy_scan(lat, [16], [1.0, 0.5, 0.25, 0.125])
     assert fit.r_squared > 0.99
     # sharper attenuation (smaller eps) raises the entropy
     ents = [S for (_, _, S) in rows]
@@ -241,24 +247,25 @@ def test_validation_errors():
         gc.HarmonicLattice(8, 0.0, ir_regulator=1.0)   # outside the IR window
     with pytest.raises(ConfigurationError):
         gc.build_thermal_state(gc.HarmonicLattice(4, 1.0), beta=-1.0)
+    st = gc.build_vacuum_state(gc.HarmonicLattice(4, 1.0))
+    for length in (0, 5):
+        with pytest.raises(DomainError):
+            gc.reduce_state(st, length)
     with pytest.raises(DomainError):
-        gc.Region(())
-    with pytest.raises(DomainError):
-        gc.reduce_state(gc.build_vacuum_state(gc.HarmonicLattice(4, 1.0)),
-                        gc.Region((7,)))
+        gc.entropy_scan(gc.HarmonicLattice(64, 1.0), [8, 16, 65], [2.0, 4.0])
     with pytest.raises(FitError):
-        gc.entropy_scan(gc.HarmonicLattice(64, 1.0),
-                        [gc.Region.interval(0, 8)], [1.0])
+        gc.entropy_scan(gc.HarmonicLattice(64, 1.0), [8], [1.0])
 
 
 def test_spectral_error_reports_offender():
-    bad = gc.GaussianState(np.diag([0.1, 0.1]), np.diag([0.1, 0.1]))
+    bad = gc.GaussianState(np.array([0.1, 0.0]), np.array([0.1, 0.0]))
     with pytest.raises(SpectralError) as err:
         gc.symplectic_spectrum(bad)
     assert err.value.offending_value is not None
     assert err.value.offending_value < 0.5
-    # X not positive definite: the Cholesky factor does not exist
-    indefinite = gc.GaussianState(np.diag([-0.1, 0.1]), np.eye(2))
+    # X = [[0.1, 0.2], [0.2, 0.1]] is not positive definite: the odd sector
+    # 0.1 - 0.2 has no Cholesky factor
+    indefinite = gc.GaussianState(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
     with pytest.raises(SpectralError) as err:
         gc.symplectic_spectrum(indefinite)
     assert err.value.offending_value < 0
@@ -266,11 +273,15 @@ def test_spectral_error_reports_offender():
 
 @pytest.mark.parametrize("n", [511, 512])
 def test_covariances_exactly_symmetric_and_centrosymmetric(n):
+    # c_j = c_{N-j} exactly, so the chain's circulant block is the symmetric,
+    # centrosymmetric Toeplitz block of the column
     for lat in (gc.HarmonicLattice(n, 1.0),
                 gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)):
         for st in (gc.build_vacuum_state(lat), gc.build_thermal_state(lat, 2.0)):
-            for M in (st.phi_phi, st.pi_pi):
-                assert np.array_equal(M, M.T)
+            for col in (st.phi_col, st.pi_col):
+                assert np.array_equal(col[1:], col[:0:-1])
+                M = toeplitz(col)
+                assert np.array_equal(M, circulant(col))
                 assert np.array_equal(M, M[::-1, ::-1])
 
 
@@ -281,10 +292,10 @@ def test_reflection_sectors_match_unsplit_spectrum(mass, beta):
         lat = gc.HarmonicLattice(n, mass)
         st = (gc.build_vacuum_state(lat) if beta is None
               else gc.build_thermal_state(lat, beta))
-        for region in (gc.Region.interval(0, n), gc.Region.interval(5, 7),
-                       gc.Region.interval(9, 16)):
-            red = gc.reduce_state(st, region)
-            unsplit = gc._sympl_eigs_block(red.phi_phi, red.pi_pi)[::-1]
+        for length in (n, 7, 16):
+            red = gc.reduce_state(st, length)
+            unsplit = gc._sympl_eigs_block(toeplitz(red.phi_col),
+                                           toeplitz(red.pi_col))[::-1]
             nus = gc.symplectic_spectrum(red)
             assert nus.shape == unsplit.shape
             assert np.max(np.abs(nus - unsplit)) < 1e-12
@@ -300,13 +311,53 @@ def test_reflection_sector_sizes(monkeypatch):
 
     monkeypatch.setattr(gc, "_sympl_eigs_block", recording)
     st = gc.build_vacuum_state(gc.HarmonicLattice(64, 0.5))
-    for region, expected in ((gc.Region.interval(0, 64), [32, 32]),
-                             (gc.Region.interval(3, 7), [4, 3]),
-                             (gc.Region((4, 2, 1, 3)), [4]),   # not centrosymmetric
-                             (gc.Region((5,)), [1])):
+    for length, expected in ((64, [32, 32]), (7, [4, 3]), (4, [2, 2]),
+                             (1, [1])):          # one site: no odd sector
         sizes.clear()
-        gc.symplectic_spectrum(gc.reduce_state(st, region))
-        assert sizes == expected, region
+        gc.symplectic_spectrum(gc.reduce_state(st, length))
+        assert sizes == expected, length
+
+
+def _dense_sector(M, parity):
+    """A +/- CJ sliced out of a dense centrosymmetric block: the reference the
+    column route must reproduce bit for bit."""
+    n = M.shape[0]
+    h = n // 2
+    A, CJ = M[:h, :h], M[:h, ::-1][:, :h]
+    if parity < 0:
+        return A - CJ
+    if n % 2 == 0:
+        return A + CJ
+    S = np.empty((h + 1, h + 1))
+    np.add(A, CJ, out=S[:h, :h])
+    S[:h, h] = np.sqrt(2.0) * M[:h, h]
+    S[h, :h] = np.sqrt(2.0) * M[h, :h]
+    S[h, h] = M[h, h]
+    return S
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 512])
+def test_sectors_from_column_match_dense_slicing(n):
+    lat = gc.HarmonicLattice(512, 0.0, ir_regulator=1e-3 / 512)
+    for st in (gc.build_vacuum_state(lat), gc.build_thermal_state(lat, 2.0)):
+        red = gc.reduce_state(st, n)
+        for col in (red.phi_col, red.pi_col):
+            for parity in (1, -1):
+                assert np.array_equal(gc._sector(col, parity),
+                                      _dense_sector(toeplitz(col), parity))
+
+
+def test_state_build_allocates_no_dense_block():
+    lat = gc.HarmonicLattice(2048, 0.0, ir_regulator=1e-3 / 2048)
+    gc.build_vacuum_state(lat)           # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        for build in (gc.build_vacuum_state, lambda lat: gc.build_thermal_state(lat, 2.0)):
+            tracemalloc.reset_peak()
+            build(lat)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_thermal_interval_entropy_against_mpmath():
@@ -322,10 +373,11 @@ def test_thermal_interval_entropy_against_mpmath():
     with mp.workdps(50):
         exact = _mp_gibbs_entropies(mp, n, lat.effective_mass, lengths)
     for L, ref in zip(lengths, exact):
-        red = gc.reduce_state(st, gc.Region.interval(0, L))
-        unsplit = gc.entanglement_entropy(gc._sympl_eigs_block(red.phi_phi, red.pi_pi))
+        red = gc.reduce_state(st, L)
+        unsplit = gc.entanglement_entropy(
+            gc._sympl_eigs_block(toeplitz(red.phi_col), toeplitz(red.pi_col)))
         assert abs(float(unsplit - ref)) < 2e-7, L
-        assert abs(float(gc.interval_entropy(st, 0, L) - ref)) < 2e-7, L
+        assert abs(float(gc.interval_entropy(st, L) - ref)) < 2e-7, L
 
 
 def _mp_gibbs_entropies(mp, n, m, lengths):
