@@ -91,8 +91,10 @@ def _g2(E, T):
 # pair phase-space integrals I_D(k)
 # ----------------------------------------------------------------------
 
-def _pair_integral_1d(k, m, T):
-    """D=1; rapidity substitution p = m sinh(y) resolves the 1/E spikes."""
+def _pair_integral_1d(ks, m, T):
+    """D=1 on a 1-d array of k, one 320-node rule per k (a row of one
+    array); rapidity substitution p = m sinh(y) resolves the 1/E spikes."""
+    k = np.asarray(ks, float)[:, None]
     y_hi = np.arcsinh(k / (2.0 * m))
     y_lo = -np.arcsinh((_ECUT_SIGMAS / T + k) / m)
     yn, yw = gl_nodes(y_lo, y_hi, 320)
@@ -100,7 +102,7 @@ def _pair_integral_1d(k, m, T):
     ep = m * np.cosh(yn)
     eq = _energy(k - p, m)
     val = (ep - eq) ** 2 / (4.0 * eq) * _g2(ep + eq, T)
-    return 2.0 * float(np.sum(yw * val))
+    return 2.0 * np.sum(yw * val, axis=1)
 
 
 def _pair_integral_2d(k, m, T):
@@ -131,18 +133,19 @@ def _pair_integral_3d(k, m, T):
     return float((2.0 * np.pi / k) * np.sum(pw * pn / (4.0 * ep) * inner))
 
 
-_PAIR_INTEGRALS = {1: _pair_integral_1d, 2: _pair_integral_2d, 3: _pair_integral_3d}
-
-
 class _PairKernel:
     """log-log interpolant of I_D(k) on a fixed grid; below the grid the
     exact leading behavior I ~ k^2 extrapolates."""
 
     def __init__(self, D, m, T, kmax):
-        k_lo = 1e-3 * min(m, 1.0 / kmax) if kmax > 0 else 1e-3
+        k_lo = 1e-3 * min(m, 1.0 / kmax)
         kg = np.exp(np.linspace(np.log(k_lo), np.log(kmax) + 0.02, 320))
-        fn = _PAIR_INTEGRALS[D]
-        vals = np.array([fn(k, m, T) for k in kg])
+        if D == 1:
+            vals = _pair_integral_1d(kg, m, T)
+        else:
+            # each k already evaluates 38 400 points, so these stay per k
+            fn = _pair_integral_2d if D == 2 else _pair_integral_3d
+            vals = np.array([fn(k, m, T) for k in kg])
         self._lnk = np.log(kg)
         self._lnI = np.log(np.maximum(vals, 1e-300))
         self._klo = kg[0]
@@ -244,17 +247,26 @@ def _kmax(spec):
     return min(_KFAC / spec.ramp_width, 2.2 * _ECUT_SIGMAS / spec.time_width)
 
 
+def _panel_sums(edges, n, integrand):
+    """n-point Gauss-Legendre sum of integrand over each panel
+    [edges[i], edges[i+1]], with integrand evaluated once on every node."""
+    kn, kw = gl_nodes(edges[:-1, None], edges[1:, None], n)
+    return np.sum(kw * integrand(kn.ravel()).reshape(kn.shape), axis=1)
+
+
 def _variance_filon(spec, D, pair, ang_over_tp):
-    """D in {1, 3}: small-k direct panels + Filon envelope split beyond."""
+    """D in {1, 3}: small-k direct panels + Filon envelope split beyond.
+    The panel sums are added in panel order."""
     R = spec.radius
     kmax = _kmax(spec)
     k_split = min(30.0 / R, kmax)
+
+    def direct(k):
+        return k ** (D - 1) * ftilde_radial(spec, D, k) ** 2 * pair(k)
+
     total = 0.0
-    edges = np.linspace(0.0, k_split, 61)
-    for a, b in zip(edges[:-1], edges[1:]):
-        kn, kw = gl_nodes(a, b, 12)
-        ft = ftilde_radial(spec, D, kn)
-        total += float(np.sum(kw * kn ** (D - 1) * ft**2 * pair(kn)))
+    for row in _panel_sums(np.linspace(0.0, k_split, 61), 12, direct):
+        total += row
     if k_split < kmax:
         env = _envelope_1d if D == 1 else _envelope_3d
 
@@ -262,22 +274,18 @@ def _variance_filon(spec, D, pair, ang_over_tp):
             A, B = env(spec, k)
             return 0.5 * (A * A + B * B) * k ** (D - 1) * pair(k)
 
-        def s_cos(k):
+        def s_cos_sin(k):
             A, B = env(spec, k)
-            return 0.5 * (B * B - A * A) * k ** (D - 1) * pair(k)
+            pk = pair(k)
+            return np.stack([0.5 * (B * B - A * A) * k ** (D - 1) * pk,
+                             A * B * k ** (D - 1) * pk])
 
-        def s_sin(k):
-            A, B = env(spec, k)
-            return A * B * k ** (D - 1) * pair(k)
-
-        n_pan = int(max(80, 12 * kmax * spec.ramp_width))
         geo = np.exp(np.linspace(np.log(k_split), np.log(kmax), 48))
-        for a, b in zip(geo[:-1], geo[1:]):
-            kn, kw = gl_nodes(a, b, 16)
-            total += float(np.sum(kw * s_slow(kn)))
-        ic, _ = filon_cos_sin(s_cos, k_split, kmax, 2.0 * R, n_pan)
-        _, isn = filon_cos_sin(s_sin, k_split, kmax, 2.0 * R, n_pan)
-        total += ic + isn
+        for row in _panel_sums(geo, 16, s_slow):
+            total += row
+        n_pan = int(max(80, 12 * kmax * spec.ramp_width))
+        ic, isn = filon_cos_sin(s_cos_sin, k_split, kmax, 2.0 * R, n_pan)
+        total += ic[0] + isn[1]
     return ang_over_tp * total
 
 
@@ -317,6 +325,8 @@ def _variance(model, spec, pair):
         val = _variance_panels(spec, D, pair, ang_over_tp)
     else:
         val = _variance_filon(spec, D, pair, ang_over_tp)
+    if not np.isfinite(val):
+        raise NumericError(f"variance is not finite ({val})", achieved=val)
     if val < -1e-10:
         raise NumericError(f"variance came out negative ({val:.3e})", achieved=val)
     return max(val, 0.0)
@@ -339,7 +349,8 @@ def charge_variance_lattice(model, spec):
     f = spec.amplitude * r((np.abs(xs) - spec.radius) / spec.ramp_width)
     js = np.arange(N) - N // 2
     ks = 2.0 * np.pi * js / L
-    ft = a * np.exp(-1j * np.outer(ks, xs)) @ f
+    # sum_n f_n exp(-i k_j x_n) with k_j x_n = 2 pi j (n - N/2) / N
+    ft = a * np.fft.fft(np.fft.ifftshift(f))[js % N]
     E = np.sqrt(model.mass**2 + (2.0 / a * np.sin(ks * a / 2.0)) ** 2)
     # position of the wrapped total momentum j1 + j2 in the js ordering
     idx = (js[:, None] + js[None, :] + N // 2) % N

@@ -77,7 +77,7 @@ _SCHEMAS = {
         "eps_interval": (_integer, 48, (8, MAX_SITES)),
     },
     "charge-scaling": {
-        "n2_mass": (_real, 1e-6, (0.0, 100.0)),
+        "n2_mass": (_real, 1e-6, (_POSITIVE[0], 100.0)),
         "n2_ratio_lo": (_real, 1.2e4, (1.0, 1e9)),
         "n2_ratio_hi": (_real, 1.2e5, (1.0, 1e9)),
         "n2_samples": (_integer, 8, (6, 64)),

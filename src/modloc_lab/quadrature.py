@@ -29,10 +29,11 @@ def gl_nodes(a, b, n):
 def filon_cos_sin(sample_fn, a, b, omega, n_panels):
     """Composite Filon-Simpson values of int_a^b S(k) {cos, sin}(omega k) dk.
 
-    ``sample_fn`` must be vectorized; it is evaluated on the 2*n_panels + 1
-    uniform nodes.  Exact for S piecewise quadratic, and the oscillation
-    exp(i omega k) is integrated analytically, so the cost is independent
-    of omega.
+    ``sample_fn`` must be vectorized; it is evaluated once on the
+    2*n_panels + 1 uniform nodes and may return a stack of samples (nodes
+    on the last axis), which gives one pair of values per sample.  Exact
+    for S piecewise quadratic, and the oscillation exp(i omega k) is
+    integrated analytically, so the cost is independent of omega.
     """
     n = 2 * n_panels
     k = np.linspace(a, b, n + 1)
@@ -52,12 +53,13 @@ def filon_cos_sin(sample_fn, a, b, omega, n_panels):
     se = np.sin(omega * k)
     even = slice(0, n + 1, 2)
     odd = slice(1, n, 2)
-    c_even = np.sum(sv[even] * ce[even]) - 0.5 * (sv[0] * ce[0] + sv[-1] * ce[-1])
-    c_odd = np.sum(sv[odd] * ce[odd])
-    s_even = np.sum(sv[even] * se[even]) - 0.5 * (sv[0] * se[0] + sv[-1] * se[-1])
-    s_odd = np.sum(sv[odd] * se[odd])
-    i_cos = h * (al * (sv[-1] * se[-1] - sv[0] * se[0]) + be * c_even + ga * c_odd)
-    i_sin = h * (al * (sv[0] * ce[0] - sv[-1] * ce[-1]) + be * s_even + ga * s_odd)
+    sv_a, sv_b = sv[..., 0], sv[..., -1]
+    c_even = np.sum(sv[..., even] * ce[even], axis=-1) - 0.5 * (sv_a * ce[0] + sv_b * ce[-1])
+    c_odd = np.sum(sv[..., odd] * ce[odd], axis=-1)
+    s_even = np.sum(sv[..., even] * se[even], axis=-1) - 0.5 * (sv_a * se[0] + sv_b * se[-1])
+    s_odd = np.sum(sv[..., odd] * se[odd], axis=-1)
+    i_cos = h * (al * (sv_b * se[-1] - sv_a * se[0]) + be * c_even + ga * c_odd)
+    i_sin = h * (al * (sv_a * ce[0] - sv_b * ce[-1]) + be * s_even + ga * s_odd)
     return i_cos, i_sin
 
 

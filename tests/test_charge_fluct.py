@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from modloc_lab import charge_fluct as cf
-from modloc_lab.errors import ConfigurationError, FitError
-from modloc_lab.quadrature import gl_nodes
+from modloc_lab.errors import ConfigurationError, FitError, NumericError
+from modloc_lab.profiles import ramp
+from modloc_lab.quadrature import filon_cos_sin, gl_nodes
 
 
 def spec(R=3.0, dR=1.0, T=0.2, **kw):
@@ -14,7 +15,6 @@ def spec(R=3.0, dR=1.0, T=0.2, **kw):
 
 def _piecewise_nodes(s, n=2000):
     # integrate plateau and ramp separately: the profile has a kink at R
-    from modloc_lab.profiles import ramp
     r1, w1 = gl_nodes(0.0, s.radius, n)
     r2, w2 = gl_nodes(s.radius, s.radius + s.ramp_width, n)
     prof = np.concatenate([np.ones(n),
@@ -196,3 +196,161 @@ def test_validation():
         cf.PartialChargeSpec(1.0, 2.0, 0.1)    # dR > R
     with pytest.raises(ConfigurationError):
         cf.PartialChargeSpec(1.0, 0.5, 0.0)
+
+
+# ----- whole-array k passes against their per-k and per-panel loops -----
+
+def _pair_integral_1d_scalar(k, m, T):
+    # one k at a time, as the kernel grid was built before it became one array
+    y_hi = np.arcsinh(k / (2.0 * m))
+    y_lo = -np.arcsinh((5.7 / T + k) / m)
+    yn, yw = gl_nodes(y_lo, y_hi, 320)
+    p = m * np.sinh(yn)
+    ep = m * np.cosh(yn)
+    eq = np.sqrt((k - p) ** 2 + m * m)
+    val = (ep - eq) ** 2 / (4.0 * eq) * np.exp(-np.clip(((ep + eq) * T) ** 2, 0.0, 700.0))
+    return 2.0 * float(np.sum(yw * val))
+
+
+@pytest.mark.parametrize("m, T, kmax", [(1.0, 0.2, 40.0), (1e-6, 5e-6, 8e3)])
+def test_pair_integral_1d_array_equals_per_k_loop(m, T, kmax):
+    ks = np.exp(np.linspace(np.log(1e-3 * min(m, 1.0 / kmax)), np.log(kmax), 320))
+    ref = np.array([_pair_integral_1d_scalar(k, m, T) for k in ks])
+    np.testing.assert_array_equal(cf._pair_integral_1d(ks, m, T), ref)
+
+
+def _variance_filon_per_panel(spec, D, pair):
+    # one ftilde_radial or envelope evaluation per panel, and one Filon
+    # sample per moment, summed in panel order
+    R = spec.radius
+    kmax = cf._kmax(spec)
+    k_split = min(30.0 / R, kmax)
+    total = 0.0
+    edges = np.linspace(0.0, k_split, 61)
+    for a, b in zip(edges[:-1], edges[1:]):
+        kn, kw = gl_nodes(a, b, 12)
+        ft = cf.ftilde_radial(spec, D, kn)
+        total += float(np.sum(kw * kn ** (D - 1) * ft**2 * pair(kn)))
+    if k_split < kmax:
+        env = cf._envelope_1d if D == 1 else cf._envelope_3d
+
+        def s_slow(k):
+            A, B = env(spec, k)
+            return 0.5 * (A * A + B * B) * k ** (D - 1) * pair(k)
+
+        def s_cos(k):
+            A, B = env(spec, k)
+            return 0.5 * (B * B - A * A) * k ** (D - 1) * pair(k)
+
+        def s_sin(k):
+            A, B = env(spec, k)
+            return A * B * k ** (D - 1) * pair(k)
+
+        n_pan = int(max(80, 12 * kmax * spec.ramp_width))
+        geo = np.exp(np.linspace(np.log(k_split), np.log(kmax), 48))
+        for a, b in zip(geo[:-1], geo[1:]):
+            kn, kw = gl_nodes(a, b, 16)
+            total += float(np.sum(kw * s_slow(kn)))
+        ic, _ = filon_cos_sin(s_cos, k_split, kmax, 2.0 * R, n_pan)
+        _, isn = filon_cos_sin(s_sin, k_split, kmax, 2.0 * R, n_pan)
+        total += ic + isn
+    ang = {1: 2.0, 3: 4.0 * np.pi}[D]
+    return ang / (2.0 * np.pi) ** (2 * D) * total
+
+
+@pytest.mark.parametrize("dim, m, s", [
+    (2, 1.0, spec(3.0, 1.0, 0.2)),
+    (2, 1.0, spec(2.5, 0.7, 0.15)),             # dR/R > 0.38: ramp order moves
+    (2, 1.0, spec(1.0, 0.5, 0.5)),              # k_split = kmax: no Filon part
+    (2, 1e-6, spec(6.0 * 120**0.5, 6.0 / 120**0.5, 0.6 / 120**0.5)),
+    (4, 1.0, spec(4.0, 0.5, 0.05)),
+    (4, 1.0, spec(41.0, 0.5, 0.05)),
+])
+def test_charge_variance_matches_per_panel_loop(dim, m, s):
+    model = cf.ScalarModel(m, dim)
+    pair = cf._PairKernel(dim - 1, m, s.time_width, cf._kmax(s))
+    ref = _variance_filon_per_panel(s, dim - 1, pair)
+    assert cf._variance(model, s, pair) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_filon_stacked_samples_equal_separate_calls():
+    rows = (lambda k: np.cos(3.0 * k) / (1.0 + k), lambda k: k * np.exp(-k))
+    ic, isn = filon_cos_sin(lambda k: np.stack([f(k) for f in rows]),
+                            0.1, 7.0, 13.0, 200)
+    for i, f in enumerate(rows):
+        assert (ic[i], isn[i]) == filon_cos_sin(f, 0.1, 7.0, 13.0, 200)
+
+
+def _charge_variance_lattice_dense(model, s):
+    # the lattice transform as a dense sum of exp(-i k_j x_n)
+    N = 512
+    a = 4.0 * (s.radius + s.ramp_width) / N
+    L = N * a
+    xs = (np.arange(N) - N // 2) * a
+    f = s.amplitude * ramp(s.profile, 0)((np.abs(xs) - s.radius) / s.ramp_width)
+    js = np.arange(N) - N // 2
+    ks = 2.0 * np.pi * js / L
+    ft = a * np.exp(-1j * np.outer(ks, xs)) @ f
+    E = np.sqrt(model.mass**2 + (2.0 / a * np.sin(ks * a / 2.0)) ** 2)
+    idx = (js[:, None] + js[None, :] + N // 2) % N
+    Ep, Eq = E[:, None], E[None, :]
+    val = ((Ep - Eq) ** 2 / (4.0 * Ep * Eq) * np.abs(ft[idx]) ** 2
+           * np.exp(-np.clip(((Ep + Eq) * s.time_width) ** 2, 0.0, 700.0)))
+    return float(val.sum()) / L**2
+
+
+@pytest.mark.parametrize("s", [spec(2.0, 1.0, 0.2), spec(3.5, 0.5, 0.1),
+                               spec(4.0, 2.0, 0.3, amplitude=2.0)])
+def test_lattice_fft_matches_dense_sum(s):
+    model = cf.ScalarModel(1.0, 2)
+    ref = _charge_variance_lattice_dense(model, s)
+    assert cf.charge_variance_lattice(model, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dim, s", [(2, spec(3.0, 1.0, 0.2)), (4, spec(41.0, 0.5, 0.05))])
+def test_charge_variance_evaluates_each_k_pass_once(monkeypatch, dim, s):
+    # one f~ pass on the small-k panels, one envelope pass on the geometric
+    # panels and one on the Filon grid; the D = 1 pair kernel is one array.
+    # ftilde_radial's own envelope call is part of its pass, not counted.
+    calls = []
+    depth = [0]
+
+    def counted(name):
+        fn = getattr(cf, name)
+
+        def wrapper(*args):
+            if depth[0] == 0:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cf, name, wrapper)
+
+    for name in ("ftilde_radial", "_envelope_1d", "_envelope_3d", "_pair_integral_1d"):
+        counted(name)
+    F = cf.charge_variance(cf.ScalarModel(1.0, dim), s)
+    assert F > 0.0
+    passes = [c for c in calls if c != "_pair_integral_1d"]
+    assert calls.count("ftilde_radial") == 1
+    assert len(passes) <= 3
+    assert calls.count("_pair_integral_1d") == (dim == 2)
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1e-310])
+def test_subnormal_mass_is_a_numeric_error(mass):
+    # the pair kernel grid is not finite at these masses; the NaN variance
+    # is raised, never returned
+    s = spec(6.0, 6.0 / 1.2e4, 6e-5)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+        cf.charge_variance(cf.ScalarModel(mass, 2), s)
+
+
+def test_tiny_normal_mass_still_runs():
+    # at 1e-300 the pair kernel grid has 0/0 points below the smallest k
+    # any panel reaches, so numpy warns but the variance is finite
+    s = spec(6.0, 6.0 / 1.2e4, 6e-5)
+    with np.errstate(invalid="ignore"):
+        F = cf.charge_variance(cf.ScalarModel(1e-300, 2), s)
+    assert np.isfinite(F) and F > 0.0

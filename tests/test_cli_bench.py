@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modloc_lab import gaussian_core as gc
@@ -262,6 +263,18 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["crossing", "--config", str(path), "--out", out]) == 2
         assert "mass" in capsys.readouterr().err
+    # a zero mass is rejected by the schema, which names the key
+    path.write_text("[charge-scaling]\nn2_mass = 0.0\n")
+    capsys.readouterr()
+    assert main(["charge-scaling", "--config", str(path), "--out", out]) == 2
+    assert "n2_mass" in capsys.readouterr().err
+    # a subnormal mass makes the variance NaN: a numeric error, not a record
+    # that fails on NaN (numpy warns on the way, as it would outside tests)
+    path.write_text("[charge-scaling]\nn2_mass = 5e-324\n")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["charge-scaling", "--config", str(path), "--out", out]) == 3
+    assert "not finite" in capsys.readouterr().err
     # flags that used to be parsed and ignored are rejected by argparse
     for argv in (["thermal-map", "--parallel", "7", "--out", out],
                  ["verify-all", "--only", "thermal-map", "--config", str(bad),

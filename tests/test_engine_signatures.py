@@ -32,7 +32,10 @@ SIGNATURES = {
     "gaussian_core.entropy_scan": ("lattice", "lengths", "eps_family"),
     "gaussian_core.symplectic_spectrum": ("state",),
     "gaussian_core.entanglement_entropy": ("nus",),
+    "charge_fluct.charge_variance": ("model", "spec"),
     "charge_fluct.charge_variance_lattice": ("model", "spec"),
+    "charge_fluct.ftilde_radial": ("spec", "D", "ks"),
+    "charge_fluct.scaling_fit": ("model", "spec_family"),
     "charge_fluct.global_charge_limit": ("model", "ramp_width", "time_width",
                                          "radii"),
 }
