@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FitError, NumericError
 from .profiles import ramp
-from .quadrature import filon_cos_sin, gl_nodes, linear_fit
+from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums
 
 # scipy.special is imported inside the D = 2 branch that calls it: loading
 # scipy takes about 0.4 s, which a CLI run of any suite that never calls it
@@ -135,10 +135,12 @@ def _pair_integral_3d(k, m, T):
 
 class _PairKernel:
     """log-log interpolant of I_D(k) on a fixed grid; below the grid the
-    exact leading behavior I ~ k^2 extrapolates."""
+    exact leading behavior I ~ k^2 extrapolates.  The grid starts no lower
+    than the smallest k whose square is a normal float: below about 1e-161
+    (k - p)^2, m^2 and (E_p - E_q)^2 all underflow and the integrand is 0/0."""
 
     def __init__(self, D, m, T, kmax):
-        k_lo = 1e-3 * min(m, 1.0 / kmax)
+        k_lo = max(1e-3 * min(m, 1.0 / kmax), np.sqrt(np.finfo(float).tiny))
         kg = np.exp(np.linspace(np.log(k_lo), np.log(kmax) + 0.02, 320))
         if D == 1:
             vals = _pair_integral_1d(kg, m, T)
@@ -148,6 +150,8 @@ class _PairKernel:
             vals = np.array([fn(k, m, T) for k in kg])
         self._lnk = np.log(kg)
         self._lnI = np.log(np.maximum(vals, 1e-300))
+        if not np.all(np.isfinite(self._lnI)):
+            raise NumericError(f"pair kernel I_{D}(k) at mass {m:g} is not finite")
         self._klo = kg[0]
         self._Ilo = vals[0]
 
@@ -247,13 +251,6 @@ def _kmax(spec):
     return min(_KFAC / spec.ramp_width, 2.2 * _ECUT_SIGMAS / spec.time_width)
 
 
-def _panel_sums(edges, n, integrand):
-    """n-point Gauss-Legendre sum of integrand over each panel
-    [edges[i], edges[i+1]], with integrand evaluated once on every node."""
-    kn, kw = gl_nodes(edges[:-1, None], edges[1:, None], n)
-    return np.sum(kw * integrand(kn.ravel()).reshape(kn.shape), axis=1)
-
-
 def _variance_filon(spec, D, pair, ang_over_tp):
     """D in {1, 3}: small-k direct panels + Filon envelope split beyond.
     The panel sums are added in panel order."""
@@ -264,9 +261,7 @@ def _variance_filon(spec, D, pair, ang_over_tp):
     def direct(k):
         return k ** (D - 1) * ftilde_radial(spec, D, k) ** 2 * pair(k)
 
-    total = 0.0
-    for row in _panel_sums(np.linspace(0.0, k_split, 61), 12, direct):
-        total += row
+    total = sum(panel_sums(np.linspace(0.0, k_split, 61), 12, direct), 0.0)
     if k_split < kmax:
         env = _envelope_1d if D == 1 else _envelope_3d
 
@@ -281,8 +276,7 @@ def _variance_filon(spec, D, pair, ang_over_tp):
                              A * B * k ** (D - 1) * pk])
 
         geo = np.exp(np.linspace(np.log(k_split), np.log(kmax), 48))
-        for row in _panel_sums(geo, 16, s_slow):
-            total += row
+        total = sum(panel_sums(geo, 16, s_slow), total)
         n_pan = int(max(80, 12 * kmax * spec.ramp_width))
         ic, isn = filon_cos_sin(s_cos_sin, k_split, kmax, 2.0 * R, n_pan)
         total += ic[0] + isn[1]

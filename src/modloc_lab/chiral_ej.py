@@ -27,10 +27,15 @@ import numpy as np
 from . import gaussian_core
 from .errors import ConfigurationError, DomainError, FitError, NumericError
 from .profiles import ramp
-from .quadrature import gauss_legendre, gl_nodes, linear_fit
+from .quadrature import gl_nodes, linear_fit, panel_sums
 
 NORMALIZATION = 1.0 / (4.0 * np.pi**2)
 _N_IMAGES = 200        # N, the Matsubara images summed before the psi' tail
+# relative tolerance between the two by-parts rule orders, per observable
+_RTOL = {"current": 1e-6, "energy": 1e-7}
+# outer nodes per block of the correlation engine: the smearing is evaluated
+# on blocks of at most _ROWS x (inner order) points, which bounds the memory
+_ROWS = 128
 
 
 # ----------------------------------------------------------------------
@@ -223,21 +228,19 @@ def _corr_derivative(sm, oa, ob, xs, order_inner):
     out = np.zeros_like(xs)
     fa = sm.deriv(oa)
     fb = sm.deriv(ob)
-    tn, tw = gauss_legendre(order_inner)
-    tn = 0.5 * (tn + 1.0)
-    tw = 0.5 * tw
+    tn, tw = gl_nodes(0.0, 1.0, order_inner)
     for a1, a2 in sm.pieces(oa):
         for b1, b2 in sm.pieces(ob):
             lo = np.maximum(a1, b1 + xs)
             hi = np.minimum(a2, b2 + xs)
             ln = hi - lo
-            m = ln > 0
-            if not np.any(m):
-                continue
-            u = lo[m, None] + ln[m, None] * tn[None, :]
-            # rounding can push u - x just outside the piece of f^(ob)
-            v = np.clip(u - xs[m, None], b1, b2)
-            out[m] += ((fa(u) * fb(v)) @ tw) * ln[m]
+            rows = np.flatnonzero(ln > 0)
+            for i in range(0, rows.size, _ROWS):
+                m = rows[i:i + _ROWS]
+                u = lo[m, None] + ln[m, None] * tn[None, :]
+                # rounding can push u - x just outside the piece of f^(ob)
+                v = np.clip(u - xs[m, None], b1, b2)
+                out[m] += ((fa(u) * fb(v)) @ tw) * ln[m]
     return out
 
 
@@ -260,13 +263,12 @@ def _outer_edges(sm):
 
 
 def _integrate_against(sm, corr_fn, kern, order_inner, order_outer):
-    """int_{-D}^{D} C K dx of an even integrand, as 2 int_0^D C K dx."""
-    edges = _outer_edges(sm)
-    total = 0.0
-    for a, b in zip(np.concatenate([[0.0], edges[:-1]]), edges):
-        xn, xw = gl_nodes(a, b, order_outer)
-        total += float(np.sum(xw * corr_fn(xn, order_inner) * kern(xn)))
-    return 2.0 * total
+    """int_{-D}^{D} C K dx of an even integrand, as 2 int_0^D C K dx; C is
+    evaluated once on the nodes of every panel, and the panel sums are
+    added in panel order."""
+    edges = np.concatenate([[0.0], _outer_edges(sm)])
+    sums = panel_sums(edges, order_outer, lambda x: corr_fn(x, order_inner) * kern(x))
+    return 2.0 * float(sum(sums, 0.0))
 
 
 def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
@@ -297,11 +299,11 @@ def _variance_by_parts(sm, kernel, which, order_inner, order_outer):
     return 2.0 * (norm * a**2) ** 2 * J
 
 
-def _variance(sm, kernel, which, rtol):
+def _variance(sm, kernel, which):
     mid = _variance_by_parts(sm, kernel, which, order_inner=56, order_outer=26)
     hi = _variance_by_parts(sm, kernel, which, order_inner=88, order_outer=42)
     err = abs(hi - mid)
-    if err > max(rtol * abs(hi), 1e-14):
+    if err > max(_RTOL[which] * abs(hi), 1e-14):
         raise NumericError(
             f"{which} variance quadrature not converged (estimate {err:.3e})",
             achieved=hi,
@@ -311,12 +313,12 @@ def _variance(sm, kernel, which, rtol):
 
 def smeared_current_variance(f, kernel):
     """Var j(f) = int int f f' Re<j j'>; nonnegative for real f."""
-    return _variance(f, kernel, "current", 1e-6)
+    return _variance(f, kernel, "current")
 
 
-def energy_variance(f, kernel, rtol=1e-6):
+def energy_variance(f, kernel):
     """Connected Var T(f) with T = :j^2:, i.e. kernel 2 K(u,u')^2."""
-    return _variance(f, kernel, "energy", rtol)
+    return _variance(f, kernel, "energy")
 
 
 # ----------------------------------------------------------------------
@@ -330,12 +332,9 @@ def _fourier_sq(f, ps):
     n = int(min(6000, max(160, 48 + 1.3 * pmax * (hi - lo) / np.pi)))
     un, uw = gl_nodes(lo, hi, n)
     fv = f.deriv(0)(un)
-    out = np.empty(len(ps))
-    chunk = 4000
-    for i in range(0, len(ps), chunk):
-        ph = np.exp(-1j * np.outer(ps[i:i + chunk], un))
-        out[i:i + chunk] = np.abs(ph @ (uw * fv)) ** 2
-    return out
+    # the phase table is exponentiated in place: one len(ps) x n array
+    ph = np.outer(-1j * ps, un)
+    return np.abs(np.exp(ph, out=ph) @ (uw * fv)) ** 2
 
 
 def _spectral_pmax(f):
@@ -457,7 +456,7 @@ def ej_compare(f, beta):
     plain weight-2 Jacobian transport, realized as g(x) = (2pi/beta) x f(u).
     """
     g = TransportedSmearing(f, beta)        # rejects beta before any quadrature
-    v_th, v_tr = (energy_variance(h, kernel, rtol=1e-7) for h, kernel in
+    v_th, v_tr = (energy_variance(h, kernel) for h, kernel in
                   ((f, thermal_kernel(beta)), (g, vacuum_kernel())))
     scale = max(abs(v_th), abs(v_tr))
     rel = 0.0 if scale == 0.0 else abs(v_th - v_tr) / scale

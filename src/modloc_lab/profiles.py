@@ -22,20 +22,10 @@ def _h(t):
     return out
 
 
-def _hp(t):
-    t = np.asarray(t, float)
-    out = np.zeros_like(t)
-    m = t > _T_FLOOR
-    out[m] = np.exp(-1.0 / t[m]) / t[m] ** 2
-    return out
-
-
-def _hpp(t):
-    t = np.asarray(t, float)
-    out = np.zeros_like(t)
-    m = t > _T_FLOOR
-    out[m] = np.exp(-1.0 / t[m]) * (1.0 - 2.0 * t[m]) / t[m] ** 4
-    return out
+def _t_floor(t):
+    """t where h(t) > 0, and the floor where h(t) = 0, so the derivatives
+    h' = h / t^2 and h'' = h (1 - 2t) / t^4 divide no zero."""
+    return np.maximum(t, _T_FLOOR)
 
 
 def _bump_ramp(s):
@@ -50,8 +40,8 @@ def _bump_ramp(s):
 def _bump_ramp_d1(s):
     a = _h(1.0 - s)
     b = _h(s)
-    ap = -_hp(1.0 - s)
-    bp = _hp(s)
+    ap = -a / _t_floor(1.0 - s) ** 2
+    bp = b / _t_floor(s) ** 2
     den = a + b
     den = np.where(den == 0.0, 1.0, den)
     r = (ap * b - a * bp) / den**2
@@ -61,10 +51,12 @@ def _bump_ramp_d1(s):
 def _bump_ramp_d2(s):
     a = _h(1.0 - s)
     b = _h(s)
-    ap = -_hp(1.0 - s)
-    bp = _hp(s)
-    app = _hpp(1.0 - s)
-    bpp = _hpp(s)
+    ta = _t_floor(1.0 - s)
+    tb = _t_floor(s)
+    ap = -a / ta**2
+    bp = b / tb**2
+    app = a * (1.0 - 2.0 * ta) / ta**4
+    bpp = b * (1.0 - 2.0 * tb) / tb**4
     den = a + b
     den = np.where(den == 0.0, 1.0, den)
     num = ap * b - a * bp

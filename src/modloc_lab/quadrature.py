@@ -26,6 +26,13 @@ def gl_nodes(a, b, n):
     return 0.5 * (b + a) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
+def panel_sums(edges, n, integrand):
+    """n-point Gauss-Legendre sum of integrand over each panel
+    [edges[i], edges[i+1]], with integrand evaluated once on every node."""
+    kn, kw = gl_nodes(edges[:-1, None], edges[1:, None], n)
+    return np.sum(kw * integrand(kn.ravel()).reshape(kn.shape), axis=1)
+
+
 def filon_cos_sin(sample_fn, a, b, omega, n_panels):
     """Composite Filon-Simpson values of int_a^b S(k) {cos, sin}(omega k) dk.
 

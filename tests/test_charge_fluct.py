@@ -345,12 +345,16 @@ def test_subnormal_mass_is_a_numeric_error(mass):
     s = spec(6.0, 6.0 / 1.2e4, 6e-5)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
         cf.charge_variance(cf.ScalarModel(mass, 2), s)
+    # the pair kernel itself refuses the non-finite grid
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="pair kernel"):
+        cf._PairKernel(1, mass, s.time_width, cf._kmax(s))
 
 
 def test_tiny_normal_mass_still_runs():
-    # at 1e-300 the pair kernel grid has 0/0 points below the smallest k
-    # any panel reaches, so numpy warns but the variance is finite
+    # at 1e-300 the pair kernel grid starts where k^2 is still a normal
+    # float, not at 1e-3 m, where the pair integrand is 0/0
     s = spec(6.0, 6.0 / 1.2e4, 6e-5)
-    with np.errstate(invalid="ignore"):
-        F = cf.charge_variance(cf.ScalarModel(1e-300, 2), s)
+    pair = cf._PairKernel(1, 1e-300, s.time_width, cf._kmax(s))
+    assert np.isfinite(pair._lnI).all()
+    F = cf.charge_variance(cf.ScalarModel(1e-300, 2), s)
     assert np.isfinite(F) and F > 0.0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from modloc_lab import chiral_ej as ce
-from modloc_lab.errors import ConfigurationError, DomainError, FitError
-from modloc_lab.quadrature import linear_fit
+from modloc_lab import profiles
+from modloc_lab.errors import ConfigurationError, DomainError, FitError, NumericError
+from modloc_lab.quadrature import gauss_legendre, gl_nodes, linear_fit
 
 TWO_PI = 2.0 * np.pi
 N0 = 1.0 / (4.0 * np.pi**2)
@@ -204,6 +205,150 @@ def test_corr_derivative_stays_inside_the_pieces():
     g = ce.TransportedSmearing(ce.SmearingFn(0.0, 1.0, 0.5), 0.5)
     xs = [67216049.0333344, 69124903.33727264, 71136237.19477645]
     assert np.all(np.isfinite(ce._corr_derivative(g, 1, 2, xs, 56)))
+
+
+SUITE_GEOMETRIES = [(0.5, 0.4, 0.3), (0.0, 1.0, 0.5), (-0.3, 0.2, 0.6)]
+
+
+def _integrate_per_panel(sm, corr_fn, kern, order_inner, order_outer):
+    # one correlation call per outer panel, as the engine did before it
+    # evaluated every panel's nodes in one call
+    edges = ce._outer_edges(sm)
+    total = 0.0
+    for a, b in zip(np.concatenate([[0.0], edges[:-1]]), edges):
+        xn, xw = gl_nodes(a, b, order_outer)
+        total += float(np.sum(xw * corr_fn(xn, order_inner) * kern(xn)))
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("geometry", SUITE_GEOMETRIES)
+@pytest.mark.parametrize("case", ["thermal", "vacuum", "transported"])
+def test_by_parts_matches_the_per_panel_loop(monkeypatch, geometry, case):
+    f = ce.SmearingFn(*geometry)
+    sm, kernel = {
+        "thermal": (f, ce.thermal_kernel(TWO_PI)),
+        "vacuum": (f, ce.vacuum_kernel()),
+        "transported": (ce.TransportedSmearing(f, TWO_PI), ce.vacuum_kernel()),
+    }[case]
+    runs = [(which, oi, oo) for which in ("current", "energy")
+            for oi, oo in ((56, 26), (88, 42))]
+    got = [ce._variance_by_parts(sm, kernel, *run) for run in runs]
+    monkeypatch.setattr(ce, "_integrate_against", _integrate_per_panel)
+    ref = [ce._variance_by_parts(sm, kernel, *run) for run in runs]
+    assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_inner_rule_is_the_unit_interval_rule(monkeypatch):
+    # gl_nodes(0, 1, n) is the [-1, 1] rule halved, bit for bit, and it is
+    # the rule the correlation engine asks for
+    for n in (56, 88):
+        tn, tw = gauss_legendre(n)
+        un, uw = gl_nodes(0.0, 1.0, n)
+        assert np.array_equal(un, 0.5 * (tn + 1.0))
+        assert np.array_equal(uw, 0.5 * tw)
+    rules = []
+
+    def recorded(a, b, n):
+        rules.append((a, b, n))
+        return gl_nodes(a, b, n)
+
+    monkeypatch.setattr(ce, "gl_nodes", recorded)
+    ce._corr_derivative(bump(), 1, 2, [0.1], 56)
+    assert rules == [(0.0, 1.0, 56)]
+
+
+def test_corr_derivative_evaluates_bounded_blocks():
+    # every outer node goes into one call, but the smearing sees at most
+    # _ROWS of them at a time, so the memory does not grow with the panels
+    g = ce.TransportedSmearing(bump(0.0, 1.0, 0.5), TWO_PI)
+    xs, _ = gl_nodes(0.0, g.support[1] - g.support[0], 5 * ce._ROWS)
+    rows = []
+
+    class Recording(ce.TransportedSmearing):
+        def deriv(self, order):
+            fn = super().deriv(order)
+
+            def recorded(x):
+                rows.append(x.shape[0])
+                return fn(x)
+            return recorded
+
+    rec = Recording(bump(0.0, 1.0, 0.5), TWO_PI)
+    got = ce._corr_derivative(rec, 1, 2, xs, 56)
+    assert 0 < max(rows) <= ce._ROWS
+    # BLAS may round a row differently at another row count
+    ref = np.concatenate([ce._corr_derivative(g, 1, 2, xs[i:i + 50], 56)
+                          for i in range(0, xs.size, 50)])
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kernel, n_calls", [(ce.thermal_kernel(TWO_PI), 4),
+                                             (ce.vacuum_kernel(), 2)])
+def test_energy_variance_one_correlation_pass_per_integral(monkeypatch, kernel,
+                                                           n_calls):
+    # two rule orders; the thermal energy integrates C' and C''', the
+    # vacuum one C''' only, each over every outer panel in one call
+    calls = []
+    corr = ce._corr_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return corr(*args)
+
+    monkeypatch.setattr(ce, "_corr_derivative", counted)
+    ce.energy_variance(bump(), kernel)
+    assert len(calls) == n_calls
+
+
+@pytest.mark.parametrize("gap, current_ok, energy_ok", [(5e-8, True, True),
+                                                         (5e-7, True, False),
+                                                         (5e-6, False, False)])
+def test_variance_tolerances_are_fixed(monkeypatch, gap, current_ok, energy_ok):
+    # the two rule orders must agree to 1e-6 (current) and 1e-7 (energy),
+    # relative; no caller can pass another tolerance
+    def by_parts(sm, kernel, which, order_inner, order_outer):
+        return 1.0 + (gap if order_inner > 56 else 0.0)
+
+    monkeypatch.setattr(ce, "_variance_by_parts", by_parts)
+    for fn, ok in ((ce.smeared_current_variance, current_ok),
+                   (ce.energy_variance, energy_ok)):
+        if ok:
+            assert fn(bump(), ce.vacuum_kernel()) == 1.0 + gap
+        else:
+            with pytest.raises(NumericError, match="not converged"):
+                fn(bump(), ce.vacuum_kernel())
+
+
+def test_bump_ramp_derivatives_match_the_exponential_formulas():
+    # h' = exp(-1/t) / t^2 and h'' = exp(-1/t) (1 - 2t) / t^4, each with its
+    # own exponential, on a grid straddling the floor of h, s = 0 and s = 1
+    fl = profiles._T_FLOOR
+    s = np.concatenate([np.linspace(-0.5, 1.5, 20001),
+                        [0.0, 1.0, fl, 1.0 - fl, np.nextafter(fl, 0.0),
+                         np.nextafter(fl, 1.0), 1.0 - np.nextafter(fl, 1.0)]])
+
+    def hp(t):
+        out = np.zeros_like(t)
+        m = t > fl
+        out[m] = np.exp(-1.0 / t[m]) / t[m] ** 2
+        return out
+
+    def hpp(t):
+        out = np.zeros_like(t)
+        m = t > fl
+        out[m] = np.exp(-1.0 / t[m]) * (1.0 - 2.0 * t[m]) / t[m] ** 4
+        return out
+
+    a, b = profiles._h(1.0 - s), profiles._h(s)
+    ap, bp = -hp(1.0 - s), hp(s)
+    den = np.where(a + b == 0.0, 1.0, a + b)
+    edge = (s <= 0.0) | (s >= 1.0)
+    num = ap * b - a * bp
+    d1 = np.where(edge, 0.0, num / den**2)
+    nump = hpp(1.0 - s) * b - a * hpp(s)
+    d2 = np.where(edge, 0.0, (nump * den - 2.0 * num * (ap + bp)) / den**3)
+    assert np.array_equal(profiles.ramp("smooth_bump", 1)(s), d1)
+    assert np.array_equal(profiles.ramp("smooth_bump", 2)(s), d2)
 
 
 def test_ej_compare_other_beta_and_zero():

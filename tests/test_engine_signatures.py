@@ -23,6 +23,7 @@ SIGNATURES = {
     "crossing_zf.zf_vacuum": ("n_grid", "k_max"),
     "chiral_ej.thermal_image_sum": ("kernel", "u", "uprime"),
     "chiral_ej.smeared_current_variance": ("f", "kernel"),
+    "chiral_ej.energy_variance": ("f", "kernel"),
     "chiral_ej.ej_compare": ("f", "beta"),
     "chiral_ej.verify_isomorphism": ("imap", "grid"),
     "chiral_ej.entropy_relation_check": ("L_values", "eps_values", "n_sites",
