@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FitError, NumericError
-from .profiles import ramp
+from .profiles import raised_cosine, smooth_bump
 from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums
 
 # scipy.special is imported inside the D = 2 branch that calls it: loading
@@ -49,14 +49,14 @@ class ScalarModel:
 
 @dataclass(frozen=True)
 class PartialChargeSpec:
-    """Geometry of the partial charge: plateau radius R, boundary ramp dR
-    (the attenuation thickness), Gaussian time width T.  The amplitude
-    rescales f and exists for bilinearity checks (F scales as amplitude^2)."""
+    """Geometry of the partial charge: plateau radius R, raised-cosine
+    boundary ramp dR (the attenuation thickness), Gaussian time width T.  The
+    amplitude rescales f and exists for bilinearity checks (F scales as
+    amplitude^2)."""
 
     radius: float
     ramp_width: float
     time_width: float
-    profile: str = "raised_cosine"
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -175,7 +175,7 @@ def _ramp_rule(spec, kmax):
     dR = spec.ramp_width
     n = int(max(32, min(360, 16 + 1.4 * kmax * dR)))
     sn, sw = gl_nodes(0.0, dR, n)
-    return sn, sw * ramp(spec.profile, 0)(sn / dR)
+    return sn, sw * raised_cosine(sn / dR)
 
 
 def _ramp_moments(spec, ks, weight_r=False):
@@ -224,7 +224,8 @@ def ftilde_radial(spec, D, ks):
     out = 2.0 * np.pi * R * j1(kk * R) / kk
     sn, base = _ramp_rule(spec, np.max(kk))
     rn = R + sn
-    out = out + 2.0 * np.pi * (j0(np.outer(kk, rn)) @ (base * rn))
+    kr = np.outer(kk, rn)
+    out = out + 2.0 * np.pi * (j0(kr, out=kr) @ (base * rn))
     return spec.amplitude * out
 
 
@@ -320,9 +321,9 @@ def _variance(model, spec, pair):
     else:
         val = _variance_filon(spec, D, pair, ang_over_tp)
     if not np.isfinite(val):
-        raise NumericError(f"variance is not finite ({val})", achieved=val)
+        raise NumericError(f"variance is not finite ({val})")
     if val < -1e-10:
-        raise NumericError(f"variance came out negative ({val:.3e})", achieved=val)
+        raise NumericError(f"variance came out negative ({val:.3e})")
     return max(val, 0.0)
 
 
@@ -339,8 +340,7 @@ def charge_variance_lattice(model, spec):
     a = 4.0 * (spec.radius + spec.ramp_width) / N
     L = N * a
     xs = (np.arange(N) - N // 2) * a
-    r = ramp(spec.profile, 0)
-    f = spec.amplitude * r((np.abs(xs) - spec.radius) / spec.ramp_width)
+    f = spec.amplitude * raised_cosine((np.abs(xs) - spec.radius) / spec.ramp_width)
     js = np.arange(N) - N // 2
     ks = 2.0 * np.pi * js / L
     # sum_n f_n exp(-i k_j x_n) with k_j x_n = 2 pi j (n - N/2) / N
@@ -395,7 +395,7 @@ def scaling_fit(model, spec_family):
 class ChargeLimitReport:
     monotone: bool
     final_deviation: float
-    t_shift_change: float | None = None
+    t_shift_change: float
 
 
 def _one_particle_deviation(model, spec, t_shift=0.0):
@@ -410,8 +410,8 @@ def _one_particle_deviation(model, spec, t_shift=0.0):
     p_center, p_halfwidth = 0.5, 0.25          # of the momentum packet
     cut = 4.0 * p_halfwidth
     pn, pw = gl_nodes(p_center - cut, p_center + cut, 360)
-    r = ramp("smooth_bump", 0)
-    psi = r((np.abs(pn - p_center) - 0.5 * p_halfwidth) / (0.5 * p_halfwidth))
+    psi = smooth_bump((np.abs(pn - p_center) - 0.5 * p_halfwidth)
+                      / (0.5 * p_halfwidth))
     E = _energy(pn, m)
     mu = pw / (2.0 * np.pi * 2.0 * E)
     ft = _ftilde_1d_differences(spec, pn)

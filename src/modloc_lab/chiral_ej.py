@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gaussian_core
 from .errors import ConfigurationError, DomainError, FitError, NumericError
-from .profiles import ramp
+from .profiles import smooth_bump, smooth_bump_d1, smooth_bump_d2
 from .quadrature import gl_nodes, linear_fit, panel_sums
 
 NORMALIZATION = 1.0 / (4.0 * np.pi**2)
@@ -36,6 +36,9 @@ _RTOL = {"current": 1e-6, "energy": 1e-7}
 # outer nodes per block of the correlation engine: the smearing is evaluated
 # on blocks of at most _ROWS x (inner order) points, which bounds the memory
 _ROWS = 128
+# sites of the vacuum interval whose entropy entropy_relation_check fits
+# against ln(1/eps)
+CALIBRATION_SITES = 32
 
 
 # ----------------------------------------------------------------------
@@ -119,22 +122,17 @@ def kms_periodicity_defect(kernel, du_grid):
 # ----------------------------------------------------------------------
 
 class SmearingFn:
-    """Plateau test function: amplitude on |u-center| <= plateau, ramp to 0
-    over [plateau, plateau+ramp_width].  C-infinity for the smooth_bump
-    profile, C^1 for raised_cosine; derivatives are closed-form."""
+    """Plateau test function: amplitude on |u-center| <= plateau, smooth-bump
+    ramp to 0 over [plateau, plateau+ramp_width].  C-infinity, with
+    closed-form derivatives."""
 
-    def __init__(self, center, plateau, ramp_width, profile="smooth_bump",
-                 amplitude=1.0):
+    def __init__(self, center, plateau, ramp_width, amplitude=1.0):
         if plateau <= 0 or ramp_width <= 0:
             raise ConfigurationError("plateau and ramp_width must be positive")
         self.center = float(center)
         self.plateau = float(plateau)
         self.ramp_width = float(ramp_width)
-        self.profile = profile
         self.amplitude = float(amplitude)
-        self._r = ramp(profile, 0)
-        self._r1 = ramp(profile, 1)
-        self._r2 = ramp(profile, 2)
         c, R, w = self.center, self.plateau, self.ramp_width
         self.breakpoints = np.array([c - R - w, c - R, c + R, c + R + w])
         self.support = (self.breakpoints[0], self.breakpoints[-1])
@@ -143,15 +141,15 @@ class SmearingFn:
         return (np.abs(np.asarray(u, float) - self.center) - self.plateau) / self.ramp_width
 
     def __call__(self, u):
-        return self.amplitude * self._r(self._s(u))
+        return self.amplitude * smooth_bump(self._s(u))
 
     def d1(self, u):
         u = np.asarray(u, float)
         x = u - self.center
-        return self.amplitude * self._r1(self._s(u)) * np.sign(x) / self.ramp_width
+        return self.amplitude * smooth_bump_d1(self._s(u)) * np.sign(x) / self.ramp_width
 
     def d2(self, u):
-        return self.amplitude * self._r2(self._s(u)) / self.ramp_width**2
+        return self.amplitude * smooth_bump_d2(self._s(u)) / self.ramp_width**2
 
     def deriv(self, order):
         return [self, self.d1, self.d2][order]
@@ -164,7 +162,7 @@ class SmearingFn:
 
     def translated(self, shift):
         return SmearingFn(self.center + shift, self.plateau, self.ramp_width,
-                          self.profile, self.amplitude)
+                          self.amplitude)
 
 
 class TransportedSmearing:
@@ -305,9 +303,7 @@ def _variance(sm, kernel, which):
     err = abs(hi - mid)
     if err > max(_RTOL[which] * abs(hi), 1e-14):
         raise NumericError(
-            f"{which} variance quadrature not converged (estimate {err:.3e})",
-            achieved=hi,
-        )
+            f"{which} variance quadrature not converged (estimate {err:.3e})")
     return hi
 
 
@@ -476,8 +472,7 @@ class EntropyRelationReport:
     calibration_ratio: float
 
 
-def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
-                           interval_sites=32):
+def entropy_relation_check(L_values, eps_values, n_sites, beta):
     """Fit thermal entropy ~ s1 * L (heat bath, extensive) and vacuum-interval
     entropy ~ s2 * ln(1/eps) (localization), and report the calibration ratio
     s1 / (2 pi s2) implied by matching ln(1/eps) to 2 pi L.  The thermal
@@ -496,7 +491,7 @@ def entropy_relation_check(L_values, eps_values, n_sites=1200, beta=2.0 * np.pi,
     s_th = gaussian_core.thermal_interval_entropies(lat, beta, L_values)
     s1, _, r2_th = linear_fit(np.asarray(L_values, float), np.asarray(s_th))
 
-    rows, _ = gaussian_core.entropy_scan(lat, [interval_sites], eps_values)
+    rows, _ = gaussian_core.entropy_scan(lat, [CALIBRATION_SITES], eps_values)
     x = np.log([1.0 / eps for (_, eps, _) in rows])
     y = np.array([S for (_, _, S) in rows])
     s2, _, r2_loc = linear_fit(x, y)

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..chiral_ej import CALIBRATION_SITES
 from ..errors import ConfigurationError
 
 
@@ -140,10 +141,10 @@ def _coerce(experiment, raw):
         # reads L sites at attenuation eps as round(L/eps) sites, and resolves
         # an interval only from 2 sites up; the eps scan reads eps_interval
         # sites of the n_sites chain, and entropy_relation_check reads its
-        # 32-site interval on the thermal_n_sites chain at every eps.  A
-        # vacuum interval must also be shorter than its chain: the whole
-        # chain is pure, so its entropy is 0 and no fit can include it.  The
-        # Gibbs state is mixed, so a thermal length may equal its chain.
+        # CALIBRATION_SITES interval on the thermal_n_sites chain at every
+        # eps.  A vacuum interval must also be shorter than its chain: the
+        # whole chain is pure, so its entropy is 0 and no fit can include it.
+        # The Gibbs state is mixed, so a thermal length may equal its chain.
         eps = params["eps_values"]
         for key, sites, lo, limit, pure in (
                 ("lengths", params["lengths"], 2, "n_sites", True),
@@ -152,7 +153,8 @@ def _coerce(experiment, raw):
                 ("eps_interval", (params["eps_interval"],), 2, "n_sites", True),
                 ("round(eps_interval / eps_values)",
                  [round(params["eps_interval"] / e) for e in eps], 2, "n_sites", True),
-                ("round(32 / eps_values)", [round(32 / e) for e in eps], 2,
+                (f"round({CALIBRATION_SITES} / eps_values)",
+                 [round(CALIBRATION_SITES / e) for e in eps], 2,
                  "thermal_n_sites", True)):
             hi = params[limit] - pure
             bad = [L for L in sites if not lo <= L <= hi]

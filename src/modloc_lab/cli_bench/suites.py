@@ -144,7 +144,8 @@ def suite_entropy_scan(cfg, man, out):
         check_greater("entropy-scan/thermal-fit-r2", rel.thermal_r2, 0.99,
                       note="thermal entropy extensive in L"),
         check_greater("entropy-scan/localization-fit-r2", rel.localization_r2, 0.99,
-                      note="32-site vacuum entropy against ln(1/eps)"),
+                      note=f"{ce.CALIBRATION_SITES}-site vacuum entropy "
+                           "against ln(1/eps)"),
         record_value("entropy-scan/thermal-slope", rel.thermal_slope),
         record_value("entropy-scan/thermal-slope-per-chirality",
                      rel.thermal_slope / 2.0),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericError, TruncationError
+from .errors import ConfigurationError, DomainError, NumericError
 from .quadrature import gl_nodes
 
 C0_SQ = 1.0 / (4.0 * np.pi)     # <phi phi> rapidity density: dtheta / 4 pi
@@ -372,7 +372,7 @@ class ZFState:
     leaked_norm: float = 0.0
 
 
-def zf_vacuum(n_grid=16, k_max=4):
+def zf_vacuum(n_grid, k_max):
     tn, tw = gl_nodes(-4.0, 4.0, n_grid)
     comps = [np.zeros((n_grid,) * k, complex) for k in range(k_max + 1)]
     comps[0] = np.array(1.0 + 0.0j)
@@ -426,15 +426,14 @@ def zf_norm_sq(state):
     return sum(_tensor_norm_sq(state.weights, c) for c in state.components)
 
 
-def zf_apply(op, packet, state, S, leak_tol=None):
+def zf_apply(op, packet, state, S):
     """Apply Z*(packet) ('create') or Z(packet) ('annihilate').
 
     Creation pushes every k-component to k+1 with the ordered S-dressed
-    insertion; what would land beyond k_max is measured and dropped
-    (TruncationError if a tolerance is given and exceeded).  Annihilation
-    contracts the first slot against conj(packet); the S dressing of the
-    remaining contractions is carried by the stored S symmetry of the
-    component itself.
+    insertion; what would land beyond k_max is measured, added to
+    leaked_norm and dropped.  Annihilation contracts the first slot against
+    conj(packet); the S dressing of the remaining contractions is carried by
+    the stored S symmetry of the component itself.
     """
     f_vals = np.asarray(packet, complex)
     if f_vals.shape != state.theta_grid.shape:
@@ -454,13 +453,7 @@ def zf_apply(op, packet, state, S, leak_tol=None):
         top = comps[state.k_max]
         if top.any():
             overflow = _insert_packet(S, f_vals, top, state.theta_grid)
-            leak = _tensor_norm_sq(state.weights, overflow)
-            leaked += leak
-            if leak_tol is not None and leaked > leak_tol:
-                raise TruncationError(
-                    f"truncation overflow beyond k_max={state.k_max}",
-                    leaked_norm=leaked,
-                )
+            leaked += _tensor_norm_sq(state.weights, overflow)
     elif op == "annihilate":
         new = [np.zeros(c.shape, complex) for c in comps]
         for k in range(1, state.k_max + 1):

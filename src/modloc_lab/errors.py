@@ -24,18 +24,7 @@ class SpectralError(ModlocError):
 class NumericError(ModlocError):
     """Quadrature or transform failed to reach the requested accuracy."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class FitError(ModlocError):
     """Regression is underdetermined or degenerate."""
 
-
-class TruncationError(ModlocError):
-    """Particle-number truncation overflowed beyond tolerance."""
-
-    def __init__(self, message, leaked_norm=None):
-        super().__init__(message)
-        self.leaked_norm = leaked_norm

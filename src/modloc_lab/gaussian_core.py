@@ -146,7 +146,14 @@ def _sympl_eigs_block(X, P):
         raise SpectralError(
             f"phi-phi block not positive definite ({ex0:.3e})", offending_value=ex0
         ) from None
-    ev = eigh(L.T @ P @ L, eigvals_only=True)
+    # drop each block once it is consumed, so that at most three n x n
+    # blocks are alive at once; the product keeps its (L^T P) L order
+    del X
+    M = L.T @ P
+    del P
+    M = M @ L
+    del L
+    ev = eigh(M, eigvals_only=True)
     if ev[0] <= 0.0:
         raise SpectralError(
             f"covariance numerically indefinite ({ev[0]:.3e})", offending_value=float(ev[0])

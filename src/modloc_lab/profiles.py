@@ -5,8 +5,10 @@ Both ramps interpolate 1 -> 0 over s in [0, 1]:
   smooth_bump    r(s) = h(1-s)/(h(1-s)+h(s)),  h(t) = exp(-1/t)   (C-infinity)
   raised_cosine  r(s) = (1 + cos(pi s))/2                          (C^1)
 
-First and second derivatives are closed-form; the variance engines rely on
-them, so no finite differencing anywhere.
+The chiral smearings, the Unruh transform's window and the one-particle
+packet use the smooth bump, whose first and second derivatives are
+closed-form, so the variance engines differentiate nothing numerically; the
+partial charge uses the raised cosine.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ def _t_floor(t):
     return np.maximum(t, _T_FLOOR)
 
 
-def _bump_ramp(s):
+def smooth_bump(s):
     a = _h(1.0 - s)
     b = _h(s)
     den = a + b
@@ -37,7 +39,7 @@ def _bump_ramp(s):
     return np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, r))
 
 
-def _bump_ramp_d1(s):
+def smooth_bump_d1(s):
     a = _h(1.0 - s)
     b = _h(s)
     ap = -a / _t_floor(1.0 - s) ** 2
@@ -48,7 +50,7 @@ def _bump_ramp_d1(s):
     return np.where((s <= 0.0) | (s >= 1.0), 0.0, r)
 
 
-def _bump_ramp_d2(s):
+def smooth_bump_d2(s):
     a = _h(1.0 - s)
     b = _h(s)
     ta = _t_floor(1.0 - s)
@@ -65,30 +67,6 @@ def _bump_ramp_d2(s):
     return np.where((s <= 0.0) | (s >= 1.0), 0.0, r)
 
 
-def _cos_ramp(s):
+def raised_cosine(s):
     r = 0.5 * (1.0 + np.cos(np.pi * np.clip(s, 0.0, 1.0)))
     return np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, r))
-
-
-def _cos_ramp_d1(s):
-    r = -0.5 * np.pi * np.sin(np.pi * np.clip(s, 0.0, 1.0))
-    return np.where((s <= 0.0) | (s >= 1.0), 0.0, r)
-
-
-def _cos_ramp_d2(s):
-    r = -0.5 * np.pi**2 * np.cos(np.pi * np.clip(s, 0.0, 1.0))
-    return np.where((s <= 0.0) | (s >= 1.0), 0.0, r)
-
-
-RAMPS = {
-    "smooth_bump": (_bump_ramp, _bump_ramp_d1, _bump_ramp_d2),
-    "raised_cosine": (_cos_ramp, _cos_ramp_d1, _cos_ramp_d2),
-}
-
-
-def ramp(profile, order=0):
-    """Ramp function (or its order-th derivative) for a named profile."""
-    try:
-        return RAMPS[profile][order]
-    except KeyError:
-        raise KeyError(f"unknown ramp profile {profile!r}") from None

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericError
-from .profiles import ramp
+from .errors import ConfigurationError, NumericError
+from .profiles import smooth_bump
 from .quadrature import gl_nodes
 
 _EPS_SAMPLES = 16          # i_epsilon = _EPS_SAMPLES * grid spacing
@@ -151,7 +151,7 @@ def flat_taper(taus, t_flat, t_end):
     center adds no spectral smearing where the correlator is alive."""
     at = np.abs(taus)
     s = (at - t_flat) / (t_end - t_flat)
-    return ramp("smooth_bump", 0)(s)
+    return smooth_bump(s)
 
 
 @dataclass(frozen=True)
@@ -247,20 +247,17 @@ def wightman_massless_4d(dt, dx2):
     return 1.0 / (4.0 * np.pi**2 * (dx2 - dt**2))
 
 
-def boost_orbit_consistency(acceleration, tau_pairs=None):
+def boost_orbit_consistency(acceleration):
     """Stationarity of the pullback: G(tau1, tau2) computed from spacetime
     coordinates must equal G(tau1 - tau2, 0), both through the same massless
     Wightman kernel.  Exact for boost orbits, so the defect is pure rounding;
-    each (timelike) pair must lie 1e-3 apart, off the light cone."""
+    every (timelike) pair lies more than 0.2 apart, off the light cone."""
     a = acceleration
-    if tau_pairs is None:
-        t1 = np.linspace(-2.0, 2.0, 9)
-        t2 = np.linspace(-1.7, 2.3, 9)
-        tau_pairs = [(x, y) for x in t1 for y in t2 if abs(x - y) > 0.2]
+    t1 = np.linspace(-2.0, 2.0, 9)
+    t2 = np.linspace(-1.7, 2.3, 9)
+    tau_pairs = [(x, y) for x in t1 for y in t2 if abs(x - y) > 0.2]
     worst = 0.0
     for t1, t2 in tau_pairs:
-        if abs(t1 - t2) < 1e-3:
-            raise DomainError("coincident proper times are excluded")
         dt = (np.sinh(a * t1) - np.sinh(a * t2)) / a
         dx = (np.cosh(a * t1) - np.cosh(a * t2)) / a
         two_point = wightman_massless_4d(dt, dx * dx)

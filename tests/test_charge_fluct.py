@@ -3,7 +3,7 @@ import pytest
 
 from modloc_lab import charge_fluct as cf
 from modloc_lab.errors import ConfigurationError, FitError, NumericError
-from modloc_lab.profiles import ramp
+from modloc_lab.profiles import raised_cosine
 from modloc_lab.quadrature import filon_cos_sin, gl_nodes
 
 
@@ -18,7 +18,7 @@ def _piecewise_nodes(s, n=2000):
     r1, w1 = gl_nodes(0.0, s.radius, n)
     r2, w2 = gl_nodes(s.radius, s.radius + s.ramp_width, n)
     prof = np.concatenate([np.ones(n),
-                           ramp(s.profile, 0)((r2 - s.radius) / s.ramp_width)])
+                           raised_cosine((r2 - s.radius) / s.ramp_width)])
     return np.concatenate([r1, r2]), np.concatenate([w1, w2]), prof
 
 
@@ -37,6 +37,17 @@ def test_ftilde_3d_against_direct():
     rn, rw, prof = _piecewise_nodes(s)
     ref = 4.0 * np.pi * (np.sin(np.outer(ks, rn)) @ (rw * rn * prof)) / ks
     mine = cf.ftilde_radial(s, 3, ks)
+    assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-12
+
+
+def test_ftilde_2d_against_direct():
+    from scipy.special import j0
+
+    s = spec()
+    ks = np.array([0.4, 2.2, 9.7])
+    rn, rw, prof = _piecewise_nodes(s)
+    ref = 2.0 * np.pi * (j0(np.outer(ks, rn)) @ (rw * rn * prof))
+    mine = cf.ftilde_radial(s, 2, ks)
     assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
@@ -287,7 +298,7 @@ def _charge_variance_lattice_dense(model, s):
     a = 4.0 * (s.radius + s.ramp_width) / N
     L = N * a
     xs = (np.arange(N) - N // 2) * a
-    f = s.amplitude * ramp(s.profile, 0)((np.abs(xs) - s.radius) / s.ramp_width)
+    f = s.amplitude * raised_cosine((np.abs(xs) - s.radius) / s.ramp_width)
     js = np.arange(N) - N // 2
     ks = 2.0 * np.pi * js / L
     ft = a * np.exp(-1j * np.outer(ks, xs)) @ f

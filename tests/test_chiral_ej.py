@@ -14,10 +14,8 @@ VAC_AT_1 = -N0                                       # -1/(4 pi^2) ~ -0.025330
 TH_2PI_AT_1 = -(1.0 / (16 * np.pi**2)) / np.sinh(0.5) ** 2
 
 
-def bump(center=0.5, plateau=0.4, ramp=0.3, profile="smooth_bump",
-         amplitude=1.0):
-    return ce.SmearingFn(center, plateau, ramp, profile=profile,
-                         amplitude=amplitude)
+def bump(center=0.5, plateau=0.4, ramp=0.3, amplitude=1.0):
+    return ce.SmearingFn(center, plateau, ramp, amplitude=amplitude)
 
 
 def test_kernel_values():
@@ -54,14 +52,13 @@ def test_kms_periodicity_complex_grid():
 
 
 def test_profile_derivatives_match_finite_differences():
-    for profile in ("smooth_bump", "raised_cosine"):
-        f = bump(profile=profile)
-        us = np.linspace(-0.4, 1.4, 57)
-        h = 1e-5
-        fd1 = (f(us + h) - f(us - h)) / (2 * h)
-        assert np.max(np.abs(fd1 - f.d1(us))) < 5e-7
-        d1p = (f.d1(us + h) - f.d1(us - h)) / (2 * h)
-        assert np.max(np.abs(d1p - f.d2(us))) < 5e-5
+    f = bump()
+    us = np.linspace(-0.4, 1.4, 57)
+    h = 1e-5
+    fd1 = (f(us + h) - f(us - h)) / (2 * h)
+    assert np.max(np.abs(fd1 - f.d1(us))) < 5e-7
+    d1p = (f.d1(us + h) - f.d1(us - h)) / (2 * h)
+    assert np.max(np.abs(d1p - f.d2(us))) < 5e-5
 
 
 def test_current_variance_routes_agree():
@@ -84,10 +81,10 @@ def test_energy_variance_routes_agree():
 
 def test_variance_positivity_and_scaling():
     vac = ce.vacuum_kernel()
-    f = bump(profile="raised_cosine")
+    f = bump()
     v = ce.smeared_current_variance(f, vac)
     assert v >= -1e-10
-    f3 = bump(profile="raised_cosine", amplitude=3.0)
+    f3 = bump(amplitude=3.0)
     v3 = ce.smeared_current_variance(f3, vac)
     assert v3 == pytest.approx(9.0 * v, rel=1e-10)
     # the amplitude scales the value and both derivatives, and a translate
@@ -347,8 +344,8 @@ def test_bump_ramp_derivatives_match_the_exponential_formulas():
     d1 = np.where(edge, 0.0, num / den**2)
     nump = hpp(1.0 - s) * b - a * hpp(s)
     d2 = np.where(edge, 0.0, (nump * den - 2.0 * num * (ap + bp)) / den**3)
-    assert np.array_equal(profiles.ramp("smooth_bump", 1)(s), d1)
-    assert np.array_equal(profiles.ramp("smooth_bump", 2)(s), d2)
+    assert np.array_equal(profiles.smooth_bump_d1(s), d1)
+    assert np.array_equal(profiles.smooth_bump_d2(s), d2)
 
 
 def test_ej_compare_other_beta_and_zero():
@@ -378,9 +375,10 @@ def test_transported_smearing_chain_rule():
 
 
 def test_entropy_relation_check():
+    # the suite's chain and temperature: at 600 sites the fixed calibration
+    # interval fits at R^2 = 0.9920, too close to the bound to pin
     rep = ce.entropy_relation_check(
-        [40, 80, 120, 160], [1.0, 0.5, 0.25, 0.125], n_sites=600,
-        interval_sites=16)
+        [40, 80, 120, 160], [1.0, 0.5, 0.25, 0.125], n_sites=1200, beta=TWO_PI)
     assert rep.thermal_r2 > 0.99
     assert rep.localization_r2 > 0.99
     assert rep.calibration_ratio > 0
@@ -388,11 +386,11 @@ def test_entropy_relation_check():
     assert all(b > a for a, b in zip(rep.thermal_entropies[:-1],
                                      rep.thermal_entropies[1:]))
     with pytest.raises(FitError):
-        ce.entropy_relation_check([40, 80], [1.0, 0.5], n_sites=600,
-                                  interval_sites=16)
+        ce.entropy_relation_check([40, 80], [1.0, 0.5], n_sites=1200,
+                                  beta=TWO_PI)
     with pytest.raises(FitError):                  # no spread in L to fit
         ce.entropy_relation_check([40, 40, 40, 40], [1.0, 0.5, 0.25, 0.125],
-                                  n_sites=600, interval_sites=16)
+                                  n_sites=1200, beta=TWO_PI)
 
 
 def test_kernel_validation():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from modloc_lab import crossing_zf as cz
-from modloc_lab.errors import (ConfigurationError, DomainError, NumericError,
-                               TruncationError)
+from modloc_lab.errors import ConfigurationError, DomainError, NumericError
 
 
 def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, m=1.0, amp=1.0):
@@ -329,8 +328,6 @@ def test_truncation_overflow_and_conservation():
     # one more creation overflows k_max; the leak is measured
     st3 = cz.zf_apply("create", np.exp(-((tn + 1.0) ** 2)), st, S)
     assert st3.leaked_norm > 0.0
-    with pytest.raises(TruncationError):
-        cz.zf_apply("create", np.exp(-((tn + 1.0) ** 2)), st, S, leak_tol=1e-12)
 
 
 def test_norm_and_exchange_consistency_on_states():

@@ -360,6 +360,34 @@ def test_state_build_allocates_no_dense_block():
         tracemalloc.stop()
 
 
+def test_symplectic_spectrum_holds_three_sector_blocks(monkeypatch):
+    # the solve drops X, P and L as each is consumed: at most three
+    # (n/2) x (n/2) blocks are alive at once, where keeping them held five,
+    # and only L^T P L is left when eigh starts on it
+    import scipy.linalg
+
+    n = 512
+    block = (n // 2) ** 2 * 8
+    lat = gc.HarmonicLattice(2 * n, 0.0, ir_regulator=1e-3 / (2 * n))
+    red = gc.reduce_state(gc.build_vacuum_state(lat), n)
+    gc.symplectic_spectrum(red)          # warm scipy's import and LAPACK
+    held, eigh = [], scipy.linalg.eigh
+
+    def traced_eigh(a, **kw):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        gc.symplectic_spectrum(red)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * block
+    assert len(held) == 2 and max(held) < 1.5 * block
+
+
 def test_thermal_interval_entropy_against_mpmath():
     """Sector-route entropies of [0, L), L = 2..20, on the 64-site
     IR-regulated chain at beta = 2 pi, against a 50-digit build and solve.

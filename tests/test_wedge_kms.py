@@ -123,6 +123,18 @@ def test_windowed_transforms_match_literal_sum(taus):
                 assert got[s, i] == ref
 
 
+def test_flat_taper_is_flat_to_all_digits_at_both_joints():
+    # the smooth-bump roll-off has every derivative 0 at t_flat and t_end,
+    # so a hundredth of the way into it the taper is still 1 to double
+    # precision, and 1e-43 from 0; a C^1 or C^0 ramp is off by 1e-4 or more
+    t_flat, t_end = 3.0, 5.0
+    near = 0.01 * (t_end - t_flat)
+    taus = np.array([t_flat, t_flat + near, t_end - near, t_end])
+    for sign in (1.0, -1.0):
+        win = wk.flat_taper(sign * taus, t_flat, t_end)
+        assert win[0] == win[1] == 1.0 and win[3] == 0.0 and 0.0 <= win[2] < 1e-40
+
+
 def test_balance_report_read_at_another_beta():
     # the transforms do not depend on beta: reading the beta = 2 pi report
     # at pi gives the recomputed negative control bit for bit
@@ -201,11 +213,6 @@ def test_kms_strip_domain_errors():
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_boost_orbit_stationarity(a):
     assert wk.boost_orbit_consistency(a) < 1e-10
-
-
-def test_boost_orbit_coincidence_excluded():
-    with pytest.raises(DomainError):
-        wk.boost_orbit_consistency(1.0, tau_pairs=[(0.5, 0.5)])
 
 
 def test_model_validation():
