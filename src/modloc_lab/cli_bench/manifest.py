@@ -1,11 +1,16 @@
 """Run manifest: per-check records, CSV emission with fixed numeric format,
-file digests.  Everything except the timestamp is deterministic."""
+file digests and an environment stamp.  Everything except the timestamp and
+the environment stamp is deterministic."""
 
 import hashlib
 import json
+import os
+import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .. import __version__
 
@@ -62,6 +67,15 @@ def unverified(name, note):
     return Record(name, None, None, "none", UNVERIFIED, note)
 
 
+def environment():
+    """What the run saw: Python and numpy versions, core count and the BLAS
+    thread setting.  scipy is left out, since importing it only to read its
+    version would slow the suites that never call it."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 @dataclass
 class RunManifest:
     experiment: str
@@ -88,6 +102,7 @@ class RunManifest:
             "artifact_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "config": self.config,
+            "environment": environment(),
             "records": [r.as_dict() for r in self.records],
             "files": self.files,
             "passed": self.passed,

@@ -310,14 +310,63 @@ assert all(m in sys.modules for m in SCIPY), "scipy not loaded on first use"
 """
 
 
-def test_scipy_loaded_only_on_first_use(tmp_path):
+def _fresh_python(script, tmp_path, openblas_threads=None):
+    """Run ``script`` in a new interpreter on this checkout's sources, with
+    OPENBLAS_NUM_THREADS set only if given; returns its stdout."""
     src = str(Path(cbc.__file__).resolve().parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scipy_loaded_only_on_first_use(tmp_path):
+    _fresh_python(STARTUP_PROBE, tmp_path)
+
+
+# Importing the package sets OPENBLAS_NUM_THREADS to 1 unless the caller set
+# it, before numpy loads; OpenBLAS reads it only then, so a fresh interpreter
+# is needed.  The manifest's environment stamp reports what the run saw.
+THREAD_PROBE = """
+import json, os, sys
+import modloc_lab
+assert "numpy" not in sys.modules, "numpy loaded before the thread default"
+from modloc_lab.cli_bench.main import main
+import numpy as np
+import scipy.linalg
+a = np.random.default_rng(0).standard_normal((256, 256))
+scipy.linalg.eigh(a @ a.T)
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+assert main(["thermal-map", "--out", sys.argv[1]]) == 0
+with open(os.path.join(sys.argv[1], "thermal-map_manifest.json")) as fh:
+    stamp = json.load(fh)["environment"]
+print(json.dumps({"var": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": threads, "stamp": stamp}))
+"""
+
+
+def test_blas_runs_on_one_thread_by_default(tmp_path):
+    probe = json.loads(_fresh_python(THREAD_PROBE, tmp_path).splitlines()[-1])
+    assert probe["var"] == "1"
+    assert probe["stamp"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert probe["stamp"]["cpu_count"] == os.cpu_count()
+    assert probe["stamp"]["numpy"] == np.__version__
+    if probe["threads"] is not None:
+        assert probe["threads"] == 1
+
+
+def test_caller_blas_thread_setting_wins(tmp_path):
+    probe = json.loads(
+        _fresh_python(THREAD_PROBE, tmp_path, "2").splitlines()[-1])
+    assert probe["var"] == "2"
+    assert probe["stamp"]["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_tolerance_keys_rejected(tmp_path, capsys):
@@ -432,7 +481,7 @@ def test_verify_all_subset_and_parallel(tmp_path):
 
 
 def test_verify_all_serial_matches_parallel(tmp_path):
-    only = ["thermal-map", "crossing", "zf-algebra"]
+    only = ["thermal-map", "entropy-scan", "crossing", "zf-algebra"]
     serial = verify_all(tmp_path / "serial", parallel=1, only=only)
     threaded = verify_all(tmp_path / "parallel", parallel=2, only=only)
     assert [r.name for r in serial.records] == [r.name for r in threaded.records]
