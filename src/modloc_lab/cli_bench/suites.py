@@ -292,13 +292,20 @@ def suite_unruh(cfg, man, out):
     rep2 = wk.detailed_balance(corr2, TWO_PI)
     man.extend([check_less("unruh/detailed-balance-d2-current",
                            rep2.max_defect, 1e-3)])
-    # vacuum one-sided spectrum: the beta -> infinity side
-    sf = wk.spectral_function(corr, np.array([-1.0, 1.0]))
-    man.extend([check_bool(
-        "unruh/thermal-spectrum-positive",
-        bool(np.all(np.real(sf.values) > 0)),
-        note="two-sided spectrum strictly positive at finite temperature",
-    )])
+    # the de-damped a = 1 spectrum on both sides of the balance band
+    omegas = np.concatenate((-rep.omegas, rep.omegas))
+    sf = wk.spectral_function(corr, omegas)
+    planck = wk.planck_spectrum(omegas, corr.acceleration)
+    man.extend([
+        check_bool("unruh/thermal-spectrum-positive", bool(np.all(sf.values > 0)),
+                   note="two-sided spectrum strictly positive at finite "
+                        "temperature, omega in +-[0.5, 3]"),
+        check_less("unruh/planck-spectrum",
+                   float(np.max(np.abs(sf.values / planck - 1.0))), 1e-5,
+                   note="max relative deviation from "
+                        "omega / (2 pi (1 - exp(-2 pi omega))), "
+                        "omega in +-[0.5, 3], a = 1"),
+    ])
     man.extend([
         check_less("unruh/kms-strip-chiral",
                    ce.kms_periodicity_defect(

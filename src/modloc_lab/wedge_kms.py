@@ -12,10 +12,13 @@ has invariant separation s(tau1, tau2)^2 = (4/a^2) sinh^2(a dtau / 2), so
                      sigma = -(4/a^2) sinh^2(a (tau - i eps)/2)
 
 with K_1 evaluated by a single quadrature over the invariant-distance
-kernel.  The detailed-balance check Fourier transforms the sampled
-correlator with a flat-top C-infinity taper (explicit window, parameters
-recorded) and removes the i-eps damping by Richardson extrapolation over
-two eps values; KMS at beta = 2 pi / a means log(G~(-w)/G~(w)) = -beta w.
+kernel.  Each correlator is sampled at one regulator eps on a uniform grid
+and Fourier transformed with a flat-top C-infinity taper (explicit window,
+parameters recorded).  The regulator's damping is exact: shifting the
+contour by i eps gives  FT[G(. - i eps)](w) = exp(-eps w) G~(w),  so the
+spectrum is recovered by the factor exp(eps w), with no extrapolation in
+eps.  KMS at beta = 2 pi / a means log(G~(-w)/G~(w)) = -beta w; for the
+massless d=4 field G~ is the Planck form  w / (2 pi (1 - exp(-2 pi w / a))).
 """
 
 from dataclasses import dataclass, replace
@@ -30,6 +33,7 @@ _EPS_SAMPLES = 16          # i_epsilon = _EPS_SAMPLES * grid spacing
 _MIN_EPS_SAMPLES = 4.0     # below this the grid cannot resolve the peak
 _K1_BLOCK = 1024           # z values per block of the bessel_k1 kernel
 _FLAT_FRACTION = 0.7       # flat share of the transform window
+_GRID_RTOL = 1e-9          # spacing spread a uniform tau grid may carry
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class Trajectory:
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, float))
 
     @classmethod
-    def uniform(cls, acceleration, span=40.0, n=1 << 16):
+    def uniform(cls, acceleration, span=40.0, n=1 << 13):
         # index times spacing: linspace leaves ~1e-14 rounding on the samples
         # near tau = 0, where the correlator peak is only 16 samples wide,
         # and the e^{-beta w}-small side of the spectrum amplifies it
@@ -76,7 +80,7 @@ class Trajectory:
 class PullbackCorrelator:
     taus: np.ndarray
     values: np.ndarray             # G at i_epsilon
-    values_half: np.ndarray        # G at i_epsilon / 2 (Richardson partner)
+    i_epsilon: float
     acceleration: float
 
 
@@ -119,13 +123,21 @@ def _pullback_values(model, a, taus, eps):
 
 def pullback(model, traj, i_epsilon=None):
     """G(tau) = W(x(tau), x(0)) along the boost orbit, with the -i eps
-    prescription applied in proper time.  Values at eps and eps/2 are both
-    stored; detailed balance Richardson-extrapolates between them."""
+    prescription applied in proper time, sampled once at i_epsilon.  The
+    transforms undo the damping with exp(eps w), which holds on a uniform
+    grid only, so a grid whose spacing varies by more than rounding is
+    refused."""
     taus = traj.tau_grid
     a = traj.acceleration
     if taus.size < 2:
         raise ConfigurationError("trajectory grid too small")
-    dt = float(np.min(np.diff(taus)))
+    steps = np.diff(taus)
+    dt = float(np.min(steps))
+    if dt <= 0 or float(np.max(steps)) - dt > _GRID_RTOL * dt:
+        raise ConfigurationError(
+            f"trajectory grid must be uniform and increasing (spacing "
+            f"{dt:.3e} to {float(np.max(steps)):.3e})"
+        )
     if i_epsilon is None:
         i_epsilon = _EPS_SAMPLES * dt
     if i_epsilon <= 0:
@@ -137,7 +149,7 @@ def pullback(model, traj, i_epsilon=None):
     return PullbackCorrelator(
         taus=taus,
         values=_pullback_values(model, a, taus, i_epsilon),
-        values_half=_pullback_values(model, a, taus, 0.5 * i_epsilon),
+        i_epsilon=float(i_epsilon),
         acceleration=a,
     )
 
@@ -156,13 +168,13 @@ def flat_taper(taus, t_flat, t_end):
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    values: np.ndarray             # Richardson-extrapolated Re G~(omega)
+    values: np.ndarray             # de-damped Re G~(omega)
 
 
 @dataclass(frozen=True)
 class BalanceReport:
     omegas: np.ndarray
-    log_ratio: np.ndarray          # eps-extrapolated log(G~(-w)/G~(w))
+    log_ratio: np.ndarray          # de-damped log(G~(-w)/G~(w))
     beta: float
 
     @property
@@ -178,20 +190,18 @@ class BalanceReport:
         return replace(self, beta=beta)
 
 
-def _windowed_transforms(taus, slices, win, omegas):
-    """Re G~(+w) and Re G~(-w) of each sampled slice, each of shape
-    (len(slices), len(omegas)).  exp(-i w tau) is taken as the conjugate of
-    exp(i w tau), so one phase per frequency serves every sum."""
+def _windowed_transforms(taus, values, win, omegas):
+    """Re G~(+w) and Re G~(-w) of the sampled slice, each of shape
+    (len(omegas),).  exp(-i w tau) is taken as the conjugate of
+    exp(i w tau), so one phase per frequency serves both sums."""
     dt = taus[1] - taus[0]
-    gws = [values * win for values in slices]
-    plus = np.empty((len(gws), len(omegas)))
+    gw = values * win
+    plus = np.empty(len(omegas))
     minus = np.empty_like(plus)
     for i, w in enumerate(omegas):
         phase = np.exp(1j * w * taus)
-        back = np.conj(phase)
-        for s, gw in enumerate(gws):
-            plus[s, i] = np.real(np.sum(gw * phase) * dt)
-            minus[s, i] = np.real(np.sum(gw * back) * dt)
+        plus[i] = np.real(np.sum(gw * phase) * dt)
+        minus[i] = np.real(np.sum(gw * np.conj(phase)) * dt)
     return plus, minus
 
 
@@ -213,29 +223,34 @@ def _window(corr):
 
 
 def spectral_function(corr, omegas):
-    """Windowed transform of the sampled correlator; the two stored eps
-    slices are Richardson-combined to remove the exp(-eps w) damping."""
+    """Re G~(omega) of the windowed, sampled correlator, with the damping
+    of its regulator removed by the exact factor exp(eps omega)."""
     omegas = np.asarray(omegas, float)
-    (g_full, g_half), _ = _windowed_transforms(
-        corr.taus, (corr.values, corr.values_half), _window(corr), omegas)
-    return SpectralFunction(values=2.0 * g_half - g_full)
+    plus, _ = _windowed_transforms(corr.taus, corr.values, _window(corr), omegas)
+    return SpectralFunction(values=plus * np.exp(corr.i_epsilon * omegas))
 
 
 def detailed_balance(corr, beta):
     """max_w | log(G~(-w)/G~(w)) + beta w | over w in [0.5, 3] a, 26
-    points.  The log-ratio is extrapolated linearly in eps (the damping is
-    exactly exp(-2 eps w)), so two eps slices suffice.  The transforms do
-    not depend on beta: the report's at() reads the same log-ratio at
-    another temperature."""
+    points.  The regulator damps G~(w) by exp(-eps w) and G~(-w) by
+    exp(eps w), so the damped log-ratio is off by exactly -2 eps w, which
+    is added back.  The transforms do not depend on beta: the report's
+    at() reads the same log-ratio at another temperature."""
     a = corr.acceleration
     omegas = np.linspace(0.5 * a, 3.0 * a, 26)
-    gp, gm = _windowed_transforms(
-        corr.taus, (corr.values, corr.values_half), _window(corr), omegas)
+    gp, gm = _windowed_transforms(corr.taus, corr.values, _window(corr), omegas)
     if np.any(gp <= 0) or np.any(gm <= 0):
         raise NumericError("spectral transform lost positivity in band")
-    r_full, r_half = np.log(gm / gp)
-    return BalanceReport(omegas=omegas, log_ratio=2.0 * r_half - r_full,
+    return BalanceReport(omegas=omegas,
+                         log_ratio=np.log(gm / gp) - 2.0 * corr.i_epsilon * omegas,
                          beta=beta)
+
+
+def planck_spectrum(omegas, acceleration):
+    """The massless d=4 spectrum on the orbit, w / (2 pi (1 - exp(-2 pi w / a))),
+    on both sides of w = 0 (Unruh's thermal response at beta = 2 pi / a)."""
+    omegas = np.asarray(omegas, float)
+    return omegas / (-2.0 * np.pi * np.expm1(-2.0 * np.pi * omegas / acceleration))
 
 
 # ----------------------------------------------------------------------

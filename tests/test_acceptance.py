@@ -114,6 +114,7 @@ def test_criterion_5_unruh_detailed_balance(suite):
         "unruh/negative-control": (">", 0.5),
         "unruh/detailed-balance-d2-current": ("<", 1e-3),
         "unruh/massive-massless-limit": ("<", 1e-2),
+        "unruh/planck-spectrum": ("<", 1e-5),
     })
     assert dt < 20.0
 

@@ -451,13 +451,14 @@ def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,
     pullback, transforms = wk.pullback, wk._windowed_transforms
 
     def counted_pullback(model, traj, *args):
-        built.append((model, traj.acceleration, traj.tau_grid.size))
+        built.append((model, traj.acceleration, traj.tau_grid.size,
+                      traj.tau_grid[-1]))
         return pullback(model, traj, *args)
 
-    def counted_transforms(taus, slices, win, omegas):
-        transformed.append(hashlib.sha256(slices[0].tobytes()
+    def counted_transforms(taus, values, win, omegas):
+        transformed.append(hashlib.sha256(values.tobytes()
                                           + omegas.tobytes()).hexdigest())
-        return transforms(taus, slices, win, omegas)
+        return transforms(taus, values, win, omegas)
 
     monkeypatch.setattr(wk, "pullback", counted_pullback)
     monkeypatch.setattr(wk, "_windowed_transforms", counted_transforms)

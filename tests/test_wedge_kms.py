@@ -92,9 +92,7 @@ def test_vacuum_spectrum_one_sided():
     dt = taus[1] - taus[0]
     eps = 16 * dt
     vac = -(1.0 / (4 * np.pi**2)) / (taus - 1j * eps) ** 2
-    corr = wk.PullbackCorrelator(
-        taus, vac, -(1.0 / (4 * np.pi**2)) / (taus - 1j * eps / 2) ** 2,
-        1.0)
+    corr = wk.PullbackCorrelator(taus, vac, eps, 1.0)
     sf = wk.spectral_function(corr, np.array([-1.0, 1.0]))
     assert abs(np.real(sf.values[0]) / np.real(sf.values[1])) < 1e-4
 
@@ -106,21 +104,46 @@ def test_vacuum_spectrum_one_sided():
 ], ids=["uniform-1", "uniform-0.95", "linspace"])
 def test_windowed_transforms_match_literal_sum(taus):
     # one shared phase per frequency gives the real parts of the literal
-    # one-frequency sums bit for bit, at +w and -w, for each slice
+    # one-frequency sums bit for bit, at +w and -w
     dt = taus[1] - taus[0]
     eps = 16 * dt
-    slices = (-(1.0 / (4 * np.pi**2)) / np.sinh((taus - 1j * eps) / 2.0) ** 2,
-              -(1.0 / (4 * np.pi**2)) / np.sinh((taus - 0.5j * eps) / 2.0) ** 2)
+    values = -(1.0 / (4 * np.pi**2)) / np.sinh((taus - 1j * eps) / 2.0) ** 2
     t_end = float(np.max(np.abs(taus)))
     win = wk.flat_taper(taus, 0.7 * t_end, t_end)
     omegas = np.array([0.5, 1.0, 1.7, 3.0])
-    plus, minus = wk._windowed_transforms(taus, slices, win, omegas)
-    assert plus.shape == minus.shape == (2, len(omegas))
-    for s, v in enumerate(slices):
-        for i, w in enumerate(omegas):
-            for sign, got in ((1.0, plus), (-1.0, minus)):
-                ref = np.real(np.sum(v * win * np.exp(1j * (sign * w) * taus)) * dt)
-                assert got[s, i] == ref
+    plus, minus = wk._windowed_transforms(taus, values, win, omegas)
+    assert plus.shape == minus.shape == (len(omegas),)
+    for i, w in enumerate(omegas):
+        for sign, got in ((1.0, plus), (-1.0, minus)):
+            ref = np.real(np.sum(values * win * np.exp(1j * (sign * w) * taus)) * dt)
+            assert got[i] == ref
+
+
+_BAND = np.linspace(0.5, 3.0, 26)
+_TWO_SIDED = np.concatenate((-_BAND, _BAND))
+
+
+def test_spectrum_independent_of_epsilon():
+    # exp(eps w) removes the regulator's damping exactly, so the spectrum
+    # must not move with eps: 1.5e-9 (8 dt) and 3.6e-9 (32 dt) against
+    # 16 dt, while de-damping with exp(-eps w) instead reads 0.6 and 1.6
+    traj = wk.Trajectory.uniform(1.0)
+    dt = traj.tau_grid[1] - traj.tau_grid[0]
+    spectra = [wk.spectral_function(
+        wk.pullback(wk.WightmanModel(0.0, 4), traj, i_epsilon=k * dt),
+        _TWO_SIDED).values for k in (8, 16, 32)]
+    for other in (spectra[0], spectra[2]):
+        assert np.max(np.abs(other / spectra[1] - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 13, 1 << 16])
+def test_massless_spectrum_is_planck(n):
+    # measured 1.4e-9, 2.2e-9 and 2.9e-8: the rounding of the small side
+    # grows like 1/eps; the old Richardson step left 8.3e-4 at w = 3
+    corr = wk.pullback(wk.WightmanModel(0.0, 4), wk.Trajectory.uniform(1.0, n=n))
+    sf = wk.spectral_function(corr, _TWO_SIDED)
+    planck = _TWO_SIDED / (TWO_PI * (1.0 - np.exp(-TWO_PI * _TWO_SIDED)))
+    assert np.max(np.abs(sf.values / planck - 1.0)) < 1e-7
 
 
 def test_flat_taper_is_flat_to_all_digits_at_both_joints():
@@ -149,8 +172,8 @@ def test_balance_report_read_at_another_beta():
 def test_detailed_balance_positivity_check():
     # a transform that is negative in the band is refused, not logged
     corr = wk.pullback(wk.WightmanModel(0.0, 4), wk.Trajectory.uniform(1.0))
-    flipped = wk.PullbackCorrelator(corr.taus, -corr.values,
-                                    -corr.values_half, corr.acceleration)
+    flipped = wk.PullbackCorrelator(corr.taus, -corr.values, corr.i_epsilon,
+                                    corr.acceleration)
     with pytest.raises(NumericError, match="lost positivity"):
         wk.detailed_balance(flipped, TWO_PI)
 
@@ -176,6 +199,20 @@ def test_grid_too_coarse_for_epsilon():
     dt = traj.tau_grid[1] - traj.tau_grid[0]
     with pytest.raises(NumericError):
         wk.pullback(wk.WightmanModel(0.0, 4), traj, i_epsilon=dt)
+
+
+def test_non_uniform_grid_rejected():
+    # exp(eps w) de-damping and the transform's dt both need a uniform grid;
+    # linspace grids, uniform up to rounding, are accepted
+    model = wk.WightmanModel(0.0, 4)
+    wk.pullback(model, wk.Trajectory(1.0, np.linspace(-40.0, 40.0, 1 << 13)))
+    taus = np.linspace(-40.0, 40.0, 1 << 13)
+    taus[: len(taus) // 2] *= 1.0 + 1e-6
+    with pytest.raises(ConfigurationError, match="uniform"):
+        wk.pullback(model, wk.Trajectory(1.0, taus))
+    sinh_grid = np.sinh(np.linspace(-4.0, 4.0, 1 << 13))
+    with pytest.raises(ConfigurationError, match="uniform"):
+        wk.pullback(model, wk.Trajectory(1.0, sinh_grid))
 
 
 def test_truncation_leakage_detected():
