@@ -27,9 +27,9 @@ from .errors import ConfigurationError, FitError, NumericError
 from .profiles import raised_cosine, smooth_bump
 from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums
 
-# scipy.special is imported inside the D = 2 branch that calls it: loading
-# scipy takes about 0.4 s, which a CLI run of any suite that never calls it
-# would otherwise pay.
+# scipy.special is imported inside the D = 2 branch that calls it, the
+# only scipy call of the package: loading it takes about 0.2-0.3 s, which a
+# CLI run of any other suite would otherwise pay.
 
 _ECUT_SIGMAS = 5.7     # |g~|^2 = exp(-(E T)^2) < 1e-14 beyond E = 5.7/T
 _KFAC = 40.0           # ramp cutoff k <= KFAC / dR

@@ -30,10 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, DomainError, FitError, SpectralError
 from .quadrature import linear_fit
 
-# scipy.linalg is imported inside _sympl_eigs_block, its only caller:
-# loading scipy takes about 0.4 s, which a CLI run of any suite that never
-# solves a spectrum would otherwise pay.
-
 UNCERTAINTY_TOL = 1e-9
 IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * (n_sites * spacing)
 
@@ -137,12 +133,10 @@ def reduce_state(state, length):
 def _sympl_eigs_block(X, P):
     """nu_k, ascending: with X = L L^T, X P = L (L^T P L) L^{-1}, so nu_k^2
     are the eigenvalues of the symmetric L^T P L."""
-    from scipy.linalg import LinAlgError, cholesky, eigh
-
     try:
-        L = cholesky(X, lower=True)
-    except LinAlgError:
-        ex0 = float(eigh(X, eigvals_only=True)[0])
+        L = np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        ex0 = float(np.linalg.eigvalsh(X)[0])
         raise SpectralError(
             f"phi-phi block not positive definite ({ex0:.3e})", offending_value=ex0
         ) from None
@@ -153,7 +147,7 @@ def _sympl_eigs_block(X, P):
     del P
     M = M @ L
     del L
-    ev = eigh(M, eigvals_only=True)
+    ev = np.linalg.eigvalsh(M)
     if ev[0] <= 0.0:
         raise SpectralError(
             f"covariance numerically indefinite ({ev[0]:.3e})", offending_value=float(ev[0])

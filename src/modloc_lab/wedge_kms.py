@@ -168,14 +168,40 @@ def flat_taper(taus, t_flat, t_end):
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    values: np.ndarray             # de-damped Re G~(omega)
+    """Re G~(omega) and Re G~(-omega) from one windowed transform.  The
+    regulator damps G~(w) by exp(-eps w); values and mirror undo that."""
+    omegas: np.ndarray
+    damped: np.ndarray             # Re G~(omega) of the regulated correlator
+    damped_mirror: np.ndarray      # Re G~(-omega) of the regulated correlator
+    i_epsilon: float
+
+    @property
+    def values(self):
+        """De-damped Re G~(omega)."""
+        return self.damped * np.exp(self.i_epsilon * self.omegas)
+
+    @property
+    def mirror(self):
+        """De-damped Re G~(-omega)."""
+        return self.damped_mirror * np.exp(-self.i_epsilon * self.omegas)
 
 
 @dataclass(frozen=True)
 class BalanceReport:
-    omegas: np.ndarray
-    log_ratio: np.ndarray          # de-damped log(G~(-w)/G~(w))
+    spectrum: SpectralFunction     # both sides of the band w in [0.5, 3] a
     beta: float
+
+    @property
+    def omegas(self):
+        return self.spectrum.omegas
+
+    @property
+    def log_ratio(self):
+        """De-damped log(G~(-w)/G~(w)): the damped log-ratio is off by
+        exactly -2 eps w, which is added back in place of dividing the two
+        de-damped sides, so no rounding of exp(+-eps w) enters."""
+        sf = self.spectrum
+        return np.log(sf.damped_mirror / sf.damped) - 2.0 * sf.i_epsilon * sf.omegas
 
     @property
     def defects(self):
@@ -223,27 +249,25 @@ def _window(corr):
 
 
 def spectral_function(corr, omegas):
-    """Re G~(omega) of the windowed, sampled correlator, with the damping
-    of its regulator removed by the exact factor exp(eps omega)."""
+    """Re G~(+-omega) of the windowed, sampled correlator, from one
+    transform; its values and mirror remove the regulator's damping."""
     omegas = np.asarray(omegas, float)
-    plus, _ = _windowed_transforms(corr.taus, corr.values, _window(corr), omegas)
-    return SpectralFunction(values=plus * np.exp(corr.i_epsilon * omegas))
+    plus, minus = _windowed_transforms(corr.taus, corr.values, _window(corr),
+                                       omegas)
+    return SpectralFunction(omegas=omegas, damped=plus, damped_mirror=minus,
+                            i_epsilon=corr.i_epsilon)
 
 
 def detailed_balance(corr, beta):
     """max_w | log(G~(-w)/G~(w)) + beta w | over w in [0.5, 3] a, 26
-    points.  The regulator damps G~(w) by exp(-eps w) and G~(-w) by
-    exp(eps w), so the damped log-ratio is off by exactly -2 eps w, which
-    is added back.  The transforms do not depend on beta: the report's
-    at() reads the same log-ratio at another temperature."""
+    points, read from spectral_function.  The transforms do not depend on
+    beta: the report's at() reads the same spectrum at another
+    temperature."""
     a = corr.acceleration
-    omegas = np.linspace(0.5 * a, 3.0 * a, 26)
-    gp, gm = _windowed_transforms(corr.taus, corr.values, _window(corr), omegas)
-    if np.any(gp <= 0) or np.any(gm <= 0):
+    sf = spectral_function(corr, np.linspace(0.5 * a, 3.0 * a, 26))
+    if np.any(sf.damped <= 0) or np.any(sf.damped_mirror <= 0):
         raise NumericError("spectral transform lost positivity in band")
-    return BalanceReport(omegas=omegas,
-                         log_ratio=np.log(gm / gp) - 2.0 * corr.i_epsilon * omegas,
-                         beta=beta)
+    return BalanceReport(spectrum=sf, beta=beta)
 
 
 def planck_spectrum(omegas, acceleration):

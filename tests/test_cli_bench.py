@@ -293,9 +293,10 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["thermal-map", "--out", out]) == 1
 
 
-# Only entropy-scan and charge-scaling call scipy; the other suites must run
-# without importing it, so a CLI process that does not need it skips the
-# import.  A fresh interpreter is needed to see what gets imported.
+# Only charge-scaling's D = 2 transform calls scipy (scipy.special); every
+# other suite, the symplectic spectrum included, must run without importing
+# it, so a CLI process that does not need it skips the import.  A fresh
+# interpreter is needed to see what gets imported.
 STARTUP_PROBE = """
 import sys
 from modloc_lab.cli_bench.main import main
@@ -305,8 +306,11 @@ SCIPY = ("scipy.linalg", "scipy.special")
 assert not [m for m in SCIPY if m in sys.modules], "scipy loaded by a suite"
 from modloc_lab import charge_fluct as cf, gaussian_core as gc
 gc.symplectic_spectrum(gc.build_vacuum_state(gc.HarmonicLattice(4, 1.0)))
+assert not [m for m in SCIPY if m in sys.modules], "scipy loaded by a spectrum"
+cf.ftilde_radial(cf.PartialChargeSpec(2.0, 0.5, 0.1), 1, [1.0])
+assert "scipy.special" not in sys.modules, "scipy loaded by D = 1"
 cf.ftilde_radial(cf.PartialChargeSpec(2.0, 0.5, 0.1), 2, [1.0])
-assert all(m in sys.modules for m in SCIPY), "scipy not loaded on first use"
+assert "scipy.special" in sys.modules, "scipy.special not loaded on first use"
 """
 
 
@@ -326,7 +330,7 @@ def _fresh_python(script, tmp_path, openblas_threads=None):
     return proc.stdout
 
 
-def test_scipy_loaded_only_on_first_use(tmp_path):
+def test_scipy_loaded_only_by_the_2d_charge_transform(tmp_path):
     _fresh_python(STARTUP_PROBE, tmp_path)
 
 
@@ -340,8 +344,10 @@ assert "numpy" not in sys.modules, "numpy loaded before the thread default"
 from modloc_lab.cli_bench.main import main
 import numpy as np
 import scipy.linalg
+from modloc_lab import gaussian_core as gc
 a = np.random.default_rng(0).standard_normal((256, 256))
 scipy.linalg.eigh(a @ a.T)
+gc.symplectic_spectrum(gc.build_vacuum_state(gc.HarmonicLattice(512, 1.0)))
 task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else None
 assert main(["thermal-map", "--out", sys.argv[1]]) == 0
@@ -445,8 +451,9 @@ def test_emit_plots_creates_missing_out_dir(tmp_path):
 
 def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,
                                                                  monkeypatch):
-    # the default scan holds a = 1, so the negative control and the a = 1
-    # checks share one pullback and one set of transforms
+    # the default scan holds a = 1, so the negative control, the Planck
+    # check and the a = 1 checks share one pullback and one set of
+    # transforms: no correlator is transformed twice, at any frequencies
     built, transformed = [], []
     pullback, transforms = wk.pullback, wk._windowed_transforms
 
@@ -456,8 +463,7 @@ def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,
         return pullback(model, traj, *args)
 
     def counted_transforms(taus, values, win, omegas):
-        transformed.append(hashlib.sha256(values.tobytes()
-                                          + omegas.tobytes()).hexdigest())
+        transformed.append(hashlib.sha256(values.tobytes()).hexdigest())
         return transforms(taus, values, win, omegas)
 
     monkeypatch.setattr(wk, "pullback", counted_pullback)
@@ -492,6 +498,40 @@ def test_verify_all_serial_matches_parallel(tmp_path):
     for name in csvs:
         assert ((tmp_path / "serial" / name).read_bytes()
                 == (tmp_path / "parallel" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("only", [
+    None, ["thermal-map", "ej-fluct", "charge-scaling", "unruh"]],
+    ids=["all", "subset"])
+def test_verify_all_submits_longest_first(tmp_path, monkeypatch, only):
+    # the schedule names every suite once, so none can be left out of a
+    # parallel run; each stub suite writes one record, the pool is started
+    # longest first, and the aggregate keeps the requested (by default
+    # EXPERIMENTS) order
+    assert sorted(suites.LONGEST_FIRST) == sorted(cbc.EXPERIMENTS)
+    names = list(cbc.EXPERIMENTS if only is None else only)
+    for name in cbc.EXPERIMENTS:
+        monkeypatch.setitem(
+            suites._SUITES, name,
+            lambda cfg, man, out: man.extend([check_less(
+                f"{cfg.experiment}/stub", 0.0, 1.0)]))
+    submitted = []
+    pool = suites.concurrent.futures.ThreadPoolExecutor
+
+    class RecordingPool(pool):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[0])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(suites.concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    for parallel in (2, 1):
+        submitted.clear()
+        agg = verify_all(tmp_path / str(parallel), parallel=parallel, only=only)
+        assert [r.name for r in agg.records] == [f"{n}/stub" for n in names]
+        assert agg.config["suites"] == names
+        expected = [n for n in suites.LONGEST_FIRST if n in names]
+        assert submitted == (expected if parallel > 1 else [])
 
 
 def test_manifest_verdict_logic():

@@ -363,21 +363,19 @@ def test_state_build_allocates_no_dense_block():
 def test_symplectic_spectrum_holds_three_sector_blocks(monkeypatch):
     # the solve drops X, P and L as each is consumed: at most three
     # (n/2) x (n/2) blocks are alive at once, where keeping them held five,
-    # and only L^T P L is left when eigh starts on it
-    import scipy.linalg
-
+    # and only L^T P L is left when eigvalsh starts on it
     n = 512
     block = (n // 2) ** 2 * 8
     lat = gc.HarmonicLattice(2 * n, 0.0, ir_regulator=1e-3 / (2 * n))
     red = gc.reduce_state(gc.build_vacuum_state(lat), n)
-    gc.symplectic_spectrum(red)          # warm scipy's import and LAPACK
-    held, eigh = [], scipy.linalg.eigh
+    gc.symplectic_spectrum(red)          # warm LAPACK
+    held, eigvalsh = [], np.linalg.eigvalsh
 
-    def traced_eigh(a, **kw):
+    def traced_eigvalsh(a, **kw):
         held.append(tracemalloc.get_traced_memory()[0])
-        return eigh(a, **kw)
+        return eigvalsh(a, **kw)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", traced_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
     tracemalloc.start()
     try:
         gc.symplectic_spectrum(red)
@@ -392,8 +390,8 @@ def test_thermal_interval_entropy_against_mpmath():
     """Sector-route entropies of [0, L), L = 2..20, on the 64-site
     IR-regulated chain at beta = 2 pi, against a 50-digit build and solve.
     The zero mode puts ~1e7 into every entry of X, so both float routes
-    carry a rounding error: the unsplit route's worst is 6.9e-8 here, and
-    the bound is fixed at about three times that."""
+    carry a rounding error: the unsplit route's worst is 3.3e-8 here and
+    the sector route's 1.2e-7, and the bound is fixed at 2e-7."""
     mp = pytest.importorskip("mpmath")
     n, lengths = 64, range(2, 21)
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)

@@ -146,6 +146,24 @@ def test_massless_spectrum_is_planck(n):
     assert np.max(np.abs(sf.values / planck - 1.0)) < 1e-7
 
 
+def test_balance_report_holds_the_two_sided_spectrum():
+    # the report keeps the spectrum it summed, so the Planck check reads
+    # G~(-w) and G~(+w) from it without a second transform.  The mirror
+    # side takes exp(-i w tau) as conj(exp(i w tau)), where a direct
+    # transform at -w evaluates exp(i (-w) tau): the two agree bit for bit
+    # only while numpy's complex exp is exactly odd in its imaginary part,
+    # so a bit-level miss within 1e-15 points at the numpy build, not at
+    # the transform
+    corr = wk.pullback(wk.WightmanModel(0.0, 4), wk.Trajectory.uniform(1.0))
+    rep = wk.detailed_balance(corr, TWO_PI)
+    direct = wk.spectral_function(
+        corr, np.concatenate((-rep.omegas, rep.omegas))).values
+    held = np.concatenate((rep.spectrum.mirror, rep.spectrum.values))
+    assert np.allclose(held, direct, rtol=1e-15, atol=0.0)
+    assert np.array_equal(held, direct)
+    assert rep.at(np.pi).spectrum is rep.spectrum
+
+
 def test_flat_taper_is_flat_to_all_digits_at_both_joints():
     # the smooth-bump roll-off has every derivative 0 at t_flat and t_end,
     # so a hundredth of the way into it the taper is still 1 to double
