@@ -11,7 +11,9 @@ particle-antiparticle pair out of the vacuum with amplitude
 
 Rotational symmetry reduces everything to the total momentum k = |p+q|:
 F = S_{D-1} (2 pi)^{-2D} int dk k^{D-1} |f~(k)|^2 I_D(k) with I_D the pair
-phase-space integral.  The k integral oscillates on the scale pi/R and is
+phase-space integral: in rapidity for D = 1, and for D = 2, 3 in elliptic
+coordinates about the foci 0 and k over the ellipse outside which g~ is
+negligible.  The k integral oscillates on the scale pi/R and is
 handled by small-k panels plus a Filon rule (D = 1, 3) or half-period
 panels (D = 2), so the cost does not grow with R/dR.
 
@@ -105,32 +107,31 @@ def _pair_integral_1d(ks, m, T):
     return 2.0 * np.sum(yw * val, axis=1)
 
 
-def _pair_integral_2d(k, m, T):
-    """D=2; polar (p, phi) with q = |k - p|."""
-    pmax = _ECUT_SIGMAS / T + k
-    pn, pw = gl_nodes(1e-12, pmax, 240)
-    hn, hw = gl_nodes(0.0, np.pi, 160)
-    P = pn[:, None]
-    Q = np.sqrt(P * P + k * k - 2.0 * P * k * np.cos(hn)[None, :])
-    ep = _energy(P, m)
-    eq = _energy(Q, m)
-    val = (ep - eq) ** 2 / (4.0 * ep * eq) * _g2(ep + eq, T)
-    return 2.0 * float(((pw[:, None] * hw[None, :]) * P * val).sum())
-
-
-def _pair_integral_3d(k, m, T):
-    """D=3; the angular integral collapses to an energy integral:
-    I = (2 pi / k) int p dp / (4 E_p) int_{E|k-p|}^{E(k+p)} dE (E_p-E)^2 g2."""
-    pmax = _ECUT_SIGMAS / T + k
-    pn, pw = gl_nodes(1e-12, pmax, 240)
-    ep = _energy(pn, m)
-    e_lo = _energy(np.abs(k - pn), m)
-    e_hi = _energy(k + pn, m)
-    xg, wg = gl_nodes(0.0, 1.0, 120)
-    emid = e_lo[:, None] + (e_hi - e_lo)[:, None] * xg[None, :]
-    ew = (e_hi - e_lo)[:, None] * wg[None, :]
-    inner = (ew * (ep[:, None] - emid) ** 2 * _g2(ep[:, None] + emid, T)).sum(axis=1)
-    return float((2.0 * np.pi / k) * np.sum(pw * pn / (4.0 * ep) * inner))
+def _pair_integral(D, k, m, T):
+    """D = 2 or 3; elliptic coordinates (a, b) about the foci 0 and k.  With
+    c = k/2, |p| = c (cosh a + cos b), |k - p| = c (cosh a - cos b) and the
+    half-plane b in [0, pi] has area element c^2 (sinh^2 a + sin^2 b) da db;
+    D = 2 doubles it, D = 3 turns it about the k axis (2 pi c sinh a sin b).
+    E_p + E_q >= sqrt((|p| + |k - p|)^2 + 4 m^2), so outside the ellipse
+    |p| + |k - p| = sqrt(k^2 + (5.7/T)^2), where sinh a = 5.7 / (T k),
+    g~^2 is below e^{-5.7^2} of its largest value: the rule covers that
+    ellipse at every k.  The area element vanishes at the foci, where 1/E
+    peaks at small mass."""
+    c = 0.5 * k
+    an, aw = gl_nodes(0.0, np.arcsinh(_ECUT_SIGMAS / (T * k)), 64)
+    bn, bw = gl_nodes(0.0, np.pi, 48)
+    ca = c * np.cosh(an)[:, None]
+    sa = c * np.sinh(an)[:, None]
+    cb = c * np.cos(bn)
+    sin_b = np.sin(bn)
+    ep = _energy(ca + cb, m)
+    eq = _energy(ca - cb, m)
+    es = ep + eq
+    # E_p - E_q = (|p|^2 - |k - p|^2) / (E_p + E_q), free of cancellation
+    val = (4.0 * ca * cb / es) ** 2 / (4.0 * ep * eq) * _g2(es, T)
+    area = sa * sa + (c * sin_b) ** 2
+    jac = 2.0 * area if D == 2 else 2.0 * np.pi * sa * sin_b * area
+    return float(np.sum(aw[:, None] * bw * jac * val))
 
 
 class _PairKernel:
@@ -145,9 +146,8 @@ class _PairKernel:
         if D == 1:
             vals = _pair_integral_1d(kg, m, T)
         else:
-            # each k already evaluates 38 400 points, so these stay per k
-            fn = _pair_integral_2d if D == 2 else _pair_integral_3d
-            vals = np.array([fn(k, m, T) for k in kg])
+            # per k: each rule spans its own ellipse, 64 x 48 points
+            vals = np.array([_pair_integral(D, k, m, T) for k in kg])
         self._lnk = np.log(kg)
         self._lnI = np.log(np.maximum(vals, 1e-300))
         if not np.all(np.isfinite(self._lnI)):

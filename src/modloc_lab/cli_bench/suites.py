@@ -454,12 +454,16 @@ def run_experiment(cfg, out_dir):
     return man
 
 
-# Every suite, longest first by its time at the default config in a fresh
-# interpreter (about 0.9, 0.5, 0.5, 0.09, 0.09, 0.02 and 0.001 s on 2
-# cores).  Parallel runs start the suites in this order, so the two longest
-# do not queue on one thread while the other thread idles.
-LONGEST_FIRST = ("charge-scaling", "entropy-scan", "ej-fluct", "unruh",
-                 "crossing", "zf-algebra", "thermal-map")
+# Every suite, in the order parallel runs start them.  In a fresh
+# interpreter on 2 cores at the default configs charge-scaling takes about
+# 0.6-0.7 s, entropy-scan and ej-fluct about 0.5 s each, crossing 0.11 s,
+# unruh 0.08 s, zf-algebra 0.05 s and thermal-map 0.001 s.  charge-scaling
+# still goes third, so it starts only once one of the first two has ended:
+# started beside entropy-scan, its import of scipy.special (about 20 MiB)
+# landed on the peak memory of entropy-scan's 2048-site symplectic
+# spectrum, and verify-all's peak RSS rose from 90-92 to 102 MiB.
+PARALLEL_ORDER = ("entropy-scan", "ej-fluct", "charge-scaling", "unruh",
+                  "crossing", "zf-algebra", "thermal-map")
 
 
 def verify_all(out_dir, parallel=1, only=None):
@@ -473,7 +477,7 @@ def verify_all(out_dir, parallel=1, only=None):
     if parallel > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
             futs = {name: ex.submit(_run, name)
-                    for name in sorted(names, key=LONGEST_FIRST.index)}
+                    for name in sorted(names, key=PARALLEL_ORDER.index)}
             for name in names:                  # fixed order, schedule-free
                 manifests[name] = futs[name].result()
     else:

@@ -64,31 +64,88 @@ def test_ftilde_differences_against_ftilde_radial(R, dR):
 # ----- pair phase-space integrals against brute-force oracles -----
 
 def test_pair_integral_2d_brute():
+    # the Cartesian grid is 5e-10 off the converged value at 600^2
     k, m, T = 3.7, 1.0, 0.1
     pmax = 5.7 / T + k
-    xn, xw = gl_nodes(-pmax, pmax, 300)
-    yn, yw = gl_nodes(-pmax, pmax, 300)
+    xn, xw = gl_nodes(-pmax, pmax, 600)
+    yn, yw = gl_nodes(-pmax, pmax, 600)
     PX, PY = xn[:, None], yn[None, :]
     Ep = np.sqrt(PX**2 + PY**2 + m * m)
     Eq = np.sqrt((k - PX) ** 2 + PY**2 + m * m)
     brute = float(((xw[:, None] * yw[None, :])
                    * (Ep - Eq) ** 2 / (4 * Ep * Eq)
                    * np.exp(-((Ep + Eq) * T) ** 2)).sum())
-    assert cf._pair_integral_2d(k, m, T) == pytest.approx(brute, rel=2e-4)
+    assert cf._pair_integral(2, k, m, T) == pytest.approx(brute, rel=1e-8)
 
 
 def test_pair_integral_3d_brute():
+    # the cylindrical grid is 8e-11 off the converged value at 480^2
     k, m, T = 2.9, 1.0, 0.1
     pmax = 5.7 / T + k
-    xn, xw = gl_nodes(-pmax, pmax, 240)
-    rn, rw = gl_nodes(1e-9, pmax, 240)
+    xn, xw = gl_nodes(-pmax, pmax, 480)
+    rn, rw = gl_nodes(1e-9, pmax, 480)
     PX, PR = xn[:, None], rn[None, :]
     Ep = np.sqrt(PX**2 + PR**2 + m * m)
     Eq = np.sqrt((k - PX) ** 2 + PR**2 + m * m)
     brute = float(2 * np.pi * ((xw[:, None] * rw[None, :]) * PR
                                * (Ep - Eq) ** 2 / (4 * Ep * Eq)
                                * np.exp(-((Ep + Eq) * T) ** 2)).sum())
-    assert cf._pair_integral_3d(k, m, T) == pytest.approx(brute, rel=2e-4)
+    assert cf._pair_integral(3, k, m, T) == pytest.approx(brute, rel=1e-9)
+
+
+def _pair_integral_polar(D, k, m, T, n_p=480, n_h=720, panels=12):
+    # I_D(k) in polar coordinates about p = 0: |p| on Gauss-Legendre panels
+    # with an edge at the focus |p| = k, the angle to k on [0, pi]
+    pmax = 5.7 / T + k
+    edges = np.concatenate([np.linspace(0.0, k, panels + 1),
+                            np.linspace(k, pmax, panels + 1)[1:]])
+    pn, pw = gl_nodes(edges[:-1, None], edges[1:, None], n_p // panels)
+    P, pw = pn.ravel()[:, None], pw.ravel()[:, None]
+    hn, hw = gl_nodes(0.0, np.pi, n_h)
+    Ep = np.sqrt(P * P + m * m)
+    Eq = np.sqrt((P - k) ** 2 + 2.0 * P * k * (1.0 - np.cos(hn)) + m * m)
+    val = pw * hw * P * (Ep - Eq) ** 2 / (4 * Ep * Eq) * np.exp(-((Ep + Eq) * T) ** 2)
+    if D == 2:
+        return 2.0 * float(val.sum())
+    return 2.0 * np.pi * float((val * P * np.sin(hn)).sum())
+
+
+@pytest.mark.parametrize("D", [2, 3])
+@pytest.mark.parametrize("k", [1e-4, 1.0, 39.0, 79.0])
+def test_pair_integral_against_converged_polar_rule(D, k):
+    # the reference agrees with itself at 1.5 times its orders to 1.3e-12;
+    # the rule under test is 4e-11 off at D = 2, k = 79
+    ref = _pair_integral_polar(D, k, 1.0, 0.05)
+    assert cf._pair_integral(D, k, 1.0, 0.05) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+@pytest.mark.parametrize("T", [0.05, 0.2])
+def test_pair_integral_orders_converged(monkeypatch, D, T):
+    # the 64 x 48 rule against the same rule at 1.5 times its orders, over
+    # the k range of the suite's n = 3, 4 kernels (T = 0.05) and, at T = 0.2,
+    # beyond 5.7 / T
+    ks = np.exp(np.linspace(np.log(1e-5), np.log(82.0), 12))
+    mine = np.array([cf._pair_integral(D, k, 1.0, T) for k in ks])
+    monkeypatch.setattr(cf, "gl_nodes", lambda a, b, n: gl_nodes(a, b, 3 * n // 2))
+    ref = np.array([cf._pair_integral(D, k, 1.0, T) for k in ks])
+    np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_pair_kernel_beyond_gaussian_cutoff(monkeypatch, dim):
+    # kmax = 40 > 5.7 / T = 28.5, so at the top of the kernel grid every pair
+    # energy has |g~|^2 < 1e-14; the kernel stays finite there, and F agrees
+    # with F on a kernel of polar-rule values
+    s = spec(2.0, 1.0, 0.2)
+    model = cf.ScalarModel(1.0, dim)
+    pair = cf._PairKernel(dim - 1, 1.0, s.time_width, cf._kmax(s))
+    assert np.exp(pair._lnk[-1]) > 5.7 / s.time_width
+    assert np.all(np.isfinite(pair._lnI))
+    F = cf.charge_variance(model, s)
+    monkeypatch.setattr(cf, "_pair_integral", lambda D, k, m, T:
+                        _pair_integral_polar(D, k, m, T, 120, 240, 6))
+    assert F == pytest.approx(cf.charge_variance(model, s), rel=1e-9)
 
 
 # ----- the variance itself -----

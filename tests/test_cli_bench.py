@@ -503,12 +503,12 @@ def test_verify_all_serial_matches_parallel(tmp_path):
 @pytest.mark.parametrize("only", [
     None, ["thermal-map", "ej-fluct", "charge-scaling", "unruh"]],
     ids=["all", "subset"])
-def test_verify_all_submits_longest_first(tmp_path, monkeypatch, only):
+def test_verify_all_submits_in_parallel_order(tmp_path, monkeypatch, only):
     # the schedule names every suite once, so none can be left out of a
     # parallel run; each stub suite writes one record, the pool is started
-    # longest first, and the aggregate keeps the requested (by default
+    # in PARALLEL_ORDER, and the aggregate keeps the requested (by default
     # EXPERIMENTS) order
-    assert sorted(suites.LONGEST_FIRST) == sorted(cbc.EXPERIMENTS)
+    assert sorted(suites.PARALLEL_ORDER) == sorted(cbc.EXPERIMENTS)
     names = list(cbc.EXPERIMENTS if only is None else only)
     for name in cbc.EXPERIMENTS:
         monkeypatch.setitem(
@@ -530,7 +530,7 @@ def test_verify_all_submits_longest_first(tmp_path, monkeypatch, only):
         agg = verify_all(tmp_path / str(parallel), parallel=parallel, only=only)
         assert [r.name for r in agg.records] == [f"{n}/stub" for n in names]
         assert agg.config["suites"] == names
-        expected = [n for n in suites.LONGEST_FIRST if n in names]
+        expected = [n for n in suites.PARALLEL_ORDER if n in names]
         assert submitted == (expected if parallel > 1 else [])
 
 
