@@ -13,9 +13,11 @@ Rotational symmetry reduces everything to the total momentum k = |p+q|:
 F = S_{D-1} (2 pi)^{-2D} int dk k^{D-1} |f~(k)|^2 I_D(k) with I_D the pair
 phase-space integral: in rapidity for D = 1, and for D = 2, 3 in elliptic
 coordinates about the foci 0 and k over the ellipse outside which g~ is
-negligible.  The k integral oscillates on the scale pi/R and is
-handled by small-k panels plus a Filon rule (D = 1, 3) or half-period
-panels (D = 2), so the cost does not grow with R/dR.
+negligible.  The k integral oscillates on the scale pi/R up to
+kmax ~ 40/dR.  For D = 1, 3 it is handled by small-k panels plus a Filon
+rule, whose cost does not grow with R/dR; for D = 2 by half-period panels,
+whose number grows like (R + dR)/dR (about 1 600 at the n = 3 scan's
+R = 31, dR = 0.5).
 
 An independent lattice mode-sum oracle (D = 1, periodic chain) checks the
 continuum quadrature at the few-percent level.

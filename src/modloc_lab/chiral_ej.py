@@ -155,6 +155,9 @@ class SmearingFn:
         return [self, self.d1, self.d2][order]
 
     def pieces(self, order):
+        """Intervals that cover the support of the order-th derivative, each
+        resolved by one inner rule: the two ramps and the plateau for f, the
+        two ramps for f' and f'', which vanish on the plateau."""
         b = self.breakpoints
         if order == 0:
             return [(b[0], b[1]), (b[1], b[2]), (b[2], b[3])]
@@ -205,11 +208,14 @@ class TransportedSmearing:
         return [self.value, self.d1, self.d2][order]
 
     def pieces(self, order):
-        # the map is exponential, so a piece can span many octaves in x;
-        # subdivide logarithmically to keep the inner rule resolved
+        """Intervals that cover the support of the order-th derivative, each
+        resolved by one inner rule.  g^(k) lives where f^(k-1) does (g'' =
+        (f' + f''/w)/x is 0 on the image of the plateau), so the pieces are
+        the exp-images of f's; the map is exponential, so an image can span
+        many octaves in x and is subdivided logarithmically."""
         out = []
-        b = self.breakpoints
-        for lo, hi in ((b[0], b[1]), (b[1], b[2]), (b[2], b[3])):
+        for a, b in self.f.pieces(max(order - 1, 0)):
+            lo, hi = np.exp(self.w * a), np.exp(self.w * b)
             n_sub = max(1, int(np.ceil(np.log(hi / lo) / 0.4)))
             edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_sub + 1))
             out.extend(zip(edges[:-1], edges[1:]))
@@ -221,7 +227,8 @@ class TransportedSmearing:
 # ----------------------------------------------------------------------
 
 def _corr_derivative(sm, oa, ob, xs, order_inner):
-    """int f^(oa)(u) f^(ob)(u - x) du on the exact piece overlaps."""
+    """int f^(oa)(u) f^(ob)(u - x) du, integrated only over the overlaps of
+    the pieces of f^(oa) and f^(ob), where both can be nonzero."""
     xs = np.atleast_1d(np.asarray(xs, float))
     out = np.zeros_like(xs)
     fa = sm.deriv(oa)

@@ -456,14 +456,16 @@ def run_experiment(cfg, out_dir):
 
 # Every suite, in the order parallel runs start them.  In a fresh
 # interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.6-0.7 s, entropy-scan and ej-fluct about 0.5 s each, crossing 0.11 s,
-# unruh 0.08 s, zf-algebra 0.05 s and thermal-map 0.001 s.  charge-scaling
-# still goes third, so it starts only once one of the first two has ended:
-# started beside entropy-scan, its import of scipy.special (about 20 MiB)
-# landed on the peak memory of entropy-scan's 2048-site symplectic
-# spectrum, and verify-all's peak RSS rose from 90-92 to 102 MiB.
-PARALLEL_ORDER = ("entropy-scan", "ej-fluct", "charge-scaling", "unruh",
-                  "crossing", "zf-algebra", "thermal-map")
+# 0.56-0.59 s, entropy-scan 0.46-0.55 s, ej-fluct 0.23-0.30 s, crossing
+# 0.08-0.11 s, unruh 0.06-0.08 s, zf-algebra 0.03-0.04 s and thermal-map
+# 0.001 s.  The other suites together take about as long as entropy-scan,
+# so they run beside it, and ej-fluct, which holds the least memory of the
+# three longer ones, runs beside the peak of entropy-scan's 2048-site
+# symplectic spectrum.  charge-scaling goes last: started while that peak
+# was live, its import of scipy.special (about 20 MiB) raised verify-all's
+# peak RSS from about 91 to 94-102 MiB.
+PARALLEL_ORDER = ("entropy-scan", "unruh", "crossing", "zf-algebra",
+                  "thermal-map", "ej-fluct", "charge-scaling")
 
 
 def verify_all(out_dir, parallel=1, only=None):

@@ -279,6 +279,67 @@ def test_corr_derivative_evaluates_bounded_blocks():
     assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
+def _log_image(g, segments):
+    # each segment of the lightray mapped by x = exp(w u), cut into pieces
+    # of at most 0.4 in ln x
+    out = []
+    for a, b in segments:
+        lo, hi = np.exp(g.w * a), np.exp(g.w * b)
+        n_sub = max(1, int(np.ceil(np.log(hi / lo) / 0.4)))
+        edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_sub + 1))
+        out.extend(zip(edges[:-1], edges[1:]))
+    return out
+
+
+@pytest.mark.parametrize("beta", [TWO_PI, 0.7])
+@pytest.mark.parametrize("geometry", SUITE_GEOMETRIES)
+def test_transported_pieces_are_the_images_of_the_smearings(geometry, beta):
+    # g^(k) lives where f^(k-1) does: g'' = (f' + f''/w)/x is exactly 0 on
+    # the image of the plateau, so no order-2 piece enters it
+    f = ce.SmearingFn(*geometry)
+    g = ce.TransportedSmearing(f, beta)
+    for k in (0, 1, 2):
+        assert g.pieces(k) == _log_image(g, f.pieces(max(k - 1, 0)))
+    lo, hi = np.exp(g.w * f.breakpoints[1]), np.exp(g.w * f.breakpoints[2])
+    assert all(b <= lo or a >= hi for a, b in g.pieces(2))
+    assert np.all(g.d2(np.geomspace(lo, hi, 101)) == 0.0)
+
+
+class _AllPieces(ce.TransportedSmearing):
+    # the whole support at every order, zeros of the derivative included
+    def pieces(self, order):
+        return super().pieces(0)
+
+
+@pytest.mark.parametrize("beta, n_pairs", [(TWO_PI, 36), (0.7, 1656)])
+def test_corr_derivative_walks_only_the_nonzero_piece_pairs(beta, n_pairs):
+    # geometry 1 cuts into 9 pieces at beta = 2 pi, 4 of which carry g''
+    # (69 and 24 at 0.7), so one C''' call walks 9 x 4 pairs, not 9 x 9
+    sizes = []
+
+    class Recording(ce.TransportedSmearing):
+        def pieces(self, order):
+            out = super().pieces(order)
+            sizes.append((order, len(out)))
+            return out
+
+    ce._corr_derivative(Recording(ce.SmearingFn(*SUITE_GEOMETRIES[1]), beta),
+                        1, 2, [0.1], 56)
+    assert sum(n for order, n in sizes if order == 2) == n_pairs
+
+
+@pytest.mark.parametrize("beta", [TWO_PI, 0.7])
+@pytest.mark.parametrize("geometry", SUITE_GEOMETRIES)
+def test_skipped_piece_pairs_add_exact_zeros(geometry, beta):
+    # dropping the plateau image from g'' leaves C''' unchanged bit for bit
+    f = ce.SmearingFn(*geometry)
+    g = ce.TransportedSmearing(f, beta)
+    xs, _ = gl_nodes(0.0, g.support[1] - g.support[0], 7)
+    got = ce._corr_derivative(g, 1, 2, xs, 56)
+    assert np.any(got != 0.0)
+    assert np.array_equal(got, ce._corr_derivative(_AllPieces(f, beta), 1, 2, xs, 56))
+
+
 @pytest.mark.parametrize("kernel, n_calls", [(ce.thermal_kernel(TWO_PI), 4),
                                              (ce.vacuum_kernel(), 2)])
 def test_energy_variance_one_correlation_pass_per_integral(monkeypatch, kernel,
