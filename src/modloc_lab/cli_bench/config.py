@@ -65,9 +65,9 @@ _SCHEMAS = {
     },
     "entropy-scan": {
         # a chain is held as two N-entry columns; its full spectrum is solved
-        # in two N/2 x N/2 sectors, 32 MiB each at MAX_SITES.
-        # n_sites = purity_sizes = 4096 runs in about 3.4 s at 173 MiB peak
-        # on a 2-core desk machine (2.5 s with OPENBLAS_NUM_THREADS=2)
+        # in four N/4 x N/4 blocks, 8 MiB each at MAX_SITES.
+        # n_sites = purity_sizes = 4096 runs in about 1.1 s at 73 MiB peak
+        # on a 2-core desk machine (0.8 s with OPENBLAS_NUM_THREADS=2)
         "n_sites": (_integer, 2000, (64, MAX_SITES)),
         "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
         "thermal_n_sites": (_integer, 1200, (64, MAX_SITES)),

@@ -456,14 +456,13 @@ def run_experiment(cfg, out_dir):
 
 # Every suite, in the order parallel runs start them.  In a fresh
 # interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.56-0.59 s, entropy-scan 0.46-0.55 s, ej-fluct 0.23-0.30 s, crossing
-# 0.08-0.11 s, unruh 0.06-0.08 s, zf-algebra 0.03-0.04 s and thermal-map
-# 0.001 s.  The other suites together take about as long as entropy-scan,
-# so they run beside it, and ej-fluct, which holds the least memory of the
-# three longer ones, runs beside the peak of entropy-scan's 2048-site
-# symplectic spectrum.  charge-scaling goes last: started while that peak
-# was live, its import of scipy.special (about 20 MiB) raised verify-all's
-# peak RSS from about 91 to 94-102 MiB.
+# 0.72-0.79 s, ej-fluct 0.24-0.33 s, entropy-scan 0.18-0.22 s, crossing
+# 0.10-0.13 s, unruh 0.08-0.11 s, zf-algebra 0.04-0.05 s and thermal-map
+# 0.002 s.  entropy-scan starts first, so its 2048-site symplectic
+# spectrum, the memory peak of the run, is solved beside the short suites.
+# charge-scaling goes last: started while that peak was live, its import
+# of scipy.special (about 20 MiB) raised verify-all's peak RSS from about
+# 91 to 94-102 MiB.
 PARALLEL_ORDER = ("entropy-scan", "unruh", "crossing", "zf-algebra",
                   "thermal-map", "ej-fluct", "charge-scaling")
 

@@ -15,7 +15,12 @@ both).  Both are symmetric Toeplitz, X_ij = x[|i-j|], so a state is held
 as the two first columns; restriction to an interval of L sites is the
 L-entry prefix wherever the interval starts.  The symplectic spectrum
 {nu_k} of the reduced covariance carries the whole modular (entanglement)
-data, and
+data.  It is solved in dense blocks formed from the columns: the
+reflection i -> L-1-i splits every block into two halves, and a whole
+chain of even N, whose blocks are also circulant, is first folded by its
+half-shift i -> i + N/2, so it is solved in four quarter-size blocks.
+
+The entropy
 
     S = sum_k (nu_k + 1/2) ln(nu_k + 1/2) - (nu_k - 1/2) ln(nu_k - 1/2)
 
@@ -177,6 +182,12 @@ def _sector(col, parity):
     return S
 
 
+def _is_circulant(col):
+    """True when the symmetric Toeplitz matrix of col is also circulant,
+    c_k = c_{n-k}: the whole chain, or an interval that happens to be one."""
+    return np.array_equal(col[1:], col[:0:-1])
+
+
 def symplectic_spectrum(state):
     """Symplectic eigenvalues of the state's covariance, sorted descending.
 
@@ -185,13 +196,26 @@ def symplectic_spectrum(state):
     the even and odd sectors; each half-size sector is formed from the
     columns and solved in turn.  One site has no odd sector.
 
+    A whole chain of even n >= 4 is folded first: its columns are circulant,
+    so the half-shift i -> i + n/2 commutes with X, P and the reflection,
+    and its even / odd sectors are the symmetric Toeplitz blocks of the
+    n/2-entry columns c_k +/- c_{n/2-k}.  Each is then split by reflection,
+    so the spectrum comes from four quarter-size blocks.
+
     Raises SpectralError (with the offending value) if any nu falls below
     1/2 - UNCERTAINTY_TOL, which would violate the uncertainty bound.
     """
-    parities = (1, -1) if state.n_modes > 1 else (1,)
+    n, x, p = state.n_modes, state.phi_col, state.pi_col
+    cols = [(x, p)]
+    if n >= 4 and n % 2 == 0 and _is_circulant(x) and _is_circulant(p):
+        # fold once only: folding the even half again, down to 1 x 1 blocks,
+        # is the closed-form plane-wave spectrum, which would make the
+        # purity check restate how the state was built
+        h = n // 2
+        cols = [(x[:h] + t * x[h:0:-1], p[:h] + t * p[h:0:-1]) for t in (1, -1)]
     nus = np.concatenate([
-        _sympl_eigs_block(_sector(state.phi_col, parity), _sector(state.pi_col, parity))
-        for parity in parities])
+        _sympl_eigs_block(_sector(x, parity), _sector(p, parity))
+        for x, p in cols for parity in ((1, -1) if x.shape[0] > 1 else (1,))])
     nus = np.sort(nus)[::-1]
     if nus[-1] < 0.5 - UNCERTAINTY_TOL:
         raise SpectralError(

@@ -288,7 +288,9 @@ def test_covariances_exactly_symmetric_and_centrosymmetric(n):
 @pytest.mark.parametrize("mass", [1.0, 0.5])
 @pytest.mark.parametrize("beta", [None, 2.0])
 def test_reflection_sectors_match_unsplit_spectrum(mass, beta):
-    for n in (63, 64):
+    # 66 = 2 mod 4: the half-shift fold of the whole chain leaves columns
+    # of odd length 33
+    for n in (63, 64, 66):
         lat = gc.HarmonicLattice(n, mass)
         st = (gc.build_vacuum_state(lat) if beta is None
               else gc.build_thermal_state(lat, beta))
@@ -310,7 +312,15 @@ def test_reflection_sector_sizes(monkeypatch):
         return solve(X, P)
 
     monkeypatch.setattr(gc, "_sympl_eigs_block", recording)
-    st = gc.build_vacuum_state(gc.HarmonicLattice(64, 0.5))
+    # a whole chain of even n >= 4 is folded by its half-shift into two
+    # n/2-site columns, and each is split by reflection; an odd chain and
+    # every interval that is not itself circulant keep the two halves
+    for n, expected in ((64, [16, 16, 16, 16]), (66, [17, 16, 17, 16]),
+                        (63, [32, 31]), (4, [1, 1, 1, 1])):
+        sizes.clear()
+        gc.symplectic_spectrum(gc.build_vacuum_state(gc.HarmonicLattice(n, 0.5)))
+        assert sizes == expected, n
+    st = gc.build_vacuum_state(gc.HarmonicLattice(128, 0.5))
     for length, expected in ((64, [32, 32]), (7, [4, 3]), (4, [2, 2]),
                              (1, [1])):          # one site: no odd sector
         sizes.clear()
@@ -360,15 +370,10 @@ def test_state_build_allocates_no_dense_block():
         tracemalloc.stop()
 
 
-def test_symplectic_spectrum_holds_three_sector_blocks(monkeypatch):
-    # the solve drops X, P and L as each is consumed: at most three
-    # (n/2) x (n/2) blocks are alive at once, where keeping them held five,
-    # and only L^T P L is left when eigvalsh starts on it
-    n = 512
-    block = (n // 2) ** 2 * 8
-    lat = gc.HarmonicLattice(2 * n, 0.0, ir_regulator=1e-3 / (2 * n))
-    red = gc.reduce_state(gc.build_vacuum_state(lat), n)
-    gc.symplectic_spectrum(red)          # warm LAPACK
+def _traced_spectrum(state, monkeypatch):
+    """(peak, held): the traced peak of one symplectic_spectrum(state), and
+    the bytes alive as each eigvalsh starts."""
+    gc.symplectic_spectrum(state)        # warm LAPACK
     held, eigvalsh = [], np.linalg.eigvalsh
 
     def traced_eigvalsh(a, **kw):
@@ -378,12 +383,35 @@ def test_symplectic_spectrum_holds_three_sector_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
     tracemalloc.start()
     try:
-        gc.symplectic_spectrum(red)
-        peak = tracemalloc.get_traced_memory()[1]
+        gc.symplectic_spectrum(state)
+        return tracemalloc.get_traced_memory()[1], held
     finally:
         tracemalloc.stop()
+
+
+def test_symplectic_spectrum_holds_three_sector_blocks(monkeypatch):
+    # the solve drops X, P and L as each is consumed: at most three
+    # (n/2) x (n/2) blocks are alive at once, where keeping them held five,
+    # and only L^T P L is left when eigvalsh starts on it
+    n = 512
+    block = (n // 2) ** 2 * 8
+    lat = gc.HarmonicLattice(2 * n, 0.0, ir_regulator=1e-3 / (2 * n))
+    red = gc.reduce_state(gc.build_vacuum_state(lat), n)
+    peak, held = _traced_spectrum(red, monkeypatch)
     assert peak < 3.5 * block
     assert len(held) == 2 and max(held) < 1.5 * block
+
+
+def test_whole_chain_spectrum_holds_three_quarter_blocks(monkeypatch):
+    # the half-shift fold solves a whole chain in four (n/4) x (n/4) blocks,
+    # one at a time: the peak stays under three and a half of them, where
+    # the unfolded solve held three (n/2) x (n/2) sectors
+    n = 2048
+    quarter = (n // 4) ** 2 * 8
+    st = gc.build_vacuum_state(gc.HarmonicLattice(n, 1.0))
+    peak, held = _traced_spectrum(st, monkeypatch)
+    assert peak < 3.5 * quarter
+    assert len(held) == 4 and max(held) < 1.5 * quarter
 
 
 def test_thermal_interval_entropy_against_mpmath():
