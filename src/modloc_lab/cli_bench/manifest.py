@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,16 +33,6 @@ class Record:
     comparator: str                # "<", ">", "recorded", "none"
     verdict: str
     note: str = ""
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "comparator": self.comparator,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
 
 
 def check_less(name, measured, tolerance, note=""):
@@ -103,7 +93,7 @@ class RunManifest:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "config": self.config,
             "environment": environment(),
-            "records": [r.as_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
             "files": self.files,
             "passed": self.passed,
         }

@@ -1,7 +1,10 @@
 """Crossing from wedge localization, and the Zamolodchikov-Faddeev algebra.
 
-One-particle states of a d=1+1 scalar of mass m are parametrized by
-rapidity, p(theta) = m (cosh theta, sinh theta).  For a test function f
+One-particle states of a d=1+1 free scalar are parametrized by rapidity,
+p(theta) = (cosh theta, sinh theta): the mass is 1, so lengths are in
+Compton wavelengths 1/m.  For a free field the mass only sets that unit
+(the wedge's modular group is the boost at every mass), so a mass m on
+boxes B is the same check as mass 1 on boxes m B.  For a test function f
 supported in the right wedge x > |t| the mass-shell restriction
 
     fhat(theta) = int f(x) exp(-i p(theta).x) d^2x
@@ -20,7 +23,6 @@ inserts a packet with one S factor per transposition needed to reach its
 ordered slot, annihilation contracts with the matching S-dressed terms.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +43,6 @@ def _bump(s):
     return out
 
 
-def _in_float_range(transform):
-    """Deep in the strip at large mass the t factor of a separable box sum
-    leaves the float range before the x factor damps it: the wrapped
-    transform raises NumericError there instead of returning inf or nan."""
-    @functools.wraps(transform)
-    def guarded(self, *momenta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = transform(self, *momenta)
-            if np.isfinite(np.abs(out)).all():
-                return out
-        raise NumericError(f"strip transform of the mass-{self.mass:g} "
-                           f"smearing overflows the float range")
-    return guarded
-
-
 @dataclass(frozen=True)
 class WedgeTestFn:
     """C-infinity product bump supported in a box inside one wedge."""
@@ -64,14 +51,11 @@ class WedgeTestFn:
     center_x: float
     half_width_t: float
     half_width_x: float
-    mass: float
     amplitude: float = 1.0
 
     def __post_init__(self):
         if self.half_width_t <= 0 or self.half_width_x <= 0:
             raise ConfigurationError("half widths must be positive")
-        if self.mass <= 0:
-            raise ConfigurationError("mass must be positive")
         if self.wedge is None:
             raise DomainError(
                 "support box must lie strictly inside the right or left wedge"
@@ -97,7 +81,6 @@ class WedgeTestFn:
         fx = _bump((xn - self.center_x) / self.half_width_x)
         return tn, tw * ft, xn, xw * fx
 
-    @_in_float_range
     def fourier(self, p0, p1):
         """int f(t,x) exp(i (p0 t - p1 x)) dt dx, complex momenta allowed;
         separable, so two 1-d sums."""
@@ -108,7 +91,6 @@ class WedgeTestFn:
         Ix = np.exp(-1j * np.multiply.outer(p1, xn)) @ wx
         return It * Ix
 
-    @_in_float_range
     def fourier_outer(self, pa, pb):
         """fourier(p0a_i + p0b_j, p1a_i + p1b_j) on the len(pa) x len(pb)
         grid, pa = (p0a, p1a) and pb = (p0b, p1b) 1-d momentum components.
@@ -124,17 +106,17 @@ class WedgeTestFn:
 
     def mass_shell(self, theta):
         """fhat(theta) = int f(x) exp(-i p(theta).x) d^2x on complex
-        rapidities.  |exp| = exp(-m sin(Im theta) (x cosh - t sinh)), so for
+        rapidities.  |exp| = exp(-sin(Im theta) (x cosh - t sinh)), so for
         right-wedge support (x > |t|) the strip 0 <= Im theta <= pi damps."""
         theta = np.asarray(theta, complex)
-        p0, p1 = _on_shell(self, theta.ravel(), -1.0)
+        p0, p1 = _on_shell(theta.ravel(), -1.0)
         return self.fourier(p0, p1).reshape(theta.shape)
 
     def creation_wave(self, theta):
         """Wave function of phi(f)|0> in rapidity: int f exp(+i p(theta).x);
         equals mass_shell(theta + i pi) by p(theta + i pi) = -p(theta)."""
         theta = np.asarray(theta, complex)
-        p0, p1 = _on_shell(self, theta.ravel(), 1.0)
+        p0, p1 = _on_shell(theta.ravel(), 1.0)
         return self.fourier(p0, p1).reshape(theta.shape)
 
 
@@ -210,24 +192,24 @@ def mass_shell_restrict(f):
 # free crossing and the two-point KMS identity
 # ----------------------------------------------------------------------
 
-def _on_shell(g, theta, sign):
+def _on_shell(theta, sign):
     """The momentum components sign * p(theta) of 1-d rapidities."""
     t = np.asarray(theta, complex)
-    return sign * g.mass * np.cosh(t), sign * g.mass * np.sinh(t)
+    return sign * np.cosh(t), sign * np.sinh(t)
 
 
 def pair_formfactor(g, theta1, theta2):
     """<0| :phi^2:(g) |theta1, theta2> = 2 c0^2 g~(-p1 - p2) on the
     len(theta1) x len(theta2) grid of 1-d rapidities."""
-    return 2.0 * C0_SQ * g.fourier_outer(_on_shell(g, theta1, -1.0),
-                                         _on_shell(g, theta2, -1.0))
+    return 2.0 * C0_SQ * g.fourier_outer(_on_shell(theta1, -1.0),
+                                         _on_shell(theta2, -1.0))
 
 
 def crossed_formfactor(g, theta1, theta2):
     """<theta1| :phi^2:(g) |theta2> = 2 c0^2 g~(p1 - p2) on the
     len(theta1) x len(theta2) grid of 1-d rapidities."""
-    return 2.0 * C0_SQ * g.fourier_outer(_on_shell(g, theta1, 1.0),
-                                         _on_shell(g, theta2, -1.0))
+    return 2.0 * C0_SQ * g.fourier_outer(_on_shell(theta1, 1.0),
+                                         _on_shell(theta2, -1.0))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,18 @@ def test_entropy_scan_poor_localization_fit_fails_its_record(tmp_path, capsys):
     assert verdicts["entropy-scan/thermal-fit-r2"] == "pass"
 
 
+def test_thermal_limit_fails_on_a_gibbs_state_at_half_beta(tmp_path, monkeypatch):
+    # the record falls like exp(-beta m) on the 64-site chain, so a Gibbs
+    # state at half the suite's beta must flip it
+    build = gc.build_thermal_state
+    monkeypatch.setattr(gc, "build_thermal_state",
+                        lambda lattice, beta: build(lattice, beta / 2.0))
+    man = run_experiment(cbc.load_config("entropy-scan"), tmp_path)
+    limit, = (r for r in man.records if r.name == "entropy-scan/thermal-limit")
+    assert limit.verdict == "fail"
+    assert 1e-6 < limit.measured < 1e-5
+
+
 def test_lattice_size_cap_rejected_before_any_build(tmp_path, monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("a chain was built at a rejected size")
@@ -256,9 +268,9 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         if text is not None:
             path.write_text(text)
         assert main([suite, "--config", str(path), "--out", out]) == 2, text
-    # a mass whose strip transform would leave the float range is rejected
-    # before the suite runs
-    for mass in (100, 1000):
+    # the crossing engine works at mass 1 (lengths in Compton wavelengths):
+    # any other mass is rejected before the suite runs
+    for mass in (0.5, 2, 100, 1000):
         path.write_text(f"[crossing]\nmass = {mass}\n")
         capsys.readouterr()
         assert main(["crossing", "--config", str(path), "--out", out]) == 2

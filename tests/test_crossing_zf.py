@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,8 @@ from modloc_lab import crossing_zf as cz
 from modloc_lab.errors import ConfigurationError, DomainError, NumericError
 
 
-def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, m=1.0, amp=1.0):
-    return cz.WedgeTestFn(ct, cx, wt, wx, mass=m, amplitude=amp)
+def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, amp=1.0):
+    return cz.WedgeTestFn(ct, cx, wt, wx, amplitude=amp)
 
 
 # the crossing suite's default 20 x 20 rapidity grid
@@ -32,9 +30,9 @@ def inner(state_a, state_b):
 
 def test_wedge_classification():
     assert right_fn().wedge == "right"
-    assert cz.WedgeTestFn(0.2, -2.0, 0.6, 0.8, mass=1.0).wedge == "left"
+    assert cz.WedgeTestFn(0.2, -2.0, 0.6, 0.8).wedge == "left"
     with pytest.raises(DomainError):
-        cz.WedgeTestFn(0.0, 0.5, 0.6, 0.8, mass=1.0)   # straddles the edge
+        cz.WedgeTestFn(0.0, 0.5, 0.6, 0.8)   # straddles the edge
 
 
 def test_strip_analyticity_and_involution():
@@ -45,27 +43,29 @@ def test_strip_analyticity_and_involution():
 
 def test_left_wedge_fails_convergence():
     with pytest.raises(NumericError):
-        cz.mass_shell_restrict(cz.WedgeTestFn(0.2, -2.0, 0.6, 0.8, mass=1.0))
+        cz.mass_shell_restrict(cz.WedgeTestFn(0.2, -2.0, 0.6, 0.8))
 
 
-def test_strip_transform_overflow_is_a_numeric_error():
-    # from mass ~53.6 the t factor of the box sum leaves the float range deep
-    # in the strip: at 100 the per-point transform of the strip grid, at
-    # 1000 already the pair grid of the crossing check.  Each raises with a
-    # message, and no numpy warning escapes.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="mass-100 smearing overflows"):
-            cz.mass_shell_restrict(right_fn(m=100.0))
-        with pytest.raises(NumericError, match="mass-1000 smearing overflows"):
-            cz.free_crossing_check(cz.WedgeTestFn(0.0, 2.5, 0.7, 0.9, mass=1000.0),
-                                   T1, T2)
+def test_mass_only_sets_the_unit_of_length():
+    # the engine works at mass 1: a free field of mass m smeared on boxes
+    # B / m is the unit-mass field on boxes B, m^2 fhat_{B/m}(m p) = fhat_B(p)
+    th = np.linspace(-2.5, 2.5, 21)
+    for ct, cx, wt, wx in ((0.0, 2.5, 0.7, 0.9), (0.2, 2.0, 0.6, 0.8),
+                           (0.0, 0.45, 0.15, 0.2)):
+        f = cz.WedgeTestFn(ct, cx, wt, wx)
+        for sign in (1.0, -1.0):
+            p0, p1 = cz._on_shell(th, sign)
+            ref = f.fourier(p0, p1)
+            for m in (0.5, 2.0, 10.0):
+                g = cz.WedgeTestFn(ct / m, cx / m, wt / m, wx / m)
+                got = m ** 2 * g.fourier(m * p0, m * p1)
+                assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_translation_along_edge_is_a_phase():
     f = right_fn()
     g = cz.WedgeTestFn(f.center_t + 0.4, f.center_x + 0.4, f.half_width_t,
-                       f.half_width_x, mass=f.mass)
+                       f.half_width_x)
     th = np.linspace(-1.2, 1.2, 9)
     a = f.mass_shell(th)
     b = g.mass_shell(th)
@@ -97,8 +97,8 @@ def test_formfactor_hermiticity():
     g = right_fn(0.0, 2.5, 0.7, 0.9)
     ket = cz.pair_formfactor(g, T1, T2)
     A1, A2 = np.meshgrid(T1, T2, indexing="ij")
-    p0 = g.mass * (np.cosh(A1) + np.cosh(A2))
-    p1 = g.mass * (np.sinh(A1) + np.sinh(A2))
+    p0 = np.cosh(A1) + np.cosh(A2)
+    p1 = np.sinh(A1) + np.sinh(A2)
     bra = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(A1.shape)
     assert ket.shape == (20, 20)
     assert np.max(np.abs(bra - np.conj(ket))) / np.max(np.abs(ket)) < 1e-12
@@ -107,15 +107,15 @@ def test_formfactor_hermiticity():
 def test_formfactor_grids_match_pointwise_quadrature():
     # both GEMM grids against per-point g~ on a 7 x 11 grid: with n1 != n2 a
     # transposed axis cannot hide
-    g = right_fn(0.3, 3.0, 0.5, 0.8, m=1.3)
+    g = right_fn(0.3, 3.0, 0.5, 0.8)
     t1 = np.linspace(-1.5, 1.5, 7)
     t2 = np.linspace(-1.2, 1.8, 11)
     T1, T2 = np.meshgrid(t1 + 1j * np.pi, t2.astype(complex), indexing="ij")
     for got, sign, a in (
             (cz.pair_formfactor(g, t1 + 1j * np.pi, t2), -1.0, T1),
             (cz.crossed_formfactor(g, t1, t2), 1.0, T1.real)):
-        p0 = g.mass * (sign * np.cosh(a) - np.cosh(T2))
-        p1 = g.mass * (sign * np.sinh(a) - np.sinh(T2))
+        p0 = sign * np.cosh(a) - np.cosh(T2)
+        p1 = sign * np.sinh(a) - np.sinh(T2)
         ref = 2.0 * cz.C0_SQ * g.fourier(p0.ravel(), p1.ravel()).reshape(a.shape)
         assert got.shape == (7, 11)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
@@ -123,7 +123,7 @@ def test_formfactor_grids_match_pointwise_quadrature():
 
 def test_free_crossing_needs_right_wedge():
     with pytest.raises(DomainError):
-        cz.free_crossing_check(cz.WedgeTestFn(0.0, -2.5, 0.7, 0.9, mass=1.0),
+        cz.free_crossing_check(cz.WedgeTestFn(0.0, -2.5, 0.7, 0.9),
                                T1, T2)
 
 
@@ -146,8 +146,8 @@ def test_kms_identity_runs_through_the_crossed_formfactor(monkeypatch):
     # a crossed element that forgets to flip the outgoing momentum is no
     # longer the contour-shifted pair formfactor; the identity must see it
     def wrong_sign(g, theta1, theta2):
-        return 2.0 * cz.C0_SQ * g.fourier_outer(cz._on_shell(g, theta1, -1.0),
-                                                cz._on_shell(g, theta2, -1.0))
+        return 2.0 * cz.C0_SQ * g.fourier_outer(cz._on_shell(theta1, -1.0),
+                                                cz._on_shell(theta2, -1.0))
 
     g = right_fn(0.0, 2.5, 0.7, 0.9)
     f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
@@ -167,12 +167,12 @@ def test_kms_identity_ordering_precondition():
 def test_kms_spacelike_decay_is_correlated():
     g = right_fn(0.0, 2.6, 0.5, 0.6)
     f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
-    f2 = cz.WedgeTestFn(0.0, 0.45, 0.1, 0.15, mass=1.0)
+    f2 = cz.WedgeTestFn(0.0, 0.45, 0.1, 0.15)
     mags = []
     for shift in (0.0, 0.6, 1.2):
         # move f1 lightlike away from g: both sides must decay together
         f1s = cz.WedgeTestFn(f1.center_t + shift, f1.center_x + shift,
-                             f1.half_width_t, f1.half_width_x, mass=1.0)
+                             f1.half_width_t, f1.half_width_x)
         rep = cz.kms_free_identity(g, f1s, f2)
         mags.append(abs(rep.lhs))
         assert rep.rel_diff < 1e-5

@@ -21,6 +21,8 @@ SIGNATURES = {
     "wedge_kms.detailed_balance": ("corr", "beta"),
     "wedge_kms.spectral_function": ("corr", "omegas"),
     "wedge_kms.boost_orbit_consistency": ("acceleration",),
+    "crossing_zf.WedgeTestFn": ("center_t", "center_x", "half_width_t",
+                                "half_width_x", "amplitude"),
     "crossing_zf.free_crossing_check": ("g", "thetas1", "thetas2"),
     "crossing_zf.mass_shell_restrict": ("f",),
     "crossing_zf.kms_free_identity": ("g", "f1", "f2"),
