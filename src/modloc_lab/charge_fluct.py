@@ -14,26 +14,23 @@ F = S_{D-1} (2 pi)^{-2D} int dk k^{D-1} |f~(k)|^2 I_D(k) with I_D the pair
 phase-space integral: in rapidity for D = 1, and for D = 2, 3 in elliptic
 coordinates about the foci 0 and k over the ellipse outside which g~ is
 negligible.  The k integral oscillates on the scale pi/R up to
-kmax ~ 40/dR.  For D = 1, 3 it is handled by small-k panels plus a Filon
-rule, whose cost does not grow with R/dR; for D = 2 by half-period panels,
-whose number grows like (R + dR)/dR (about 1 600 at the n = 3 scan's
-R = 31, dR = 0.5).
+kmax ~ 40/dR.  In every D it is handled by small-k panels plus a Filon
+rule on the envelope A, B of f~ = A sin kR + B cos kR, whose cost does not
+grow with R/dR.  The D = 2 transform takes J0 and J1 from a numpy routine
+below; its envelope comes from their Hankel expansions.
 
 An independent lattice mode-sum oracle (D = 1, periodic chain) checks the
 continuum quadrature at the few-percent level.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from .errors import ConfigurationError, FitError, NumericError
 from .profiles import raised_cosine, smooth_bump
 from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums
-
-# scipy.special is imported inside the D = 2 branch that calls it, the
-# only scipy call of the package: loading it takes about 0.2-0.3 s, which a
-# CLI run of any other suite would otherwise pay.
 
 _ECUT_SIGMAS = 5.7     # |g~|^2 = exp(-(E T)^2) < 1e-14 beyond E = 5.7/T
 _KFAC = 40.0           # ramp cutoff k <= KFAC / dR
@@ -168,6 +165,76 @@ class _PairKernel:
 
 
 # ----------------------------------------------------------------------
+# Bessel functions J0, J1 of the D = 2 transform
+# ----------------------------------------------------------------------
+
+_MILLER_START = 80     # backward recurrence start for 2 <= x < 30
+_HANKEL_FROM = 30.0    # Hankel's expansion from here on,
+_HANKEL_PAIRS = 10     # with this many terms each in P and Q
+# power series of J_nu(x) (x/2)^-nu in y = x^2/4, 16 terms: rounding for x < 2
+_SERIES = {nu: [(-1) ** m / (factorial(m) * factorial(m + nu)) for m in range(16)]
+           for nu in (0, 1)}
+
+
+def _hankel_coefficients(nu):
+    """Coefficients of P_nu in 1/x^2 and of Q_nu x in 1/x^2 (A&S 9.2.9-10):
+    a_k = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (k! 8^k), with signs."""
+    a = [1.0]
+    for k in range(1, 2 * _HANKEL_PAIRS):
+        a.append(a[-1] * (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    return ([(-1) ** j * a[2 * j] for j in range(_HANKEL_PAIRS)],
+            [(-1) ** j * a[2 * j + 1] for j in range(_HANKEL_PAIRS)])
+
+
+_HANKEL = {nu: _hankel_coefficients(nu) for nu in (0, 1)}
+
+
+def _horner(coefs, y):
+    out = np.full_like(y, coefs[-1])
+    for c in coefs[-2::-1]:
+        out = out * y + c
+    return out
+
+
+def _hankel_pq(nu, x):
+    """P_nu(x), Q_nu(x) of J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi),
+    chi = x - (nu/2 + 1/4) pi (A&S 9.2.5); smooth in x, and exact to
+    rounding for x >= 30."""
+    p, q = _HANKEL[nu]
+    z = 1.0 / (x * x)
+    return _horner(p, z), _horner(q, z) / x
+
+
+def _bessel_j(nu, x):
+    """J_nu(x) for nu = 0, 1 and x >= 0, to about 1e-15 absolute: a power
+    series below 2, Miller's backward recurrence from n = 80 (normalized by
+    J0 + 2 sum J_2k = 1) below 30, Hankel's expansion above.  Each branch
+    sees only its own x, so none divides by 0 or overflows."""
+    x = np.asarray(x, float)
+    out = np.empty_like(x)
+    lo, hi = x < 2.0, x >= _HANKEL_FROM
+    mid = ~(lo | hi)
+    xs = x[lo]
+    out[lo] = (0.5 * xs) ** nu * _horner(_SERIES[nu], 0.25 * xs * xs)
+    xs = x[mid]
+    j_up, j = np.zeros_like(xs), np.ones_like(xs)      # J_{n+1}, J_n
+    even = np.zeros_like(xs)
+    for n in range(_MILLER_START, 0, -1):
+        j_up, j = j, 2.0 * n / xs * j - j_up
+        if n % 2:
+            even += j
+    out[mid] = (j_up if nu else j) / (2.0 * even - j)
+    xs = x[hi]
+    P, Q = _hankel_pq(nu, xs)
+    c, s = np.cos(xs), np.sin(xs)
+    cos_chi, sin_chi = c + s, s - c            # sqrt(2) (cos, sin)(x - pi/4)
+    if nu:
+        cos_chi, sin_chi = sin_chi, -cos_chi   # chi moved by -pi/2
+    out[hi] = np.sqrt(1.0 / (np.pi * xs)) * (P * cos_chi - Q * sin_chi)
+    return out
+
+
+# ----------------------------------------------------------------------
 # radial Fourier transforms of the plateau profile
 # ----------------------------------------------------------------------
 
@@ -209,6 +276,30 @@ def _envelope_3d(spec, ks):
     return A, B
 
 
+def _envelope_2d(spec, ks):
+    """f~(k) = A sin(kR) + B cos(kR) for the 2-d radial transform, kR >= 30.
+    Hankel's expansion of J1(kR) in the disc term 2 pi R J1(kR) / k, and of
+    J0(k (R + s)) in the ramp term 2 pi sum_s w_s rho_s (R + s) J0(k (R + s)),
+    split by angle addition on kR into P, Q and the phases of k s, none of
+    which oscillates on the scale 1/R."""
+    R = spec.radius
+    k = np.asarray(ks, float)
+    P, Q = _hankel_pq(1, k * R)
+    disc = 2.0 * np.pi * R * np.sqrt(1.0 / (np.pi * k * R)) / k
+    A, B = disc * (P + Q), disc * (Q - P)
+    sn, base = _ramp_rule(spec, np.max(k))
+    xr = np.outer(k, R + sn)
+    P, Q = _hankel_pq(0, xr)
+    amp = np.sqrt(1.0 / (np.pi * xr))
+    U, V = amp * (P + Q), amp * (P - Q)
+    ph = np.outer(k, sn)
+    c, s = np.cos(ph), np.sin(ph)
+    w = 2.0 * np.pi * base * (R + sn)
+    A = A + (V * c - U * s) @ w
+    B = B + (U * c + V * s) @ w
+    return spec.amplitude * A, spec.amplitude * B
+
+
 def ftilde_radial(spec, D, ks):
     """Radial Fourier transform of the plateau profile in D spatial dims."""
     ks = np.atleast_1d(np.asarray(ks, float))
@@ -221,13 +312,10 @@ def ftilde_radial(spec, D, ks):
         A, B = _envelope_3d(spec, kk)
         return A * np.sin(kk * R) + B * np.cos(kk * R)
     # D == 2: disc part closed form, ramp by quadrature of J0
-    from scipy.special import j0, j1
-
-    out = 2.0 * np.pi * R * j1(kk * R) / kk
+    out = 2.0 * np.pi * R * _bessel_j(1, kk * R) / kk
     sn, base = _ramp_rule(spec, np.max(kk))
     rn = R + sn
-    kr = np.outer(kk, rn)
-    out = out + 2.0 * np.pi * (j0(kr, out=kr) @ (base * rn))
+    out = out + 2.0 * np.pi * (_bessel_j(0, np.outer(kk, rn)) @ (base * rn))
     return spec.amplitude * out
 
 
@@ -255,8 +343,9 @@ def _kmax(spec):
 
 
 def _variance_filon(spec, D, pair, ang_over_tp):
-    """D in {1, 3}: small-k direct panels + Filon envelope split beyond.
-    The panel sums are added in panel order."""
+    """Small-k direct panels up to kR = 30, and beyond, Gauss-Legendre
+    panels for the slow part (A^2 + B^2)/2 of f~^2 and a Filon rule for its
+    parts in cos 2kR and sin 2kR.  The panel sums are added in panel order."""
     R = spec.radius
     kmax = _kmax(spec)
     k_split = min(30.0 / R, kmax)
@@ -266,7 +355,7 @@ def _variance_filon(spec, D, pair, ang_over_tp):
 
     total = sum(panel_sums(np.linspace(0.0, k_split, 61), 12, direct), 0.0)
     if k_split < kmax:
-        env = _envelope_1d if D == 1 else _envelope_3d
+        env = {1: _envelope_1d, 2: _envelope_2d, 3: _envelope_3d}[D]
 
         def s_slow(k):
             A, B = env(spec, k)
@@ -286,26 +375,6 @@ def _variance_filon(spec, D, pair, ang_over_tp):
     return ang_over_tp * total
 
 
-def _variance_panels(spec, D, pair, ang_over_tp):
-    """D = 2: half-oscillation panels across the whole k range."""
-    kmax = _kmax(spec)
-    half_period = np.pi / (spec.radius + spec.ramp_width) / 2.0
-    n_panels = int(np.ceil(kmax / half_period))
-    edges = np.linspace(0.0, kmax, n_panels + 1)
-    xg, wg = gl_nodes(0.0, 1.0, 8)
-    mid = edges[:-1]
-    h = edges[1] - edges[0]
-    kn = (mid[:, None] + h * xg[None, :]).ravel()
-    kw = np.broadcast_to(h * wg, (n_panels, 8)).ravel()
-    total = 0.0
-    chunk = 20000
-    for i in range(0, kn.size, chunk):
-        ks = kn[i:i + chunk]
-        ft = ftilde_radial(spec, D, ks)
-        total += float(np.sum(kw[i:i + chunk] * ks ** (D - 1) * ft**2 * pair(ks)))
-    return ang_over_tp * total
-
-
 def charge_variance(model, spec):
     """F = |Q(f_{R,dR}, g_T) Omega|^2 >= 0 for the free complex scalar."""
     pair = _PairKernel(model.spacetime_dim - 1, model.mass, spec.time_width,
@@ -318,10 +387,7 @@ def _variance(model, spec, pair):
     D = model.spacetime_dim - 1
     ang = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[D]
     ang_over_tp = ang / (2.0 * np.pi) ** (2 * D)
-    if D == 2:
-        val = _variance_panels(spec, D, pair, ang_over_tp)
-    else:
-        val = _variance_filon(spec, D, pair, ang_over_tp)
+    val = _variance_filon(spec, D, pair, ang_over_tp)
     if not np.isfinite(val):
         raise NumericError(f"variance is not finite ({val})")
     if val < -1e-10:

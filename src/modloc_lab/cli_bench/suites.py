@@ -457,15 +457,16 @@ def run_experiment(cfg, out_dir):
 
 # Every suite, in the order parallel runs start them.  In a fresh
 # interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.72-0.79 s, ej-fluct 0.24-0.33 s, entropy-scan 0.18-0.22 s, crossing
-# 0.10-0.13 s, unruh 0.08-0.11 s, zf-algebra 0.04-0.05 s and thermal-map
-# 0.002 s.  entropy-scan starts first, so its 2048-site symplectic
-# spectrum, the memory peak of the run, is solved beside the short suites.
-# charge-scaling goes last: started while that peak was live, its import
-# of scipy.special (about 20 MiB) raised verify-all's peak RSS from about
-# 91 to 94-102 MiB.
-PARALLEL_ORDER = ("entropy-scan", "unruh", "crossing", "zf-algebra",
-                  "thermal-map", "ej-fluct", "charge-scaling")
+# 0.47-0.52 s, ej-fluct 0.25-0.32 s, entropy-scan 0.18-0.20 s, crossing
+# 0.09-0.11 s, unruh 0.07-0.11 s, zf-algebra 0.04-0.05 s and thermal-map
+# 0.002-0.008 s.  charge-scaling, the longest, starts first and the others
+# run beside it; entropy-scan, whose 2048-site symplectic spectrum is the
+# memory peak of the run, starts next.  Over ten alternating perfbench
+# verify-all pairs this order read a median wall of 1.00 s and peak RSS of
+# 63.3 MiB, against 1.06 s and 63.9 MiB with charge-scaling last (faster
+# in 8 pairs).  Starting ej-fluct second raised the peak to 69.3-69.5 MiB.
+PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
+                  "zf-algebra", "thermal-map", "ej-fluct")
 
 
 def verify_all(out_dir, parallel=1, only=None):
