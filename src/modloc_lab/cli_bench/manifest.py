@@ -19,10 +19,13 @@ FAIL = "fail"
 UNVERIFIED = "unverified-by-design"
 
 
+_FLOAT_FORMAT = "%.16e"
+
+
 def format_float(x):
     """17 significant digits, '.' decimal separator (round-to-nearest-even
     is the IEEE default); bit-exact across platforms."""
-    return f"{float(x):.16e}"
+    return _FLOAT_FORMAT % float(x)
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,14 @@ class RunManifest:
 
 
 def write_csv(out_dir, experiment, table_name, header, rows):
-    """LF line endings, 17 significant digit floats; returns (path, digest)."""
+    """LF line endings, every cell a number written by format_float's
+    format, one format string per row; returns (path, digest)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{experiment}_{table_name}.csv"
+    row_format = ",".join([_FLOAT_FORMAT] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, (int, float)) else str(v)
-            for v in row
-        ))
+    lines += [row_format % tuple(row) for row in rows]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

@@ -23,11 +23,13 @@ TWO_PI = 2.0 * np.pi
 
 def suite_thermal_map(cfg, man, out):
     rows = []
+    n = cfg["grid_n"]
+    us = np.linspace(0.02, 0.98, int(np.sqrt(n)) + 1)
+    U, V = np.meshgrid(us, us, indexing="ij")
+    off = np.abs(U - V) > 1e-4
+    grid = np.column_stack((U[off], V[off]))[:n]     # row-major (u, v) pairs
     for beta in cfg["betas"]:
         imap = ce.exp_map(beta, 0.0, 1.0)
-        n = cfg["grid_n"]
-        us = np.linspace(0.02, 0.98, int(np.sqrt(n)) + 1)
-        grid = [(u, v) for u in us for v in us if abs(u - v) > 1e-4][:n]
         defect = ce.verify_isomorphism(imap, grid)
         rows.append((beta, defect))
         man.extend([check_less(

@@ -100,9 +100,9 @@ class WedgeTestFn:
         (p0a, p1a), (p0b, p1b) = pa, pb
         It = ((np.exp(1j * np.multiply.outer(p0a, tn)) * wt)
               @ np.exp(1j * np.multiply.outer(tn, p0b)))
-        Ix = ((np.exp(-1j * np.multiply.outer(p1a, xn)) * wx)
-              @ np.exp(-1j * np.multiply.outer(xn, p1b)))
-        return It * Ix
+        It *= ((np.exp(-1j * np.multiply.outer(p1a, xn)) * wx)
+               @ np.exp(-1j * np.multiply.outer(xn, p1b)))
+        return It
 
     def mass_shell(self, theta):
         """fhat(theta) = int f(x) exp(-i p(theta).x) d^2x on complex
@@ -201,15 +201,17 @@ def _on_shell(theta, sign):
 def pair_formfactor(g, theta1, theta2):
     """<0| :phi^2:(g) |theta1, theta2> = 2 c0^2 g~(-p1 - p2) on the
     len(theta1) x len(theta2) grid of 1-d rapidities."""
-    return 2.0 * C0_SQ * g.fourier_outer(_on_shell(theta1, -1.0),
-                                         _on_shell(theta2, -1.0))
+    out = g.fourier_outer(_on_shell(theta1, -1.0), _on_shell(theta2, -1.0))
+    out *= 2.0 * C0_SQ
+    return out
 
 
 def crossed_formfactor(g, theta1, theta2):
     """<theta1| :phi^2:(g) |theta2> = 2 c0^2 g~(p1 - p2) on the
     len(theta1) x len(theta2) grid of 1-d rapidities."""
-    return 2.0 * C0_SQ * g.fourier_outer(_on_shell(theta1, 1.0),
-                                         _on_shell(theta2, -1.0))
+    out = g.fourier_outer(_on_shell(theta1, 1.0), _on_shell(theta2, -1.0))
+    out *= 2.0 * C0_SQ
+    return out
 
 
 @dataclass(frozen=True)
@@ -345,20 +347,33 @@ class ZFState:
     """Particle-number-truncated vector on a rapidity grid.  Component k is
     an S-symmetric function of k rapidities: exchanging adjacent arguments
     costs one factor S, which is exactly the ordering rule 'commute the
-    inserted rapidity through the cluster, one S per transposition'."""
+    inserted rapidity through the cluster, one S per transposition'.
+
+    Components above ``occupied``, the highest particle number that may be
+    nonzero, are read-only zero views (_vacant) that hold no memory."""
 
     theta_grid: np.ndarray
     weights: np.ndarray
     components: tuple
     k_max: int
+    occupied: int
     leaked_norm: float = 0.0
+
+
+_ZERO = np.zeros((), complex)
+_ZERO.flags.writeable = False
+
+
+def _vacant(n_grid, k):
+    """The zero k-particle component: a stride-0 view of one scalar."""
+    return np.broadcast_to(_ZERO, (n_grid,) * k)
 
 
 def zf_vacuum(n_grid, k_max):
     tn, tw = gl_nodes(-4.0, 4.0, n_grid)
-    comps = [np.zeros((n_grid,) * k, complex) for k in range(k_max + 1)]
-    comps[0] = np.array(1.0 + 0.0j)
-    return ZFState(tn, tw, tuple(comps), k_max)
+    comps = [np.array(1.0 + 0.0j)]
+    comps += [_vacant(n_grid, k) for k in range(1, k_max + 1)]
+    return ZFState(tn, tw, tuple(comps), k_max, 0)
 
 
 def _axis_view(vec, axis, ndim):
@@ -374,24 +389,21 @@ def _insert_packet(S, f_vals, psi, thetas):
 
     the packet enters at slot j after being commuted through the cluster to
     its left, one S factor per transposition."""
-    k = 0 if psi.shape == () else psi.ndim
     n = len(thetas)
-    ndim = k + 1
+    ndim = psi.ndim + 1
+    f = np.asarray(f_vals, complex)
     # S(theta_j - theta_a): the inserted rapidity (slot j) is commuted past
     # each occupied slot a < j, one factor S(inserted - passed) per step
     smat = S(thetas[None, :] - thetas[:, None])
     out = np.zeros((n,) * ndim, complex)
     for j in range(ndim):
-        term = np.broadcast_to(
-            _axis_view(np.asarray(f_vals, complex), j, ndim), (n,) * ndim
-        ).copy()
-        if k > 0:
-            term = term * np.expand_dims(psi, axis=j)
+        term = _axis_view(f, j, ndim) * np.expand_dims(psi, axis=j)
         for a in range(j):
             shape = [n if t in (a, j) else 1 for t in range(ndim)]
-            term = term * smat.reshape(shape)
+            term *= smat.reshape(shape)
         out += term
-    return out / np.sqrt(ndim)
+    out /= np.sqrt(ndim)
+    return out
 
 
 def _tensor_norm_sq(weights, comp):
@@ -411,45 +423,41 @@ def zf_norm_sq(state):
 def zf_apply(op, packet, state, S):
     """Apply Z*(packet) ('create') or Z(packet) ('annihilate').
 
-    Creation pushes every k-component to k+1 with the ordered S-dressed
-    insertion; what would land beyond k_max is measured, added to
+    Creation pushes every occupied k-component to k+1 with the ordered
+    S-dressed insertion; what would land beyond k_max is measured, added to
     leaked_norm and dropped.  Annihilation contracts the first slot against
     conj(packet); the S dressing of the remaining contractions is carried by
-    the stored S symmetry of the component itself.
+    the stored S symmetry of the component itself.  Only components up to
+    state.occupied are read; the vacant ones above it are passed on as they
+    are.
     """
     f_vals = np.asarray(packet, complex)
     if f_vals.shape != state.theta_grid.shape:
         raise DomainError("packet must be sampled on the state's rapidity grid")
-    comps = list(state.components)
+    comps = state.components
+    new = list(comps)
     n = len(state.theta_grid)
+    occ = state.occupied
     leaked = state.leaked_norm
     if op == "create":
-        # np.zeros is lazily zeroed: a component never written costs no pages
-        new = [np.zeros(c.shape, complex) for c in comps]
-        new[0] = np.array(0.0 + 0.0j)
-        for k in range(state.k_max):
-            src = comps[k]
-            if not src.any():
-                continue
-            new[k + 1] = _insert_packet(S, f_vals, src, state.theta_grid)
-        top = comps[state.k_max]
-        if top.any():
-            overflow = _insert_packet(S, f_vals, top, state.theta_grid)
+        new[0] = _vacant(n, 0)
+        for k in range(min(occ + 1, state.k_max)):
+            new[k + 1] = _insert_packet(S, f_vals, comps[k], state.theta_grid)
+        if occ == state.k_max:
+            overflow = _insert_packet(S, f_vals, comps[occ], state.theta_grid)
             leaked += _tensor_norm_sq(state.weights, overflow)
+        occ = min(occ + 1, state.k_max)
     elif op == "annihilate":
-        new = [np.zeros(c.shape, complex) for c in comps]
-        for k in range(1, state.k_max + 1):
-            src = comps[k]
-            if not src.any():
-                continue
-            contracted = np.tensordot(np.conj(f_vals) * state.weights, src,
-                                      axes=([0], [0]))
-            val = np.sqrt(k) * contracted
-            new[k - 1] = new[k - 1] + (val if k > 1 else np.asarray(complex(val)))
+        bra = np.conj(f_vals) * state.weights
+        for k in range(1, occ + 1):
+            val = np.sqrt(k) * np.tensordot(bra, comps[k], axes=([0], [0]))
+            new[k - 1] = val if k > 1 else np.asarray(complex(val))
+        new[occ] = _vacant(n, occ)
+        occ = max(occ - 1, 0)
     else:
         raise DomainError(f"unknown ZF operation {op!r}")
     return ZFState(state.theta_grid, state.weights, tuple(new),
-                   state.k_max, leaked)
+                   state.k_max, occ, leaked)
 
 
 def zf_exchange_check(S, f_vals, g_vals, thetas):

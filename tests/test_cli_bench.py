@@ -15,7 +15,8 @@ from modloc_lab import wedge_kms as wk
 from modloc_lab.cli_bench import config as cbc
 from modloc_lab.cli_bench import plots, suites
 from modloc_lab.cli_bench.main import build_parser, main
-from modloc_lab.cli_bench.manifest import RunManifest, check_less, unverified
+from modloc_lab.cli_bench.manifest import (RunManifest, check_less,
+                                           format_float, unverified, write_csv)
 from modloc_lab.cli_bench.suites import run_experiment, verify_all
 from modloc_lab.errors import ConfigurationError
 
@@ -175,6 +176,44 @@ def test_json_config(tmp_path):
 def test_unknown_experiment():
     with pytest.raises(ConfigurationError):
         cbc.load_config("no-such-suite")
+
+
+@pytest.mark.parametrize("grid_n", [4, 25, 20000])
+def test_thermal_map_grid_is_the_ordered_off_diagonal_pair_list(
+        tmp_path, monkeypatch, grid_n):
+    seen = []
+
+    def capture(imap, grid):
+        seen.append(grid)
+        return 0.0
+
+    monkeypatch.setattr(suites.ce, "verify_isomorphism", capture)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"thermal-map": {"grid_n": grid_n}}))
+    cfg = cbc.load_config("thermal-map", p)
+    run_experiment(cfg, tmp_path)
+    us = np.linspace(0.02, 0.98, int(np.sqrt(grid_n)) + 1)
+    ref = np.array([(u, v) for u in us for v in us
+                    if abs(u - v) > 1e-4][:grid_n])
+    assert len(seen) == len(cfg["betas"])
+    for grid in seen:
+        assert np.array_equal(np.asarray(grid, float), ref)
+
+
+def test_write_csv_rows_match_format_float(tmp_path):
+    cells = (-0.0, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"),
+             -7, True, np.float64(0.1))
+    header = tuple(f"c{i}" for i in range(len(cells)))
+    rows = [cells, list(cells[::-1])]
+    path, digest = write_csv(tmp_path, "x", "cells", header, rows)
+    text = "\n".join([",".join(header)]
+                     + [",".join(format_float(v) for v in r) for r in rows]) + "\n"
+    assert path.read_bytes() == text.encode("utf-8")
+    assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert text.split("\n")[1] == (
+        "-0.0000000000000000e+00,4.9406564584124654e-324,"
+        "1.7976931348623157e+308,nan,inf,-7.0000000000000000e+00,"
+        "1.0000000000000000e+00,1.0000000000000001e-01")
 
 
 def test_thermal_map_suite_end_to_end(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -343,21 +345,63 @@ def test_norm_and_exchange_consistency_on_states():
 
 
 def test_deep_sequence_leaves_inputs_and_top_component_untouched():
-    # the zf-algebra suite's k_max = 6 in/out sequence on its 14-point grid
+    # the zf-algebra suite's k_max = 6 in/out sequence on its 14-point grid.
+    # It never holds more than 4 particles, so the rank-5 and rank-6
+    # components (8.6 and 120 MB if allocated) stay read-only zero views
     S = cz.SMatrixModel(1.0)
-    st = cz.zf_vacuum(n_grid=14, k_max=6)
-    tn = st.theta_grid
+    tn = cz.zf_vacuum(n_grid=14, k_max=6).theta_grid
     packets = [np.exp(-((tn - c) ** 2) / w)
                for c, w in ((0.5, 1.0), (-0.7, 0.6), (0.0, 1.0), (1.0, 0.8))]
     steps = [("create", p) for p in packets]
     steps += [("annihilate", packets[0]), ("create", np.exp(-((tn + 1.2) ** 2)))]
-    for op, p in steps:
-        # zero components are checked with any(): a copy of the 120 MB
-        # rank-6 tensor would cost what zf_apply itself no longer does
-        before = [c.copy() if c.any() else None for c in st.components]
-        out = cz.zf_apply(op, p, st, S)
-        for c, b in zip(st.components, before):
-            assert (not c.any()) if b is None else np.array_equal(c, b)
-        st = out
-    assert st.leaked_norm == 0.0
-    assert not st.components[6].any()
+
+    def run(k_max, check):
+        st = cz.zf_vacuum(n_grid=14, k_max=k_max)
+        for op, p in steps:
+            # vacant levels are read-only, so only occupied ones are copied
+            before = ([c.copy() for c in st.components[:st.occupied + 1]]
+                      if check else [])
+            out = cz.zf_apply(op, p, st, S)
+            if check:
+                for c, b in zip(st.components, before):
+                    assert np.array_equal(c, b)
+                for c in out.components[out.occupied + 1:]:
+                    assert not c.flags.writeable and not c.any()
+            st = out
+        return st
+
+    tracemalloc.start()
+    try:
+        run(6, check=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20          # 249 MiB with every level allocated
+
+    deep, shallow = run(6, check=True), run(4, check=True)
+    assert deep.occupied == shallow.occupied == 4
+    assert deep.leaked_norm == shallow.leaked_norm == 0.0
+    for c, ref in zip(deep.components, shallow.components):
+        assert np.array_equal(c, ref)
+    assert [c.shape for c in deep.components[5:]] == [(14,) * 5, (14,) * 6]
+    assert not deep.components[6].any()
+
+
+def test_creation_carries_the_vacuum_amplitude():
+    # Z*(f) Z(h) Z*(g)|0> = <h|g> Z*(f)|0>: the zero-particle amplitude
+    # that the annihilation leaves multiplies the created packet
+    S = cz.SMatrixModel(1.0)
+    st = cz.zf_vacuum(n_grid=10, k_max=3)
+    tn = st.theta_grid
+    g = np.exp(-((tn - 0.3) ** 2))
+    h = np.exp(-((tn + 0.2) ** 2))
+    f = np.exp(-(tn**2) / 2)
+    scalar = cz.zf_apply("annihilate", h, cz.zf_apply("create", g, st, S), S)
+    ip = complex(np.sum(st.weights * h * g))
+    assert scalar.occupied == 0
+    assert complex(scalar.components[0]) == pytest.approx(ip, rel=1e-14)
+    one = cz.zf_apply("create", f, scalar, S)
+    assert one.occupied == 1
+    assert np.allclose(one.components[1], ip * f, rtol=1e-14, atol=0.0)
+    # annihilating the vacuum gives the zero vector
+    assert cz.zf_norm_sq(cz.zf_apply("annihilate", h, st, S)) == 0.0
