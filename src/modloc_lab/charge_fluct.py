@@ -34,6 +34,7 @@ from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums
 
 _ECUT_SIGMAS = 5.7     # |g~|^2 = exp(-(E T)^2) < 1e-14 beyond E = 5.7/T
 _KFAC = 40.0           # ramp cutoff k <= KFAC / dR
+_ROWS = 128            # k values (table rows) per block of a 2-d table
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,22 @@ def _g2(E, T):
 # ----------------------------------------------------------------------
 
 def _pair_integral_1d(ks, m, T):
-    """D=1 on a 1-d array of k, one 320-node rule per k (a row of one
-    array); rapidity substitution p = m sinh(y) resolves the 1/E spikes."""
-    k = np.asarray(ks, float)[:, None]
-    y_hi = np.arcsinh(k / (2.0 * m))
-    y_lo = -np.arcsinh((_ECUT_SIGMAS / T + k) / m)
-    yn, yw = gl_nodes(y_lo, y_hi, 320)
-    p = m * np.sinh(yn)
-    ep = m * np.cosh(yn)
-    eq = _energy(k - p, m)
-    val = (ep - eq) ** 2 / (4.0 * eq) * _g2(ep + eq, T)
-    return 2.0 * np.sum(yw * val, axis=1)
+    """D=1 on a 1-d array of k, one 320-node rule per k (a row of a table
+    formed _ROWS rows at a time); rapidity substitution p = m sinh(y)
+    resolves the 1/E spikes."""
+    ks = np.asarray(ks, float)
+    out = np.empty_like(ks)
+    for i in range(0, ks.size, _ROWS):
+        k = ks[i:i + _ROWS, None]
+        y_hi = np.arcsinh(k / (2.0 * m))
+        y_lo = -np.arcsinh((_ECUT_SIGMAS / T + k) / m)
+        yn, yw = gl_nodes(y_lo, y_hi, 320)
+        p = m * np.sinh(yn)
+        ep = m * np.cosh(yn)
+        eq = _energy(k - p, m)
+        val = (ep - eq) ** 2 / (4.0 * eq) * _g2(ep + eq, T)
+        out[i:i + _ROWS] = 2.0 * np.sum(yw * val, axis=1)
+    return out
 
 
 def _pair_integral(D, k, m, T):
@@ -281,22 +287,25 @@ def _envelope_2d(spec, ks):
     Hankel's expansion of J1(kR) in the disc term 2 pi R J1(kR) / k, and of
     J0(k (R + s)) in the ramp term 2 pi sum_s w_s rho_s (R + s) J0(k (R + s)),
     split by angle addition on kR into P, Q and the phases of k s, none of
-    which oscillates on the scale 1/R."""
+    which oscillates on the scale 1/R.  The (k, s) tables are formed
+    _ROWS values of k at a time."""
     R = spec.radius
     k = np.asarray(ks, float)
     P, Q = _hankel_pq(1, k * R)
     disc = 2.0 * np.pi * R * np.sqrt(1.0 / (np.pi * k * R)) / k
     A, B = disc * (P + Q), disc * (Q - P)
     sn, base = _ramp_rule(spec, np.max(k))
-    xr = np.outer(k, R + sn)
-    P, Q = _hankel_pq(0, xr)
-    amp = np.sqrt(1.0 / (np.pi * xr))
-    U, V = amp * (P + Q), amp * (P - Q)
-    ph = np.outer(k, sn)
-    c, s = np.cos(ph), np.sin(ph)
     w = 2.0 * np.pi * base * (R + sn)
-    A = A + (V * c - U * s) @ w
-    B = B + (U * c + V * s) @ w
+    for i in range(0, k.size, _ROWS):
+        kb = k[i:i + _ROWS]
+        xr = np.outer(kb, R + sn)
+        P, Q = _hankel_pq(0, xr)
+        amp = np.sqrt(1.0 / (np.pi * xr))
+        U, V = amp * (P + Q), amp * (P - Q)
+        ph = np.outer(kb, sn)
+        c, s = np.cos(ph), np.sin(ph)
+        A[i:i + _ROWS] += (V * c - U * s) @ w
+        B[i:i + _ROWS] += (U * c + V * s) @ w
     return spec.amplitude * A, spec.amplitude * B
 
 
@@ -321,17 +330,25 @@ def ftilde_radial(spec, D, ks):
 
 def _ftilde_1d_differences(spec, p):
     """The matrix f~(p_i - p_j) in D = 1, equal to ftilde_radial(spec, 1,
-    p_i - p_j).  f~(k) = 2 sin(kR)/k + 2 sum_s w_s rho_s cos(k (R + s)), and
-    angle addition turns the ramp sum into C^T W C + S^T W S with
+    p_i - p_j), yielded as (rows, block) for blocks of _ROWS rows i.
+    f~(k) = 2 sin(kR)/k + 2 sum_s w_s rho_s cos(k (R + s)), and angle
+    addition turns the ramp sum into C^T W C + S^T W S with
     C = cos(p (R + s)), S = sin(p (R + s)): two GEMMs over the ramp nodes
-    instead of one cosine per matrix entry and node."""
-    dd = p[:, None] - p[None, :]
-    kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
-    sn, base = _ramp_rule(spec, np.max(kk))
+    instead of one cosine per matrix entry and node.  C and S are formed
+    once, for every block.  The largest |p_i - p_j| is max(p) - min(p), as
+    subtraction rounds monotonically, so the ramp rule is the one the
+    whole matrix would choose."""
+    sn, base = _ramp_rule(spec, max(np.max(p) - np.min(p), 1e-14))
     x = np.outer(spec.radius + sn, p)
-    C, S = np.cos(x), np.sin(x)
-    ramp_part = (C.T * base) @ C + (S.T * base) @ S
-    return spec.amplitude * 2.0 * (np.sin(kk * spec.radius) / kk + ramp_part)
+    C = np.cos(x)
+    S = np.sin(x, out=x)
+    for i in range(0, p.size, _ROWS):
+        rows = slice(i, i + _ROWS)
+        dd = p[rows, None] - p[None, :]
+        kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
+        ramp_part = (C.T[rows] * base) @ C + (S.T[rows] * base) @ S
+        yield rows, spec.amplitude * 2.0 * (np.sin(kk * spec.radius) / kk
+                                            + ramp_part)
 
 
 # ----------------------------------------------------------------------
@@ -414,13 +431,22 @@ def charge_variance_lattice(model, spec):
     # sum_n f_n exp(-i k_j x_n) with k_j x_n = 2 pi j (n - N/2) / N
     ft = a * np.fft.fft(np.fft.ifftshift(f))[js % N]
     E = np.sqrt(model.mass**2 + (2.0 / a * np.sin(ks * a / 2.0)) ** 2)
-    # position of the wrapped total momentum j1 + j2 in the js ordering
-    idx = (js[:, None] + js[None, :] + N // 2) % N
-    ft2 = np.abs(ft[idx]) ** 2
-    Ep = E[:, None]
     Eq = E[None, :]
-    val = (Ep - Eq) ** 2 / (4.0 * Ep * Eq) * ft2 * _g2(Ep + Eq, spec.time_width)
-    return float(val.sum()) / L**2
+    # the (j1, j2) table is summed _ROWS rows at a time.  numpy sums a whole
+    # C-contiguous N x N table pairwise, which for N a power of 2 is a
+    # balanced tree over its row sums; adding the row sums in that tree
+    # gives the whole table's sum to the bit
+    sums = np.empty(N)
+    for i in range(0, N, _ROWS):
+        # position of the wrapped total momentum j1 + j2 in the js ordering
+        idx = (js[i:i + _ROWS, None] + js[None, :] + N // 2) % N
+        ft2 = np.abs(ft[idx]) ** 2
+        Ep = E[i:i + _ROWS, None]
+        val = (Ep - Eq) ** 2 / (4.0 * Ep * Eq) * ft2 * _g2(Ep + Eq, spec.time_width)
+        sums[i:i + _ROWS] = val.sum(axis=1)
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0]) / L**2
 
 
 def scaling_fit(model, spec_family):
@@ -482,12 +508,16 @@ def _one_particle_deviation(model, spec, t_shift=0.0):
                       / (0.5 * p_halfwidth))
     E = _energy(pn, m)
     mu = pw / (2.0 * np.pi * 2.0 * E)
-    ft = _ftilde_1d_differences(spec, pn)
-    gh = np.exp(-0.5 * ((E[:, None] - E[None, :]) * spec.time_width) ** 2)
-    if t_shift != 0.0:
-        gh = gh * np.exp(1j * (E[:, None] - E[None, :]) * t_shift)
-    kernel = (E[:, None] + E[None, :]) * ft * gh
-    q_psi = kernel @ (mu * psi)
+    # the kernel is formed _ROWS rows at a time
+    mu_psi = mu * psi
+    q_psi = np.empty(pn.size, float if t_shift == 0.0 else complex)
+    for rows, ft in _ftilde_1d_differences(spec, pn):
+        de = E[rows, None] - E[None, :]
+        gh = np.exp(-0.5 * (de * spec.time_width) ** 2)
+        if t_shift != 0.0:
+            gh = gh * np.exp(1j * de * t_shift)
+        kernel = (E[rows, None] + E[None, :]) * ft * gh
+        q_psi[rows] = kernel @ mu_psi
     norm = float(np.sum(mu * psi**2))
     dev = np.sum(mu * np.abs(q_psi - psi) ** 2)
     return float(np.real(dev)) / norm

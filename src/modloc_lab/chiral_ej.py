@@ -33,8 +33,10 @@ NORMALIZATION = 1.0 / (4.0 * np.pi**2)
 _N_IMAGES = 200        # N, the Matsubara images summed before the psi' tail
 # relative tolerance between the two by-parts rule orders, per observable
 _RTOL = {"current": 1e-6, "energy": 1e-7}
-# outer nodes per block of the correlation engine: the smearing is evaluated
-# on blocks of at most _ROWS x (inner order) points, which bounds the memory
+# rows per block of the engines' node tables: the correlation engine
+# evaluates the smearing on at most _ROWS outer nodes x (inner order) points
+# at a time, and _fourier_sq exponentiates at most _ROWS momenta x (nodes)
+# phases, which bounds the memory
 _ROWS = 128
 # sites of the vacuum interval whose entropy entropy_relation_check fits
 # against ln(1/eps)
@@ -334,10 +336,19 @@ def _fourier_sq(f, ps):
     pmax = float(np.max(np.abs(ps)))
     n = int(min(6000, max(160, 48 + 1.3 * pmax * (hi - lo) / np.pi)))
     un, uw = gl_nodes(lo, hi, n)
-    fv = f.deriv(0)(un)
-    # the phase table is exponentiated in place: one len(ps) x n array
-    ph = np.outer(-1j * ps, un)
-    return np.abs(np.exp(ph, out=ph) @ (uw * fv)) ** 2
+    weights = uw * f.deriv(0)(un)
+    # the phases are formed and exponentiated in place _ROWS momenta at a
+    # time, in one reused _ROWS x n table; each row's sum is the one the
+    # whole len(ps) x n table would give, except in a one-row last block,
+    # which BLAS sums by another kernel
+    mps = -1j * ps
+    ft = np.empty_like(mps)
+    ph = np.empty((min(mps.size, _ROWS), n), complex)
+    for i in range(0, mps.size, _ROWS):
+        part = mps[i:i + _ROWS]
+        blk = np.multiply.outer(part, un, out=ph[:part.size])
+        ft[i:i + _ROWS] = np.exp(blk, out=blk) @ weights
+    return np.abs(ft) ** 2
 
 
 def _spectral_pmax(f):

@@ -20,6 +20,7 @@ UNVERIFIED = "unverified-by-design"
 
 
 _FLOAT_FORMAT = "%.16e"
+_CSV_ROWS = 1024        # rows per block that write_csv formats and writes
 
 
 def format_float(x):
@@ -109,14 +110,26 @@ class RunManifest:
 
 def write_csv(out_dir, experiment, table_name, header, rows):
     """LF line endings, every cell a number written by format_float's
-    format, one format string per row; returns (path, digest)."""
+    format, one format string per row; rows is a sequence of rows or a 2-d
+    array.  The text is formatted, hashed and written _CSV_ROWS rows at a
+    time, so only one block of it is held; returns (path, digest)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{experiment}_{table_name}.csv"
-    row_format = ",".join([_FLOAT_FORMAT] * len(header))
-    lines = [",".join(header)]
-    lines += [row_format % tuple(row) for row in rows]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    row_format = ",".join([_FLOAT_FORMAT] * len(header)) + "\n"
+
+    def texts():
+        yield ",".join(header) + "\n"
+        for i in range(0, len(rows), _CSV_ROWS):
+            block = rows[i:i + _CSV_ROWS]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            yield "".join([row_format % tuple(row) for row in block])
+
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return path, hashlib.sha256(data).hexdigest()
+        for text in texts():
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return path, digest.hexdigest()

@@ -382,7 +382,7 @@ def suite_crossing(cfg, man, out):
     c = reps[0].continued.ravel()
     x = reps[0].crossed.ravel()
     rows = np.column_stack((np.repeat(t1, n), np.tile(t2, n),
-                            c.real, c.imag, x.real, x.imag)).tolist()
+                            c.real, c.imag, x.real, x.imag))
     path, digest = write_csv(
         out, "crossing", "formfactor_grid",
         ("theta1", "theta2", "re_continued", "im_continued", "re_crossed",
@@ -459,14 +459,16 @@ def run_experiment(cfg, out_dir):
 
 # Every suite, in the order parallel runs start them.  In a fresh
 # interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.47-0.52 s, ej-fluct 0.25-0.32 s, entropy-scan 0.18-0.20 s, crossing
-# 0.09-0.11 s, unruh 0.07-0.11 s, zf-algebra 0.04-0.05 s and thermal-map
-# 0.002-0.008 s.  charge-scaling, the longest, starts first and the others
-# run beside it; entropy-scan, whose 2048-site symplectic spectrum is the
-# memory peak of the run, starts next.  Over ten alternating perfbench
-# verify-all pairs this order read a median wall of 1.00 s and peak RSS of
-# 63.3 MiB, against 1.06 s and 63.9 MiB with charge-scaling last (faster
-# in 8 pairs).  Starting ej-fluct second raised the peak to 69.3-69.5 MiB.
+# 0.35-0.47 s, ej-fluct 0.23-0.27 s, entropy-scan 0.16-0.18 s, crossing
+# 0.08-0.11 s, unruh 0.06-0.10 s, zf-algebra 0.03-0.06 s and thermal-map
+# 0.001-0.004 s.  charge-scaling, the longest, starts first and the others
+# run beside it; entropy-scan, whose 2048-site symplectic spectrum is still
+# the largest memory step of the run once the other suites build their
+# tables in row blocks, starts next.  Over ten alternating perfbench
+# verify-all pairs each, this order read a median wall of 0.83-0.87 s and
+# peak RSS of 53.5 MiB; starting entropy-scan last read 0.90 s and
+# 56.4 MiB (lower peak in 0 pairs), and ej-fluct second 0.89 s and
+# 55.1 MiB (lower peak in 1 pair).
 PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
                   "zf-algebra", "thermal-map", "ej-fluct")
 

@@ -33,6 +33,7 @@ from .quadrature import gl_nodes
 C0_SQ = 1.0 / (4.0 * np.pi)     # <phi phi> rapidity density: dtheta / 4 pi
 _GROWTH_THRESHOLD = 1e3
 _ORDER = 96                     # Gauss-Legendre nodes per axis of the box
+_KMS_BLOCK = 128                # rapidities per block of the KMS contractions
 
 
 def _bump(s):
@@ -91,17 +92,26 @@ class WedgeTestFn:
         Ix = np.exp(-1j * np.multiply.outer(p1, xn)) @ wx
         return It * Ix
 
+    def _phase_tables(self, pa, pb):
+        """The factors of fourier_outer(pa, pb): row-side tables
+        (n_a x _ORDER, node weights folded in) and column-side tables
+        (_ORDER x n_b), each a (t, x) pair."""
+        tn, wt, xn, wx = self._weighted_nodes()
+        (p0a, p1a), (p0b, p1b) = pa, pb
+        rows = (np.exp(1j * np.multiply.outer(p0a, tn)) * wt,
+                np.exp(-1j * np.multiply.outer(p1a, xn)) * wx)
+        cols = (np.exp(1j * np.multiply.outer(tn, p0b)),
+                np.exp(-1j * np.multiply.outer(xn, p1b)))
+        return rows, cols
+
     def fourier_outer(self, pa, pb):
         """fourier(p0a_i + p0b_j, p1a_i + p1b_j) on the len(pa) x len(pb)
         grid, pa = (p0a, p1a) and pb = (p0b, p1b) 1-d momentum components.
         The exponential of the sum factors into a phase table per side, so
         each separable 1-d node sum is one (n_a x _ORDER)(_ORDER x n_b) GEMM."""
-        tn, wt, xn, wx = self._weighted_nodes()
-        (p0a, p1a), (p0b, p1b) = pa, pb
-        It = ((np.exp(1j * np.multiply.outer(p0a, tn)) * wt)
-              @ np.exp(1j * np.multiply.outer(tn, p0b)))
-        It *= ((np.exp(-1j * np.multiply.outer(p1a, xn)) * wx)
-               @ np.exp(-1j * np.multiply.outer(xn, p1b)))
+        (rt, rx), (ct, cx) = self._phase_tables(pa, pb)
+        It = rt @ ct
+        It *= rx @ cx
         return It
 
     def mass_shell(self, theta):
@@ -198,10 +208,20 @@ def _on_shell(theta, sign):
     return sign * np.cosh(t), sign * np.sinh(t)
 
 
+def _pair_shells(theta1, theta2):
+    """The momenta -p1, -p2 at which the pair formfactor reads g~."""
+    return _on_shell(theta1, -1.0), _on_shell(theta2, -1.0)
+
+
+def _crossed_shells(theta1, theta2):
+    """The momenta p1, -p2 at which the crossed formfactor reads g~."""
+    return _on_shell(theta1, 1.0), _on_shell(theta2, -1.0)
+
+
 def pair_formfactor(g, theta1, theta2):
     """<0| :phi^2:(g) |theta1, theta2> = 2 c0^2 g~(-p1 - p2) on the
     len(theta1) x len(theta2) grid of 1-d rapidities."""
-    out = g.fourier_outer(_on_shell(theta1, -1.0), _on_shell(theta2, -1.0))
+    out = g.fourier_outer(*_pair_shells(theta1, theta2))
     out *= 2.0 * C0_SQ
     return out
 
@@ -209,7 +229,7 @@ def pair_formfactor(g, theta1, theta2):
 def crossed_formfactor(g, theta1, theta2):
     """<theta1| :phi^2:(g) |theta2> = 2 c0^2 g~(p1 - p2) on the
     len(theta1) x len(theta2) grid of 1-d rapidities."""
-    out = g.fourier_outer(_on_shell(theta1, 1.0), _on_shell(theta2, -1.0))
+    out = g.fourier_outer(*_crossed_shells(theta1, theta2))
     out *= 2.0 * C0_SQ
     return out
 
@@ -271,6 +291,31 @@ def _cone_ranges(f):
     return (xm - tp, xp - tm), (xm + tm, xp + tp)
 
 
+def _w_times_grid(g, shells, w, transpose):
+    """w @ F, or w @ F.T, for the form-factor grid F = 2 c0^2
+    g.fourier_outer(*shells), as pair_formfactor and crossed_formfactor
+    build it, but formed _KMS_BLOCK columns (for w @ F) or rows (for
+    w @ F.T) at a time from phase tables built once, so no grid of the
+    full size is held.  At the rapidity counts kms_free_identity uses
+    (multiples of 40) each entry is the sum the whole grid gives; at a
+    count that is not a multiple of 8, w @ F may round its last columns
+    differently."""
+    (rt, rx), (ct, cx) = g._phase_tables(*shells)
+    n = rt.shape[0] if transpose else ct.shape[1]
+    out = np.empty(n, complex)
+    for s in range(0, n, _KMS_BLOCK):
+        b = slice(s, s + _KMS_BLOCK)
+        if transpose:
+            blk = rt[b] @ ct
+            blk *= rx[b] @ cx
+        else:
+            blk = rt @ ct[:, b]
+            blk *= rx @ cx[:, b]
+        blk *= 2.0 * C0_SQ
+        out[b] = w @ (blk.T if transpose else blk)
+    return out
+
+
 def kms_free_identity(g, f1, f2):
     """Two-point instance of the wedge KMS identity for B = :phi^2:(g):
 
@@ -285,7 +330,8 @@ def kms_free_identity(g, f1, f2):
     cone ordering the free two-point instantiation has no convergent
     continuation and a DomainError is raised.  Both sides use the crossing
     check's form-factor grids, pair_formfactor and crossed_formfactor, on
-    the rapidity nodes; the three wave functions are separate quadratures."""
+    the rapidity nodes, contracted with the wave functions a block at a
+    time; the three wave functions are separate quadratures."""
     for fn, name in ((g, "g"), (f1, "f1"), (f2, "f2")):
         if fn.wedge != "right":
             raise DomainError(f"{name} must be right-wedge localized")
@@ -302,8 +348,8 @@ def kms_free_identity(g, f1, f2):
     w1 = tw * f1.creation_wave(tn)
     w2 = tw * f2.creation_wave(tn)
     w2c = tw * f2.mass_shell(tn)     # = creation wave continued by i pi
-    lhs = C0_SQ * (w1 @ pair_formfactor(g, tn, tn) @ w2)
-    rhs = C0_SQ * (w1 @ crossed_formfactor(g, tn, tn).T @ w2c)
+    lhs = C0_SQ * (_w_times_grid(g, _pair_shells(tn, tn), w1, False) @ w2)
+    rhs = C0_SQ * (_w_times_grid(g, _crossed_shells(tn, tn), w1, True) @ w2c)
     scale = max(abs(lhs), abs(rhs))
     rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
     return KMSIdentityReport(lhs=complex(lhs), rel_diff=rel)

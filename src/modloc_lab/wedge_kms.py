@@ -31,7 +31,7 @@ from .quadrature import gl_nodes
 
 _EPS_SAMPLES = 16          # i_epsilon = _EPS_SAMPLES * grid spacing
 _MIN_EPS_SAMPLES = 4.0     # below this the grid cannot resolve the peak
-_K1_BLOCK = 1024           # z values per block of the bessel_k1 kernel
+_K1_BLOCK = 256            # z values per block of the bessel_k1 kernel
 _FLAT_FRACTION = 0.7       # flat share of the transform window
 _GRID_RTOL = 1e-9          # spacing spread a uniform tau grid may carry
 
@@ -95,13 +95,18 @@ def bessel_k1(z):
     vn, vw = gl_nodes(0.0, 6.5, 160)
     vsq = vn**2
     core = vw * np.exp(-vsq) * vsq
-    # the (z, v) kernel is formed _K1_BLOCK z values at a time, so its
-    # temporaries stay a few MiB whatever the size of z
+    # the (z, v) kernel is formed _K1_BLOCK z values at a time in one
+    # reused table, square rooted in place: 640 KiB whatever the size of
+    # z.  Each row's sum is the one the whole (z, v) table would give,
+    # except in a one-row last block, which BLAS sums by another kernel
     inv = (1.0 / z).ravel()
     integral = np.empty_like(inv)
+    rad = np.empty((min(inv.size, _K1_BLOCK), vsq.size), complex)
     for s in range(0, inv.size, _K1_BLOCK):
-        rad = np.sqrt(2.0 + np.multiply.outer(inv[s:s + _K1_BLOCK], vsq))
-        integral[s:s + _K1_BLOCK] = rad @ core
+        part = inv[s:s + _K1_BLOCK]
+        blk = np.multiply.outer(part, vsq, out=rad[:part.size])
+        blk += 2.0
+        integral[s:s + _K1_BLOCK] = np.sqrt(blk, out=blk) @ core
     return 2.0 * np.exp(-z) * integral.reshape(z.shape) / np.sqrt(z)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from modloc_lab import charge_fluct as cf
 from modloc_lab.errors import ConfigurationError, FitError, NumericError
-from modloc_lab.profiles import raised_cosine
+from modloc_lab.profiles import raised_cosine, smooth_bump
 from modloc_lab.quadrature import filon_cos_sin, gl_nodes
 
 
@@ -97,7 +97,7 @@ def test_ftilde_differences_against_ftilde_radial(R, dR):
     pn, _ = gl_nodes(-0.5, 1.5, 200)
     dd = pn[:, None] - pn[None, :]            # diagonal: dd = 0
     ref = cf.ftilde_radial(s, 1, dd.ravel()).reshape(dd.shape)
-    mine = cf._ftilde_1d_differences(s, pn)
+    mine = np.concatenate([blk for _, blk in cf._ftilde_1d_differences(s, pn)])
     assert np.max(np.abs(mine - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
@@ -321,10 +321,15 @@ def _pair_integral_1d_scalar(k, m, T):
 
 
 @pytest.mark.parametrize("m, T, kmax", [(1.0, 0.2, 40.0), (1e-6, 5e-6, 8e3)])
-def test_pair_integral_1d_array_equals_per_k_loop(m, T, kmax):
+def test_pair_integral_1d_array_equals_per_k_loop(traced_peak, m, T, kmax):
+    # the pair kernel's 320 grid points: two blocks of _ROWS and a ragged
+    # one of 64
     ks = np.exp(np.linspace(np.log(1e-3 * min(m, 1.0 / kmax)), np.log(kmax), 320))
+    assert 1 < ks.size % cf._ROWS
     ref = np.array([_pair_integral_1d_scalar(k, m, T) for k in ks])
     np.testing.assert_array_equal(cf._pair_integral_1d(ks, m, T), ref)
+    # measured 3.1 MiB; the whole 320 x 320 table and its temporaries took 7.0
+    assert traced_peak(lambda: cf._pair_integral_1d(ks, m, T)) < 3.8
 
 
 def _variance_filon_per_panel(spec, D, pair):
@@ -512,3 +517,99 @@ def test_tiny_normal_mass_still_runs():
     assert np.isfinite(pair._lnI).all()
     F = cf.charge_variance(cf.ScalarModel(1e-300, 2), s)
     assert np.isfinite(F) and F > 0.0
+
+
+# ----- row-blocked tables against the whole tables they replace -----
+
+def _envelope_2d_one_shot(s, ks):
+    # the whole (k, s) tables
+    R = s.radius
+    k = np.asarray(ks, float)
+    P, Q = cf._hankel_pq(1, k * R)
+    disc = 2.0 * np.pi * R * np.sqrt(1.0 / (np.pi * k * R)) / k
+    A, B = disc * (P + Q), disc * (Q - P)
+    sn, base = cf._ramp_rule(s, np.max(k))
+    xr = np.outer(k, R + sn)
+    P, Q = cf._hankel_pq(0, xr)
+    amp = np.sqrt(1.0 / (np.pi * xr))
+    U, V = amp * (P + Q), amp * (P - Q)
+    ph = np.outer(k, sn)
+    c, sn_ph = np.cos(ph), np.sin(ph)
+    w = 2.0 * np.pi * base * (R + sn)
+    A = A + (V * c - U * sn_ph) @ w
+    B = B + (U * c + V * sn_ph) @ w
+    return s.amplitude * A, s.amplitude * B
+
+
+@pytest.mark.parametrize("n", [961, 752])
+def test_envelope_2d_blocks_match_the_whole_tables(traced_peak, n):
+    # the n3 scan's Filon grid (961 nodes, ragged block of 65) and its
+    # geometric panels (752 nodes, ragged block of 112), 360 ramp nodes
+    s = spec(50.0, 0.5, 0.05, amplitude=1.5)
+    ks = np.linspace(30.0 / s.radius, cf._kmax(s), n)
+    assert 1 < ks.size % cf._ROWS
+    for mine, ref in zip(cf._envelope_2d(s, ks), _envelope_2d_one_shot(s, ks)):
+        assert np.array_equal(mine, ref)
+    # measured 1.0 MiB at 961 nodes; the whole tables took 5.8
+    assert traced_peak(lambda: cf._envelope_2d(s, ks)) < 1.3
+
+
+@pytest.mark.parametrize("rows", [None, 96])
+def test_lattice_blocks_match_the_whole_sum(monkeypatch, traced_peak, rows):
+    # numpy's pairwise sum of the whole 512 x 512 table is a balanced tree
+    # over its row sums, which the blocked sum rebuilds; 96-row blocks end
+    # on a ragged one of 32
+    if rows:
+        monkeypatch.setattr(cf, "_ROWS", rows)
+    model = cf.ScalarModel(1.0, 2)
+    for s in (spec(2.0, 1.0, 0.2), spec(3.5, 0.5, 0.1), spec(2.5, 0.7, 0.15)):
+        N = 512
+        a = 4.0 * (s.radius + s.ramp_width) / N
+        xs = (np.arange(N) - N // 2) * a
+        f = s.amplitude * raised_cosine((np.abs(xs) - s.radius) / s.ramp_width)
+        js = np.arange(N) - N // 2
+        ks = 2.0 * np.pi * js / (N * a)
+        ft = a * np.fft.fft(np.fft.ifftshift(f))[js % N]
+        E = np.sqrt(model.mass**2 + (2.0 / a * np.sin(ks * a / 2.0)) ** 2)
+        ft2 = np.abs(ft[(js[:, None] + js[None, :] + N // 2) % N]) ** 2
+        Ep, Eq = E[:, None], E[None, :]
+        val = (Ep - Eq) ** 2 / (4.0 * Ep * Eq) * ft2 * cf._g2(Ep + Eq, s.time_width)
+        assert cf.charge_variance_lattice(model, s) == float(val.sum()) / (N * a) ** 2
+    # measured 3.5 MiB at 128-row blocks; the whole table took 12.0
+    assert traced_peak(lambda: cf.charge_variance_lattice(model, s)) < 4.2
+
+
+def _one_particle_deviation_one_shot(model, s, t_shift):
+    # the whole 360 x 360 f~(p - p') and kernel tables
+    m = model.mass
+    pn, pw = gl_nodes(0.5 - 1.0, 0.5 + 1.0, 360)
+    psi = smooth_bump((np.abs(pn - 0.5) - 0.125) / 0.125)
+    E = np.sqrt(pn * pn + m * m)
+    mu = pw / (2.0 * np.pi * 2.0 * E)
+    dd = pn[:, None] - pn[None, :]
+    kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
+    sn, base = cf._ramp_rule(s, np.max(kk))
+    x = np.outer(s.radius + sn, pn)
+    C, S = np.cos(x), np.sin(x)
+    ramp_part = (C.T * base) @ C + (S.T * base) @ S
+    ft = s.amplitude * 2.0 * (np.sin(kk * s.radius) / kk + ramp_part)
+    gh = np.exp(-0.5 * ((E[:, None] - E[None, :]) * s.time_width) ** 2)
+    if t_shift != 0.0:
+        gh = gh * np.exp(1j * (E[:, None] - E[None, :]) * t_shift)
+    q_psi = ((E[:, None] + E[None, :]) * ft * gh) @ (mu * psi)
+    dev = np.sum(mu * np.abs(q_psi - psi) ** 2)
+    return float(np.real(dev)) / float(np.sum(mu * psi**2))
+
+
+@pytest.mark.parametrize("R", [4.0, 64.0])
+@pytest.mark.parametrize("t_shift", [0.0, 0.1])
+def test_global_limit_blocks_match_the_whole_tables(traced_peak, R, t_shift):
+    # the global limit's 360 packet nodes: two blocks of _ROWS and one of 104
+    model = cf.ScalarModel(1.0, 2)
+    s = spec(R, 1.0, 0.2)
+    assert 1 < 360 % cf._ROWS
+    assert (cf._one_particle_deviation(model, s, t_shift)
+            == _one_particle_deviation_one_shot(model, s, t_shift))
+    # measured 3.4 MiB (real kernel) and 4.5 MiB (t_shift); the whole
+    # tables took 5.2 and 6.1
+    assert traced_peak(lambda: cf._one_particle_deviation(model, s, t_shift)) < 5.0

@@ -5,6 +5,7 @@ import pytest
 
 from modloc_lab import crossing_zf as cz
 from modloc_lab.errors import ConfigurationError, DomainError, NumericError
+from modloc_lab.quadrature import gl_nodes
 
 
 def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, amp=1.0):
@@ -146,16 +147,19 @@ def test_kms_identity_and_cyclicity():
 
 def test_kms_identity_runs_through_the_crossed_formfactor(monkeypatch):
     # a crossed element that forgets to flip the outgoing momentum is no
-    # longer the contour-shifted pair formfactor; the identity must see it
-    def wrong_sign(g, theta1, theta2):
-        return 2.0 * cz.C0_SQ * g.fourier_outer(cz._on_shell(theta1, -1.0),
-                                                cz._on_shell(theta2, -1.0))
+    # longer the contour-shifted pair formfactor; the identity must see it.
+    # crossed_formfactor and the identity's blocked contraction read their
+    # momenta from the one definition, _crossed_shells
+    def wrong_sign(theta1, theta2):
+        return cz._on_shell(theta1, -1.0), cz._on_shell(theta2, -1.0)
 
     g = right_fn(0.0, 2.5, 0.7, 0.9)
     f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
     f2 = right_fn(0.0, 0.45, 0.15, 0.2)
     assert cz.kms_free_identity(g, f1, f2).rel_diff < 1e-6
-    monkeypatch.setattr(cz, "crossed_formfactor", wrong_sign)
+    monkeypatch.setattr(cz, "_crossed_shells", wrong_sign)
+    assert np.array_equal(cz.crossed_formfactor(g, T1[:3], T2[:3]),
+                          cz.pair_formfactor(g, T1[:3], T2[:3]))
     assert cz.kms_free_identity(g, f1, f2).rel_diff > 1e-6
 
 
@@ -189,6 +193,28 @@ def test_crossing_and_kms_agree():
     floor = 1e-12
     assert kms <= 10 * (cross + floor)
     assert cross <= 10 * (kms + floor)
+
+
+def test_kms_identity_blocks_match_the_whole_grids(traced_peak):
+    # the crossing suite's instance: 480 rapidity nodes, so three blocks of
+    # _KMS_BLOCK and a ragged one of 96.  Reference: both whole 480 x 480
+    # form-factor grids, contracted in one expression
+    g = right_fn(0.0, 2.5, 0.7, 0.9)
+    f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
+    f2 = right_fn(0.0, 0.45, 0.15, 0.2)
+    cut = max(cz._rapidity_cutoff(f1), cz._rapidity_cutoff(f2), 1.5)
+    tn, tw = gl_nodes(-cut, cut, max(90, int(80 * cut)))
+    assert tn.size == 480 and 1 < tn.size % cz._KMS_BLOCK
+    w1 = tw * f1.creation_wave(tn)
+    lhs = cz.C0_SQ * (w1 @ cz.pair_formfactor(g, tn, tn)
+                      @ (tw * f2.creation_wave(tn)))
+    rhs = cz.C0_SQ * (w1 @ cz.crossed_formfactor(g, tn, tn).T
+                      @ (tw * f2.mass_shell(tn)))
+    rep = cz.kms_free_identity(g, f1, f2)
+    assert rep.lhs == lhs
+    assert rep.rel_diff == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    # measured 4.8 MiB; the whole grids and their temporaries took 8.5
+    assert traced_peak(lambda: cz.kms_free_identity(g, f1, f2)) < 5.5
 
 
 # ----- S matrix -----
