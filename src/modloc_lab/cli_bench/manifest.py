@@ -2,7 +2,6 @@
 file digests and an environment stamp.  Everything except the timestamp and
 the environment stamp is deterministic."""
 
-import hashlib
 import json
 import os
 import platform
@@ -13,6 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL, about 3.5 MiB in
+# every process, for the same digest.
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    from _sha256 import sha256          # Python 3.10 and 3.11
 
 PASS = "pass"
 FAIL = "fail"
@@ -126,7 +132,7 @@ def write_csv(out_dir, experiment, table_name, header, rows):
                 block = block.tolist()
             yield "".join([row_format % tuple(row) for row in block])
 
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "wb") as fh:
         for text in texts():
             data = text.encode("utf-8")

