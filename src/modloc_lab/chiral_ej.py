@@ -424,6 +424,13 @@ class IntervalMap:
     def apply(self, u):
         return np.exp(2.0 * np.pi * np.asarray(u, float) / self.beta)
 
+    def apply_translated(self, u):
+        """apply(u) - 1: the image moved by the vacuum translation
+        x -> x - 1, formed as expm1(2 pi u / beta) so that differences of
+        nearby images keep their digits as beta grows."""
+        w = 2.0 * np.pi / self.beta
+        return np.expm1(w * np.asarray(u, float))
+
     def jacobian(self, u):
         w = 2.0 * np.pi / self.beta
         return w * np.exp(w * np.asarray(u, float))
@@ -442,14 +449,18 @@ def verify_isomorphism(imap, grid):
 
     over a grid of (u, u') pairs.  The current has scaling dimension 1, so
     one Jacobian factor transports each leg.  Off the diagonal both kernels
-    are regular, so they are compared at eps = 0 directly.
+    are regular, so they are compared at eps = 0 directly.  The vacuum
+    kernel depends on x - x' only, so it is read at the translated images
+    expm1(2 pi u / beta): exp(2 pi u / beta) - exp(2 pi u' / beta) would
+    cancel as beta grows (6e-10 at beta = 1e6, 4e-4 at beta = 1e12).
     """
     u, up = np.asarray(grid, float).T
     if np.any(np.abs(u - up) < 1e-9):
         raise DomainError("grid point on the diagonal")
     lhs = current_two_point(thermal_kernel(imap.beta), u, up)
     rhs = (imap.jacobian(u) * imap.jacobian(up)
-           * current_two_point(vacuum_kernel(), imap.apply(u), imap.apply(up)))
+           * current_two_point(vacuum_kernel(), imap.apply_translated(u),
+                               imap.apply_translated(up)))
     # np.max, not a running max(): a NaN defect reaches the caller
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
 

@@ -59,14 +59,15 @@ _SCHEMAS = {
     },
     "thermal-map": {
         # below beta ~ 0.0174 the transported vacuum kernel on the
-        # u in [0.02, 0.98] grid overflows
-        "betas": (_list(_real, 1), (1.0, 6.283185307179586), (0.02, _POSITIVE[1])),
+        # u in [0.02, 0.98] grid overflows; above beta ~ 1e153 the squared
+        # image differences underflow and the defect reads NaN
+        "betas": (_list(_real, 1), (1.0, 6.283185307179586), (0.02, 1e100)),
         "grid_n": (_integer, 100, (4, 100000)),
     },
     "entropy-scan": {
         # a chain is held as two N-entry columns; its full spectrum is solved
         # in four N/4 x N/4 blocks, 8 MiB each at MAX_SITES.
-        # n_sites = purity_sizes = 4096 runs in about 1.1 s at 73 MiB peak
+        # n_sites = purity_sizes = 4096 runs in about 1.1 s at 61 MiB peak
         # on a 2-core desk machine (0.8 s with OPENBLAS_NUM_THREADS=2)
         "n_sites": (_integer, 2000, (64, MAX_SITES)),
         "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
@@ -84,7 +85,10 @@ _SCHEMAS = {
         "n2_samples": (_integer, 8, (6, 64)),
     },
     "unruh": {
-        "accelerations": (_list(_real, 1), (0.5, 1.0, 2.0), _POSITIVE),
+        # detailed balance reads 1e-9 to 1e-8 from a = 1e-150 to 1e153;
+        # below that the proper-time grid loses its digits (1.6e-5 at
+        # 1e-155, a numeric error at 1e-160), and above it a**2 overflows
+        "accelerations": (_list(_real, 1), (0.5, 1.0, 2.0), (1e-100, 1e100)),
     },
     "crossing": {
         # the engine works at mass 1, lengths in Compton wavelengths: any

@@ -224,18 +224,21 @@ def suite_charge_scaling(cfg, man, out):
     # oracle equivalence: continuum vs lattice mode sum
     m1 = cf.ScalarModel(1.0, 2)
     worst = 0.0
+    continuum = {}
     for (R, dR, T) in ((2.0, 1.0, 0.2), (3.0, 1.0, 0.2), (2.5, 0.7, 0.15),
                        (4.0, 2.0, 0.3), (3.5, 0.5, 0.1)):
         spec = cf.PartialChargeSpec(R, dR, T)
-        Fc = cf.charge_variance(m1, spec)
+        Fc = continuum[R, dR, T] = cf.charge_variance(m1, spec)
         Fl = cf.charge_variance_lattice(m1, spec)
         worst = max(worst, abs(Fc - Fl) / Fc)
     man.extend([check_less("charge-scaling/lattice-oracle-agreement", worst,
                            0.03, note="5 geometries, 512-site chain")])
 
-    # mass monotonicity
+    # mass monotonicity; the middle mass is m1 on an oracle geometry
     spec = cf.PartialChargeSpec(3.0, 1.0, 0.2)
-    Fs = [cf.charge_variance(cf.ScalarModel(mm, 2), spec) for mm in (0.5, 1.0, 2.0)]
+    Fs = [continuum[3.0, 1.0, 0.2] if mm == 1.0
+          else cf.charge_variance(cf.ScalarModel(mm, 2), spec)
+          for mm in (0.5, 1.0, 2.0)]
     man.extend([check_bool("charge-scaling/mass-monotonicity",
                            Fs[0] > Fs[1] > Fs[2],
                            note="F decreases with mass at fixed geometry")])
@@ -457,18 +460,17 @@ def run_experiment(cfg, out_dir):
 
 # Every suite, in the order parallel runs start them.  In a fresh
 # interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.35-0.47 s, ej-fluct 0.23-0.27 s, entropy-scan 0.16-0.18 s, crossing
-# 0.08-0.11 s, unruh 0.06-0.10 s, zf-algebra 0.03-0.06 s and thermal-map
-# 0.001-0.004 s.  charge-scaling, the longest, starts first and the others
-# run beside it; entropy-scan, whose 2048-site symplectic spectrum is still
-# the largest memory step of the run once the other suites build their
-# tables in row blocks, starts next.  Over ten alternating perfbench
-# verify-all pairs each, this order read a median wall of 0.83-0.87 s and
-# peak RSS of 53.5 MiB; starting entropy-scan last read 0.90 s and
-# 56.4 MiB (lower peak in 0 pairs), and ej-fluct second 0.89 s and
-# 55.1 MiB (lower peak in 1 pair).  Those peaks include about 4.4 MiB of
-# start-up imports (OpenSSL, numpy.polynomial, the thread pool's logging)
-# that every run has since shed: this order now peaks at 49.2 MiB.
+# 0.54-0.64 s, ej-fluct 0.32-0.37 s, entropy-scan 0.21-0.22 s, crossing
+# and unruh about 0.1 s each, zf-algebra 0.03-0.04 s and thermal-map
+# 0.002 s.  charge-scaling, the longest, starts first and the others run
+# beside it; entropy-scan, whose 2048-site symplectic spectrum is still
+# the largest memory step of the run, starts next.  Over ten alternating
+# perfbench verify-all pairs each, when every process still carried about
+# 4.4 MiB more start-up imports, this order read a median wall of
+# 0.83-0.87 s and peak RSS of 53.5 MiB; starting entropy-scan last read
+# 0.90 s and 56.4 MiB (lower peak in 0 pairs), and ej-fluct second 0.89 s
+# and 55.1 MiB (lower peak in 1 pair).  This order now peaks at 47.1 MiB
+# (perfbench: 47.3 MiB).
 PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
                   "zf-algebra", "thermal-map", "ej-fluct")
 

@@ -33,7 +33,7 @@ from .quadrature import gl_nodes
 C0_SQ = 1.0 / (4.0 * np.pi)     # <phi phi> rapidity density: dtheta / 4 pi
 _GROWTH_THRESHOLD = 1e3
 _ORDER = 96                     # Gauss-Legendre nodes per axis of the box
-_KMS_BLOCK = 128                # rapidities per block of the KMS contractions
+_KMS_BLOCK = 40                 # rapidities per block of the KMS contractions
 
 
 def _bump(s):
@@ -92,24 +92,13 @@ class WedgeTestFn:
         Ix = np.exp(-1j * np.multiply.outer(p1, xn)) @ wx
         return It * Ix
 
-    def _phase_tables(self, pa, pb):
-        """The factors of fourier_outer(pa, pb): row-side tables
-        (n_a x _ORDER, node weights folded in) and column-side tables
-        (_ORDER x n_b), each a (t, x) pair."""
-        tn, wt, xn, wx = self._weighted_nodes()
-        (p0a, p1a), (p0b, p1b) = pa, pb
-        rows = (np.exp(1j * np.multiply.outer(p0a, tn)) * wt,
-                np.exp(-1j * np.multiply.outer(p1a, xn)) * wx)
-        cols = (np.exp(1j * np.multiply.outer(tn, p0b)),
-                np.exp(-1j * np.multiply.outer(xn, p1b)))
-        return rows, cols
-
     def fourier_outer(self, pa, pb):
         """fourier(p0a_i + p0b_j, p1a_i + p1b_j) on the len(pa) x len(pb)
         grid, pa = (p0a, p1a) and pb = (p0b, p1b) 1-d momentum components.
         The exponential of the sum factors into a phase table per side, so
         each separable 1-d node sum is one (n_a x _ORDER)(_ORDER x n_b) GEMM."""
-        (rt, rx), (ct, cx) = self._phase_tables(pa, pb)
+        nodes = self._weighted_nodes()
+        (rt, rx), (ct, cx) = _row_tables(nodes, pa), _col_tables(nodes, pb)
         It = rt @ ct
         It *= rx @ cx
         return It
@@ -291,26 +280,51 @@ def _cone_ranges(f):
     return (xm - tp, xp - tm), (xm + tm, xp + tp)
 
 
+def _row_tables(nodes, pa):
+    """Row-side factors of fourier_outer at pa = (p0a, p1a): the
+    (n_a x _ORDER) phase tables of t and x, node weights folded in."""
+    tn, wt, xn, wx = nodes
+    p0, p1 = pa
+    return (np.exp(1j * np.multiply.outer(p0, tn)) * wt,
+            np.exp(-1j * np.multiply.outer(p1, xn)) * wx)
+
+
+def _col_tables(nodes, pb):
+    """Column-side factors of fourier_outer at pb = (p0b, p1b): the
+    (_ORDER x n_b) phase tables of t and x."""
+    tn, _, xn, _ = nodes
+    p0, p1 = pb
+    return (np.exp(1j * np.multiply.outer(tn, p0)),
+            np.exp(-1j * np.multiply.outer(xn, p1)))
+
+
 def _w_times_grid(g, shells, w, transpose):
     """w @ F, or w @ F.T, for the form-factor grid F = 2 c0^2
     g.fourier_outer(*shells), as pair_formfactor and crossed_formfactor
     build it, but formed _KMS_BLOCK columns (for w @ F) or rows (for
-    w @ F.T) at a time from phase tables built once, so no grid of the
-    full size is held.  At the rapidity counts kms_free_identity uses
-    (multiples of 40) each entry is the sum the whole grid gives; at a
-    count that is not a multiple of 8, w @ F may round its last columns
-    differently."""
-    (rt, rx), (ct, cx) = g._phase_tables(*shells)
-    n = rt.shape[0] if transpose else ct.shape[1]
+    w @ F.T) at a time.  The phase tables of the side contracted whole
+    (the rows of F for w @ F, its columns for w @ F.T) are built once; the
+    blocked side's are built per block from its slice of the shells, so
+    one block of them is held, and no grid of the full size.  Each entry
+    is the sum the whole grid gives at the rapidity counts
+    kms_free_identity uses (multiples of 40); at a count that is not a
+    multiple of 8, w @ F may round its last columns differently."""
+    nodes = g._weighted_nodes()
+    pa, pb = shells
+    if transpose:
+        ct, cx = _col_tables(nodes, pb)
+    else:
+        rt, rx = _row_tables(nodes, pa)
+    n = (pa if transpose else pb)[0].shape[0]
     out = np.empty(n, complex)
     for s in range(0, n, _KMS_BLOCK):
         b = slice(s, s + _KMS_BLOCK)
         if transpose:
-            blk = rt[b] @ ct
-            blk *= rx[b] @ cx
+            rt, rx = _row_tables(nodes, (pa[0][b], pa[1][b]))
         else:
-            blk = rt @ ct[:, b]
-            blk *= rx @ cx[:, b]
+            ct, cx = _col_tables(nodes, (pb[0][b], pb[1][b]))
+        blk = rt @ ct
+        blk *= rx @ cx
         blk *= 2.0 * C0_SQ
         out[b] = w @ (blk.T if transpose else blk)
     return out

@@ -135,19 +135,22 @@ def reduce_state(state, length):
     return GaussianState(state.phi_col[:length], state.pi_col[:length])
 
 
-def _sympl_eigs_block(X, P):
-    """nu_k, ascending: with X = L L^T, X P = L (L^T P L) L^{-1}, so nu_k^2
-    are the eigenvalues of the symmetric L^T P L."""
+def _cholesky(X):
+    """The lower Cholesky factor L of the phi-phi block, X = L L^T."""
     try:
-        L = np.linalg.cholesky(X)
+        return np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
         ex0 = float(np.linalg.eigvalsh(X)[0])
         raise SpectralError(
             f"phi-phi block not positive definite ({ex0:.3e})", offending_value=ex0
         ) from None
-    # drop each block once it is consumed, so that at most three n x n
-    # blocks are alive at once; the product keeps its (L^T P) L order
-    del X
+
+
+def _sympl_eigs_factored(L, P):
+    """nu_k, ascending, from X's Cholesky factor L: X P = L (L^T P L) L^{-1},
+    so nu_k^2 are the eigenvalues of the symmetric L^T P L."""
+    # drop each block once it is consumed, so that no product holds more
+    # than three n x n blocks; the product keeps its (L^T P) L order
     M = L.T @ P
     del P
     M = M @ L
@@ -158,6 +161,13 @@ def _sympl_eigs_block(X, P):
             f"covariance numerically indefinite ({ev[0]:.3e})", offending_value=float(ev[0])
         )
     return np.sqrt(ev)
+
+
+def _sympl_eigs_block(X, P):
+    """nu_k, ascending, of the dense blocks X and P: the two steps composed.
+    Four blocks are alive during the Cholesky step here (X, P, LAPACK's
+    copy of X and L), where symplectic_spectrum holds at most three."""
+    return _sympl_eigs_factored(_cholesky(X), P)
 
 
 def _sector(col, parity):
@@ -213,8 +223,12 @@ def symplectic_spectrum(state):
         # purity check restate how the state was built
         h = n // 2
         cols = [(x[:h] + t * x[h:0:-1], p[:h] + t * p[h:0:-1]) for t in (1, -1)]
+    # each sector's P block is formed only after X's Cholesky factorization
+    # has returned and X is freed: np.linalg.cholesky copies X into a LAPACK
+    # buffer, so forming P first would hold four blocks at once (X, P, the
+    # copy and L)
     nus = np.concatenate([
-        _sympl_eigs_block(_sector(x, parity), _sector(p, parity))
+        _sympl_eigs_factored(_cholesky(_sector(x, parity)), _sector(p, parity))
         for x, p in cols for parity in ((1, -1) if x.shape[0] > 1 else (1,))])
     nus = np.sort(nus)[::-1]
     if nus[-1] < 0.5 - UNCERTAINTY_TOL:

@@ -324,6 +324,14 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         ("thermal-map", "[thermal-map]\nbetas = 0\n"),
         # exp(2 pi u / beta) overflows the kernel grid or the smearing image
         ("thermal-map", "[thermal-map]\nbetas = 1.0, 0.001\n"),
+        # the squared image differences underflow (NaN from beta ~ 1e153)
+        ("thermal-map", "[thermal-map]\nbetas = 1.0, 1e101\n"),
+        # a**2 overflows from a ~ 1.34e154, and the proper-time grid loses
+        # its digits below a ~ 1e-150
+        ("unruh", "[unruh]\naccelerations = 1.0, 1e101\n"),
+        ("unruh", "[unruh]\naccelerations = 2e154\n"),
+        ("unruh", "[unruh]\naccelerations = 1e-101\n"),
+        ("unruh", "[unruh]\naccelerations = 1e-160\n"),
         ("ej-fluct", "[ej-fluct]\nbeta = 0.01\n"),
         # below the by-parts engine's resolution floor of 0.7
         ("ej-fluct", "[ej-fluct]\nbeta = 0.5\n"),
@@ -355,6 +363,14 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["crossing", "--config", str(path), "--out", out]) == 2
         assert "mass" in capsys.readouterr().err
+    # out-of-range betas and accelerations are rejected by the schema,
+    # which names the key
+    for suite, key, value in (("thermal-map", "betas", "1e120"),
+                              ("unruh", "accelerations", "1e160")):
+        path.write_text(f"[{suite}]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main([suite, "--config", str(path), "--out", out]) == 2
+        assert key in capsys.readouterr().err
     # a zero mass is rejected by the schema, which names the key
     path.write_text("[charge-scaling]\nn2_mass = 0.0\n")
     capsys.readouterr()

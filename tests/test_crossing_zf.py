@@ -196,15 +196,15 @@ def test_crossing_and_kms_agree():
 
 
 def test_kms_identity_blocks_match_the_whole_grids(traced_peak):
-    # the crossing suite's instance: 480 rapidity nodes, so three blocks of
-    # _KMS_BLOCK and a ragged one of 96.  Reference: both whole 480 x 480
-    # form-factor grids, contracted in one expression
+    # the crossing suite's instance: 480 rapidity nodes, twelve whole blocks
+    # of _KMS_BLOCK.  Reference: both whole 480 x 480 form-factor grids,
+    # contracted in one expression
     g = right_fn(0.0, 2.5, 0.7, 0.9)
     f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
     f2 = right_fn(0.0, 0.45, 0.15, 0.2)
     cut = max(cz._rapidity_cutoff(f1), cz._rapidity_cutoff(f2), 1.5)
     tn, tw = gl_nodes(-cut, cut, max(90, int(80 * cut)))
-    assert tn.size == 480 and 1 < tn.size % cz._KMS_BLOCK
+    assert tn.size == 480
     w1 = tw * f1.creation_wave(tn)
     lhs = cz.C0_SQ * (w1 @ cz.pair_formfactor(g, tn, tn)
                       @ (tw * f2.creation_wave(tn)))
@@ -213,8 +213,31 @@ def test_kms_identity_blocks_match_the_whole_grids(traced_peak):
     rep = cz.kms_free_identity(g, f1, f2)
     assert rep.lhs == lhs
     assert rep.rel_diff == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    # measured 4.8 MiB; the whole grids and their temporaries took 8.5
-    assert traced_peak(lambda: cz.kms_free_identity(g, f1, f2)) < 5.5
+    # measured 2.3 MiB; whole phase tables on both sides took 4.8, and the
+    # whole grids and their temporaries 8.5
+    assert traced_peak(lambda: cz.kms_free_identity(g, f1, f2)) < 3.0
+
+
+@pytest.mark.parametrize("n", [184, 187])
+def test_kms_contraction_ragged_last_block(n):
+    # a count that _KMS_BLOCK does not divide leaves a ragged last block,
+    # whose per-block phase tables come from the last slice of the shells.
+    # 184 is a multiple of 8, so each entry is the whole grid's sum exactly;
+    # 187 is not, and its last columns may round differently in w @ F
+    g = right_fn(0.0, 2.5, 0.7, 0.9)
+    tn, tw = gl_nodes(-3.0, 3.0, n)
+    assert 1 < n % cz._KMS_BLOCK
+    w = tw * right_fn(-0.1, 2.2, 0.5, 0.7).creation_wave(tn)
+    for shells, grid, transpose in (
+            (cz._pair_shells(tn, tn), cz.pair_formfactor(g, tn, tn), False),
+            (cz._crossed_shells(tn, tn), cz.crossed_formfactor(g, tn, tn).T,
+             True)):
+        got = cz._w_times_grid(g, shells, w, transpose)
+        ref = w @ grid
+        if n % 8 == 0:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ----- S matrix -----

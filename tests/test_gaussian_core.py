@@ -304,14 +304,21 @@ def test_reflection_sectors_match_unsplit_spectrum(mass, beta):
 
 
 def test_reflection_sector_sizes(monkeypatch):
+    # each sector is solved in two steps, X's Cholesky factorization and
+    # then L^T P L: both see the sector's size, X first
     sizes = []
-    solve = gc._sympl_eigs_block
+    cholesky, factored = gc._cholesky, gc._sympl_eigs_factored
 
-    def recording(X, P):
+    def recording_cholesky(X):
         sizes.append(X.shape[0])
-        return solve(X, P)
+        return cholesky(X)
 
-    monkeypatch.setattr(gc, "_sympl_eigs_block", recording)
+    def recording_factored(L, P):
+        assert P.shape == L.shape == (sizes[-1], sizes[-1])
+        return factored(L, P)
+
+    monkeypatch.setattr(gc, "_cholesky", recording_cholesky)
+    monkeypatch.setattr(gc, "_sympl_eigs_factored", recording_factored)
     # a whole chain of even n >= 4 is folded by its half-shift into two
     # n/2-site columns, and each is split by reflection; an odd chain and
     # every interval that is not itself circulant keep the two halves
@@ -372,15 +379,21 @@ def test_state_build_allocates_no_dense_block():
 
 def _traced_spectrum(state, monkeypatch):
     """(peak, held): the traced peak of one symplectic_spectrum(state), and
-    the bytes alive as each eigvalsh starts."""
+    the bytes alive as each LAPACK call starts, keyed by "cholesky" and
+    "eigvalsh"."""
     gc.symplectic_spectrum(state)        # warm LAPACK
-    held, eigvalsh = [], np.linalg.eigvalsh
+    held = {"cholesky": [], "eigvalsh": []}
 
-    def traced_eigvalsh(a, **kw):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return eigvalsh(a, **kw)
+    def traced(name):
+        call = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", traced_eigvalsh)
+        def traced_call(a, **kw):
+            held[name].append(tracemalloc.get_traced_memory()[0])
+            return call(a, **kw)
+        monkeypatch.setattr(np.linalg, name, traced_call)
+
+    for name in held:
+        traced(name)
     tracemalloc.start()
     try:
         gc.symplectic_spectrum(state)
@@ -391,15 +404,17 @@ def _traced_spectrum(state, monkeypatch):
 
 def test_symplectic_spectrum_holds_three_sector_blocks(monkeypatch):
     # the solve drops X, P and L as each is consumed: at most three
-    # (n/2) x (n/2) blocks are alive at once, where keeping them held five,
-    # and only L^T P L is left when eigvalsh starts on it
+    # (n/2) x (n/2) blocks are alive at once, where keeping them held five.
+    # P is formed only after the Cholesky step, so X alone is held as
+    # cholesky starts on it, and only L^T P L as eigvalsh starts
     n = 512
     block = (n // 2) ** 2 * 8
     lat = gc.HarmonicLattice(2 * n, 0.0, ir_regulator=1e-3 / (2 * n))
     red = gc.reduce_state(gc.build_vacuum_state(lat), n)
     peak, held = _traced_spectrum(red, monkeypatch)
     assert peak < 3.5 * block
-    assert len(held) == 2 and max(held) < 1.5 * block
+    for name in ("cholesky", "eigvalsh"):
+        assert len(held[name]) == 2 and max(held[name]) < 1.5 * block, name
 
 
 def test_whole_chain_spectrum_holds_three_quarter_blocks(monkeypatch):
@@ -411,7 +426,8 @@ def test_whole_chain_spectrum_holds_three_quarter_blocks(monkeypatch):
     st = gc.build_vacuum_state(gc.HarmonicLattice(n, 1.0))
     peak, held = _traced_spectrum(st, monkeypatch)
     assert peak < 3.5 * quarter
-    assert len(held) == 4 and max(held) < 1.5 * quarter
+    for name in ("cholesky", "eigvalsh"):
+        assert len(held[name]) == 4 and max(held[name]) < 1.5 * quarter, name
 
 
 def test_thermal_interval_entropy_against_mpmath():
