@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import ConfigurationError, FitError, NumericError
 from .profiles import raised_cosine, smooth_bump
-from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums
+from .quadrature import filon_cos_sin, gl_nodes, linear_fit, panel_sums, row_blocks
 
 _ECUT_SIGMAS = 5.7     # |g~|^2 = exp(-(E T)^2) < 1e-14 beyond E = 5.7/T
 _KFAC = 40.0           # ramp cutoff k <= KFAC / dR
-_ROWS = 128            # k values (table rows) per block of a 2-d table
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,12 @@ def _g2(E, T):
 
 def _pair_integral_1d(ks, m, T):
     """D=1 on a 1-d array of k, one 320-node rule per k (a row of a table
-    formed _ROWS rows at a time); rapidity substitution p = m sinh(y)
-    resolves the 1/E spikes."""
+    formed in row_blocks); rapidity substitution p = m sinh(y) resolves the
+    1/E spikes."""
     ks = np.asarray(ks, float)
     out = np.empty_like(ks)
-    for i in range(0, ks.size, _ROWS):
-        k = ks[i:i + _ROWS, None]
+    for rows in row_blocks(ks.size, 320):
+        k = ks[rows, None]
         y_hi = np.arcsinh(k / (2.0 * m))
         y_lo = -np.arcsinh((_ECUT_SIGMAS / T + k) / m)
         yn, yw = gl_nodes(y_lo, y_hi, 320)
@@ -108,7 +107,7 @@ def _pair_integral_1d(ks, m, T):
         ep = m * np.cosh(yn)
         eq = _energy(k - p, m)
         val = (ep - eq) ** 2 / (4.0 * eq) * _g2(ep + eq, T)
-        out[i:i + _ROWS] = 2.0 * np.sum(yw * val, axis=1)
+        out[rows] = 2.0 * np.sum(yw * val, axis=1)
     return out
 
 
@@ -198,7 +197,8 @@ _HANKEL = {nu: _hankel_coefficients(nu) for nu in (0, 1)}
 def _horner(coefs, y):
     out = np.full_like(y, coefs[-1])
     for c in coefs[-2::-1]:
-        out = out * y + c
+        out *= y
+        out += c
     return out
 
 
@@ -224,9 +224,13 @@ def _bessel_j(nu, x):
     out[lo] = (0.5 * xs) ** nu * _horner(_SERIES[nu], 0.25 * xs * xs)
     xs = x[mid]
     j_up, j = np.zeros_like(xs), np.ones_like(xs)      # J_{n+1}, J_n
-    even = np.zeros_like(xs)
+    even, t = np.zeros_like(xs), np.empty_like(xs)
     for n in range(_MILLER_START, 0, -1):
-        j_up, j = j, 2.0 * n / xs * j - j_up
+        # J_{n-1} = 2n / x J_n - J_{n+1}, formed in the buffer of J_{n+1}
+        np.divide(2.0 * n, xs, out=t)
+        t *= j
+        np.subtract(t, j_up, out=j_up)
+        j_up, j = j, j_up
         if n % 2:
             even += j
     out[mid] = (j_up if nu else j) / (2.0 * even - j)
@@ -255,13 +259,17 @@ def _ramp_rule(spec, kmax):
 
 def _ramp_moments(spec, ks, weight_r=False):
     """(C, S) with C = int_0^dR rho(s) w(s) cos(k s) ds and S the sine
-    moment; rho the unit ramp, w = 1 or (R + s)."""
-    ks = np.atleast_1d(ks)
+    moment; rho the unit ramp, w = 1 or (R + s).  The (k, s) phase table
+    is formed in row_blocks."""
+    ks = np.atleast_1d(ks).ravel()
     sn, base = _ramp_rule(spec, np.max(np.abs(ks)))
     if weight_r:
         base = base * (spec.radius + sn)
-    C = np.cos(np.outer(ks, sn)) @ base
-    S = np.sin(np.outer(ks, sn)) @ base
+    C, S = np.empty(ks.size), np.empty(ks.size)
+    for rows in row_blocks(ks.size, sn.size):
+        ph = np.outer(ks[rows], sn)
+        C[rows] = np.cos(ph) @ base
+        S[rows] = np.sin(ph, out=ph) @ base
     return C, S
 
 
@@ -287,8 +295,8 @@ def _envelope_2d(spec, ks):
     Hankel's expansion of J1(kR) in the disc term 2 pi R J1(kR) / k, and of
     J0(k (R + s)) in the ramp term 2 pi sum_s w_s rho_s (R + s) J0(k (R + s)),
     split by angle addition on kR into P, Q and the phases of k s, none of
-    which oscillates on the scale 1/R.  The (k, s) tables are formed
-    _ROWS values of k at a time."""
+    which oscillates on the scale 1/R.  The (k, s) tables are formed in
+    row_blocks."""
     R = spec.radius
     k = np.asarray(ks, float)
     P, Q = _hankel_pq(1, k * R)
@@ -296,16 +304,16 @@ def _envelope_2d(spec, ks):
     A, B = disc * (P + Q), disc * (Q - P)
     sn, base = _ramp_rule(spec, np.max(k))
     w = 2.0 * np.pi * base * (R + sn)
-    for i in range(0, k.size, _ROWS):
-        kb = k[i:i + _ROWS]
+    for rows in row_blocks(k.size, sn.size):
+        kb = k[rows]
         xr = np.outer(kb, R + sn)
         P, Q = _hankel_pq(0, xr)
         amp = np.sqrt(1.0 / (np.pi * xr))
         U, V = amp * (P + Q), amp * (P - Q)
         ph = np.outer(kb, sn)
         c, s = np.cos(ph), np.sin(ph)
-        A[i:i + _ROWS] += (V * c - U * s) @ w
-        B[i:i + _ROWS] += (U * c + V * s) @ w
+        A[rows] += (V * c - U * s) @ w
+        B[rows] += (U * c + V * s) @ w
     return spec.amplitude * A, spec.amplitude * B
 
 
@@ -320,35 +328,47 @@ def ftilde_radial(spec, D, ks):
     if D == 3:
         A, B = _envelope_3d(spec, kk)
         return A * np.sin(kk * R) + B * np.cos(kk * R)
-    # D == 2: disc part closed form, ramp by quadrature of J0
+    # D == 2: disc part closed form, ramp by quadrature of J0 on a (k, s)
+    # table formed in row_blocks
     out = 2.0 * np.pi * R * _bessel_j(1, kk * R) / kk
     sn, base = _ramp_rule(spec, np.max(kk))
     rn = R + sn
-    out = out + 2.0 * np.pi * (_bessel_j(0, np.outer(kk, rn)) @ (base * rn))
+    w = base * rn
+    ramp = np.empty_like(kk)
+    for rows in row_blocks(kk.size, rn.size):
+        ramp[rows] = _bessel_j(0, np.outer(kk[rows], rn)) @ w
+    out = out + 2.0 * np.pi * ramp
     return spec.amplitude * out
 
 
 def _ftilde_1d_differences(spec, p):
     """The matrix f~(p_i - p_j) in D = 1, equal to ftilde_radial(spec, 1,
-    p_i - p_j), yielded as (rows, block) for blocks of _ROWS rows i.
+    p_i - p_j), yielded as (rows, block) for the row_blocks of its rows i.
     f~(k) = 2 sin(kR)/k + 2 sum_s w_s rho_s cos(k (R + s)), and angle
     addition turns the ramp sum into C^T W C + S^T W S with
     C = cos(p (R + s)), S = sin(p (R + s)): two GEMMs over the ramp nodes
     instead of one cosine per matrix entry and node.  C and S are formed
-    once, for every block.  The largest |p_i - p_j| is max(p) - min(p), as
-    subtraction rounds monotonically, so the ramp rule is the one the
-    whole matrix would choose."""
+    once, in row_blocks of the ramp nodes, for every block.  The largest
+    |p_i - p_j| is max(p) - min(p), as subtraction rounds monotonically, so
+    the ramp rule is the one the whole matrix would choose."""
     sn, base = _ramp_rule(spec, max(np.max(p) - np.min(p), 1e-14))
-    x = np.outer(spec.radius + sn, p)
-    C = np.cos(x)
-    S = np.sin(x, out=x)
-    for i in range(0, p.size, _ROWS):
-        rows = slice(i, i + _ROWS)
-        dd = p[rows, None] - p[None, :]
-        kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
-        ramp_part = (C.T[rows] * base) @ C + (S.T[rows] * base) @ S
-        yield rows, spec.amplitude * 2.0 * (np.sin(kk * spec.radius) / kk
-                                            + ramp_part)
+    rn = spec.radius + sn
+    C, S = np.empty((sn.size, p.size)), np.empty((sn.size, p.size))
+    for nodes in row_blocks(sn.size, p.size):
+        x = np.outer(rn[nodes], p)
+        np.cos(x, out=C[nodes])
+        np.sin(x, out=S[nodes])
+    for rows in row_blocks(p.size, p.size):
+        kk = np.abs(p[rows, None] - p[None, :])
+        kk[kk < 1e-14] = 1e-14
+        ft = (C.T[rows] * base) @ C
+        ft += (S.T[rows] * base) @ S
+        disc = np.multiply(kk, spec.radius)
+        np.sin(disc, out=disc)
+        disc /= kk
+        ft += disc
+        ft *= spec.amplitude * 2.0
+        yield rows, ft
 
 
 # ----------------------------------------------------------------------
@@ -432,18 +452,18 @@ def charge_variance_lattice(model, spec):
     ft = a * np.fft.fft(np.fft.ifftshift(f))[js % N]
     E = np.sqrt(model.mass**2 + (2.0 / a * np.sin(ks * a / 2.0)) ** 2)
     Eq = E[None, :]
-    # the (j1, j2) table is summed _ROWS rows at a time.  numpy sums a whole
+    # the (j1, j2) table is summed in row_blocks.  numpy sums a whole
     # C-contiguous N x N table pairwise, which for N a power of 2 is a
     # balanced tree over its row sums; adding the row sums in that tree
     # gives the whole table's sum to the bit
     sums = np.empty(N)
-    for i in range(0, N, _ROWS):
+    for rows in row_blocks(N, N):
         # position of the wrapped total momentum j1 + j2 in the js ordering
-        idx = (js[i:i + _ROWS, None] + js[None, :] + N // 2) % N
+        idx = (js[rows, None] + js[None, :] + N // 2) % N
         ft2 = np.abs(ft[idx]) ** 2
-        Ep = E[i:i + _ROWS, None]
+        Ep = E[rows, None]
         val = (Ep - Eq) ** 2 / (4.0 * Ep * Eq) * ft2 * _g2(Ep + Eq, spec.time_width)
-        sums[i:i + _ROWS] = val.sum(axis=1)
+        sums[rows] = val.sum(axis=1)
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
     return float(sums[0]) / L**2
@@ -508,16 +528,24 @@ def _one_particle_deviation(model, spec, t_shift=0.0):
                       / (0.5 * p_halfwidth))
     E = _energy(pn, m)
     mu = pw / (2.0 * np.pi * 2.0 * E)
-    # the kernel is formed _ROWS rows at a time
+    # the kernel is formed in the row blocks of _ftilde_1d_differences
     mu_psi = mu * psi
     q_psi = np.empty(pn.size, float if t_shift == 0.0 else complex)
-    for rows, ft in _ftilde_1d_differences(spec, pn):
+    for rows, kernel in _ftilde_1d_differences(spec, pn):
+        # (E + E') f~ g~, formed in place of f~; the complex products keep
+        # the closed form's operand order, on which their rounding depends
         de = E[rows, None] - E[None, :]
-        gh = np.exp(-0.5 * (de * spec.time_width) ** 2)
+        gh = np.multiply(de, spec.time_width)
+        np.square(gh, out=gh)
+        gh *= -0.5
+        np.exp(gh, out=gh)
+        kernel *= E[rows, None] + E[None, :]
         if t_shift != 0.0:
-            gh = gh * np.exp(1j * de * t_shift)
-        kernel = (E[rows, None] + E[None, :]) * ft * gh
-        q_psi[rows] = kernel @ mu_psi
+            phase = np.multiply(1j, de)
+            phase *= t_shift
+            np.exp(phase, out=phase)
+            gh = np.multiply(gh, phase, out=phase)
+        q_psi[rows] = np.multiply(kernel, gh, out=gh) @ mu_psi
     norm = float(np.sum(mu * psi**2))
     dev = np.sum(mu * np.abs(q_psi - psi) ** 2)
     return float(np.real(dev)) / norm

@@ -27,17 +27,12 @@ import numpy as np
 from . import gaussian_core
 from .errors import ConfigurationError, DomainError, FitError, NumericError
 from .profiles import smooth_bump, smooth_bump_d1, smooth_bump_d2
-from .quadrature import gl_nodes, linear_fit, panel_sums
+from .quadrature import gl_nodes, linear_fit, panel_sums, row_blocks
 
 NORMALIZATION = 1.0 / (4.0 * np.pi**2)
 _N_IMAGES = 200        # N, the Matsubara images summed before the psi' tail
 # relative tolerance between the two by-parts rule orders, per observable
 _RTOL = {"current": 1e-6, "energy": 1e-7}
-# rows per block of the engines' node tables: the correlation engine
-# evaluates the smearing on at most _ROWS outer nodes x (inner order) points
-# at a time, and _fourier_sq exponentiates at most _ROWS momenta x (nodes)
-# phases, which bounds the memory
-_ROWS = 128
 # sites of the vacuum interval whose entropy entropy_relation_check fits
 # against ln(1/eps)
 CALIBRATION_SITES = 32
@@ -230,7 +225,9 @@ class TransportedSmearing:
 
 def _corr_derivative(sm, oa, ob, xs, order_inner):
     """int f^(oa)(u) f^(ob)(u - x) du, integrated only over the overlaps of
-    the pieces of f^(oa) and f^(ob), where both can be nonzero."""
+    the pieces of f^(oa) and f^(ob), where both can be nonzero.  The
+    smearing is evaluated on the (outer node, inner node) table in
+    row_blocks, which bounds the memory."""
     xs = np.atleast_1d(np.asarray(xs, float))
     out = np.zeros_like(xs)
     fa = sm.deriv(oa)
@@ -242,8 +239,8 @@ def _corr_derivative(sm, oa, ob, xs, order_inner):
             hi = np.minimum(a2, b2 + xs)
             ln = hi - lo
             rows = np.flatnonzero(ln > 0)
-            for i in range(0, rows.size, _ROWS):
-                m = rows[i:i + _ROWS]
+            for blk in row_blocks(rows.size, order_inner):
+                m = rows[blk]
                 u = lo[m, None] + ln[m, None] * tn[None, :]
                 # rounding can push u - x just outside the piece of f^(ob)
                 v = np.clip(u - xs[m, None], b1, b2)
@@ -257,10 +254,10 @@ def _outer_edges(sm):
     smearing itself varies), with logarithmic caps so no panel spans more
     than about half an octave; the first panel is [0, smallest scale]."""
     b = sm.breakpoints
-    scales = np.unique([abs(x - y) for x in b for y in b]
-                       + [hi - lo for lo, hi in sm.pieces(0)])
-    # drop 0 and every scale within rounding of the one below it, which
-    # would only add a sliver panel
+    scales = np.sort([abs(x - y) for x in b for y in b]
+                     + [hi - lo for lo, hi in sm.pieces(0)])
+    # drop 0, repeats and every scale within rounding of the one below it,
+    # which would only add a sliver panel (np.unique would import numpy.ma)
     scales = scales[np.diff(scales, prepend=0.0) > 1e-12 * scales]
     edges = [scales[0]]
     for lo, hi in zip(scales[:-1], scales[1:]):
@@ -337,17 +334,13 @@ def _fourier_sq(f, ps):
     n = int(min(6000, max(160, 48 + 1.3 * pmax * (hi - lo) / np.pi)))
     un, uw = gl_nodes(lo, hi, n)
     weights = uw * f.deriv(0)(un)
-    # the phases are formed and exponentiated in place _ROWS momenta at a
-    # time, in one reused _ROWS x n table; each row's sum is the one the
-    # whole len(ps) x n table would give, except in a one-row last block,
-    # which BLAS sums by another kernel
+    # the (momentum, node) phase table is formed and exponentiated in place
+    # in row_blocks; each row's sum is the one the whole table would give
     mps = -1j * ps
     ft = np.empty_like(mps)
-    ph = np.empty((min(mps.size, _ROWS), n), complex)
-    for i in range(0, mps.size, _ROWS):
-        part = mps[i:i + _ROWS]
-        blk = np.multiply.outer(part, un, out=ph[:part.size])
-        ft[i:i + _ROWS] = np.exp(blk, out=blk) @ weights
+    for rows in row_blocks(mps.size, n):
+        ph = np.multiply.outer(mps[rows], un)
+        ft[rows] = np.exp(ph, out=ph) @ weights
     return np.abs(ft) ** 2
 
 

@@ -79,7 +79,11 @@ _SCHEMAS = {
         "eps_interval": (_integer, 48, (8, MAX_SITES)),
     },
     "charge-scaling": {
-        "n2_mass": (_real, 1e-6, (_POSITIVE[0], 100.0)),
+        # the 320-point pair kernel's F is 3.0e-5 off a 1280-point one at
+        # the default mass and 3.3e-5 at 1e-7; below that the error keeps
+        # growing with the kernel grid's log step (1.7e-4 at 1e-30, 3e-3 at
+        # 1e-300, where the kernel misses I(k) by up to 98 %)
+        "n2_mass": (_real, 1e-6, (1e-7, 100.0)),
         "n2_ratio_lo": (_real, 1.2e4, (1.0, 1e9)),
         "n2_ratio_hi": (_real, 1.2e5, (1.0, 1e9)),
         "n2_samples": (_integer, 8, (6, 64)),

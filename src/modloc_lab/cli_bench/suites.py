@@ -460,17 +460,17 @@ def run_experiment(cfg, out_dir):
 
 # Every suite, in the order parallel runs start them.  In a fresh
 # interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.54-0.64 s, ej-fluct 0.32-0.37 s, entropy-scan 0.21-0.22 s, crossing
+# 0.4-0.55 s, ej-fluct 0.2-0.25 s, entropy-scan 0.21-0.22 s, crossing
 # and unruh about 0.1 s each, zf-algebra 0.03-0.04 s and thermal-map
 # 0.002 s.  charge-scaling, the longest, starts first and the others run
-# beside it; entropy-scan, whose 2048-site symplectic spectrum is still
-# the largest memory step of the run, starts next.  Over ten alternating
-# perfbench verify-all pairs each, when every process still carried about
-# 4.4 MiB more start-up imports, this order read a median wall of
-# 0.83-0.87 s and peak RSS of 53.5 MiB; starting entropy-scan last read
-# 0.90 s and 56.4 MiB (lower peak in 0 pairs), and ej-fluct second 0.89 s
-# and 55.1 MiB (lower peak in 1 pair).  This order now peaks at 47.1 MiB
-# (perfbench: 47.3 MiB).
+# beside it; entropy-scan, whose 2048-site symplectic spectrum is the
+# largest memory step of the run, starts next.  Over six alternating
+# rounds of verify-all --parallel 2 in fresh interpreters, this order read
+# a median wall of 0.71 s and peak RSS of 42.5 MiB (lowest in every
+# round); starting entropy-scan first read 0.72 s and 42.6 MiB, ej-fluct
+# second 0.79 s and 44.0 MiB, and entropy-scan last 0.86 s and 44.4 MiB.
+# (Before the quadrature engines shared one block rule, this order peaked
+# at 47.1 MiB.)
 PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
                   "zf-algebra", "thermal-map", "ej-fluct")
 

@@ -5,6 +5,7 @@ Newton's method on the three-term Legendre recurrence), a composite Filon
 rule for strongly oscillatory integrals, and a closed-form line fit.
 Adaptivity is realized by comparing two rule orders, never by randomized
 refinement, so repeated runs are bit-identical.  Nothing here calls LAPACK.
+row_blocks is the one rule by which the engines cut their 2-d scratch tables.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from .errors import FitError
 
 _GL_CACHE = {}
 _GL_NEWTON_STEPS = 10   # a cap: from Tricomi's guesses every order takes 4
+_BLOCK_ENTRIES = 8192   # entries per row block of a scratch table (64 KiB)
 
 
 def _legendre_and_derivative(n, x):
@@ -59,6 +61,20 @@ def gl_nodes(a, b, n):
     """Gauss-Legendre nodes/weights mapped to [a, b]."""
     x, w = gauss_legendre(n)
     return 0.5 * (b + a) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+
+
+def row_blocks(n_rows, width):
+    """Row slices that cover an n_rows x width table in blocks of the most
+    rows, a multiple of 8 and at least 8, whose entries fit _BLOCK_ENTRIES.
+    A one-row remainder joins the block before it.  BLAS matrix-vector
+    products take rows in groups of up to 8, and a single row is reduced
+    by other kernels than a block of rows, so each row's product or sum
+    rounds as it does in the whole table."""
+    step = max(8, _BLOCK_ENTRIES // max(width, 1) // 8 * 8)
+    edges = list(range(0, n_rows, step)) + [n_rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def panel_sums(edges, n, integrand):
@@ -111,7 +127,8 @@ def linear_fit(x, y):
     constant (no slope or R^2)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    if len(np.unique(x)) < 2 or np.ptp(y) == 0:
+    # np.ptp, not np.unique, which imports numpy.ma (0.5 MiB) on first use
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise FitError("degenerate linear fit: need two distinct x values and a varying y")
     x_mean, y_mean = np.mean(x), np.mean(y)
     dx, dy = x - x_mean, y - y_mean

@@ -4,11 +4,20 @@ import pytest
 from modloc_lab import charge_fluct as cf
 from modloc_lab.errors import ConfigurationError, FitError, NumericError
 from modloc_lab.profiles import raised_cosine, smooth_bump
-from modloc_lab.quadrature import filon_cos_sin, gl_nodes
+from modloc_lab import quadrature as quad
+from modloc_lab.cli_bench.config import _SCHEMAS
+from modloc_lab.quadrature import filon_cos_sin, gl_nodes, row_blocks
 
 
 def spec(R=3.0, dR=1.0, T=0.2, **kw):
     return cf.PartialChargeSpec(R, dR, T, **kw)
+
+
+def ragged(n_rows, width):
+    # the row blocks of an n_rows x width table end on a block of another
+    # height than the first, with more than one row
+    sizes = [b.stop - b.start for b in row_blocks(n_rows, width)]
+    return len(sizes) > 1 and 1 < sizes[-1] != sizes[0]
 
 
 # ----- radial transforms against direct quadrature oracles -----
@@ -322,14 +331,16 @@ def _pair_integral_1d_scalar(k, m, T):
 
 @pytest.mark.parametrize("m, T, kmax", [(1.0, 0.2, 40.0), (1e-6, 5e-6, 8e3)])
 def test_pair_integral_1d_array_equals_per_k_loop(traced_peak, m, T, kmax):
-    # the pair kernel's 320 grid points: two blocks of _ROWS and a ragged
-    # one of 64
-    ks = np.exp(np.linspace(np.log(1e-3 * min(m, 1.0 / kmax)), np.log(kmax), 320))
-    assert 1 < ks.size % cf._ROWS
-    ref = np.array([_pair_integral_1d_scalar(k, m, T) for k in ks])
-    np.testing.assert_array_equal(cf._pair_integral_1d(ks, m, T), ref)
-    # measured 3.1 MiB; the whole 320 x 320 table and its temporaries took 7.0
-    assert traced_peak(lambda: cf._pair_integral_1d(ks, m, T)) < 3.8
+    # the pair kernel's 320 grid points, in blocks of 24 rows and a ragged
+    # one of 8, and 337, where a one-row remainder joins the block before it
+    for n in (320, 337):
+        ks = np.exp(np.linspace(np.log(1e-3 * min(m, 1.0 / kmax)), np.log(kmax), n))
+        assert ragged(n, 320)
+        ref = np.array([_pair_integral_1d_scalar(k, m, T) for k in ks])
+        np.testing.assert_array_equal(cf._pair_integral_1d(ks, m, T), ref)
+    # measured 0.59 MiB at 320 points; 128-row blocks took 3.1, the whole
+    # 320 x 320 table and its temporaries 7.0
+    assert traced_peak(lambda: cf._pair_integral_1d(ks, m, T)) < 0.75
 
 
 def _variance_filon_per_panel(spec, D, pair):
@@ -519,6 +530,34 @@ def test_tiny_normal_mass_still_runs():
     assert np.isfinite(F) and F > 0.0
 
 
+def _worst_kernel_error(m, ratios):
+    # largest relative miss of the pair kernel against _pair_integral_1d on
+    # 400 k up to kmax, where I(k) exceeds 1e-3 of its peak, over n2 scan
+    # geometries (R = 6 sqrt(R/dR / 100), T = dR / 10)
+    worst = 0.0
+    for x in ratios:
+        R = 6.0 * np.sqrt(x / 100.0)
+        s = spec(R, R / x, 0.1 * R / x)
+        T, kmax = s.time_width, cf._kmax(s)
+        ks = np.exp(np.linspace(np.log(1e-3 / kmax), np.log(kmax), 400))
+        direct = cf._pair_integral_1d(ks, m, T)
+        keep = direct > 1e-3 * direct.max()
+        kernel = cf._PairKernel(1, m, T, kmax)
+        worst = max(worst, np.max(np.abs(kernel(ks[keep]) / direct[keep] - 1.0)))
+    return worst
+
+
+def test_pair_kernel_holds_at_the_mass_floor():
+    # the n2_mass floor of the config schema: the kernel's grid runs from
+    # 1e-3 m, so its log step grows as the mass falls.  Measured 4.2 % at
+    # the floor and 3.6 % at the default mass 1e-6; at 1e-300 (step 1.14)
+    # the interpolant misses the Gaussian cutoff by up to 98 %
+    floor = _SCHEMAS["charge-scaling"]["n2_mass"][2][0]
+    ratios = np.exp(np.linspace(np.log(1.2e4), np.log(1.2e5), 8))
+    assert _worst_kernel_error(floor, ratios) < 0.05
+    assert _worst_kernel_error(1e-300, ratios[:1]) > 0.5
+
+
 # ----- row-blocked tables against the whole tables they replace -----
 
 def _envelope_2d_one_shot(s, ks):
@@ -541,26 +580,60 @@ def _envelope_2d_one_shot(s, ks):
     return s.amplitude * A, s.amplitude * B
 
 
-@pytest.mark.parametrize("n", [961, 752])
-def test_envelope_2d_blocks_match_the_whole_tables(traced_peak, n):
-    # the n3 scan's Filon grid (961 nodes, ragged block of 65) and its
-    # geometric panels (752 nodes, ragged block of 112), 360 ramp nodes
-    s = spec(50.0, 0.5, 0.05, amplitude=1.5)
-    ks = np.linspace(30.0 / s.radius, cf._kmax(s), n)
-    assert 1 < ks.size % cf._ROWS
+def _ramp_moments_one_shot(s, ks, weight_r):
+    sn, base = cf._ramp_rule(s, np.max(np.abs(ks)))
+    if weight_r:
+        base = base * (s.radius + sn)
+    return np.cos(np.outer(ks, sn)) @ base, np.sin(np.outer(ks, sn)) @ base
+
+
+def _ftilde_2d_one_shot(s, ks):
+    R = s.radius
+    out = 2.0 * np.pi * R * cf._bessel_j(1, ks * R) / ks
+    sn, base = cf._ramp_rule(s, np.max(ks))
+    rn = R + sn
+    out = out + 2.0 * np.pi * (cf._bessel_j(0, np.outer(ks, rn)) @ (base * rn))
+    return s.amplitude * out
+
+
+@pytest.mark.parametrize("geometry, kfac, n", [
+    pytest.param((50.0, 0.5, 0.05), 1.0, 961, id="961"),
+    pytest.param((50.0, 0.5, 0.05), 1.0, 752, id="752"),
+    pytest.param((31.0, 3.1, 0.05), 4.0, 961, id="4kmax-961"),
+    pytest.param((31.0, 3.1, 0.05), 4.0, 730, id="4kmax-730")])
+def test_envelope_2d_blocks_match_the_whole_tables(traced_peak, geometry, kfac, n):
+    # the n3 scan's Filon grid (961 nodes) and geometric panels (752 nodes)
+    # on its 72 ramp nodes, and k up to 4 kmax on 239 ramp nodes, each
+    # ending on a ragged block; the ramp moments and the D = 2 J0 table of
+    # ftilde_radial are (k, s) tables of the same shape
+    s = spec(*geometry, amplitude=1.5)
+    ks = np.linspace(30.0 / s.radius, kfac * cf._kmax(s), n)
+    width = cf._ramp_rule(s, np.max(ks))[0].size
+    assert ragged(n, width)
     for mine, ref in zip(cf._envelope_2d(s, ks), _envelope_2d_one_shot(s, ks)):
         assert np.array_equal(mine, ref)
-    # measured 1.0 MiB at 961 nodes; the whole tables took 5.8
-    assert traced_peak(lambda: cf._envelope_2d(s, ks)) < 1.3
+    for weight_r in (False, True):
+        for mine, ref in zip(cf._ramp_moments(s, ks, weight_r),
+                             _ramp_moments_one_shot(s, ks, weight_r)):
+            assert np.array_equal(mine, ref)
+    assert np.array_equal(cf.ftilde_radial(s, 2, ks), _ftilde_2d_one_shot(s, ks))
+    # measured 0.83 MiB (envelope), 0.85 (ftilde_radial) and 0.27 (ramp
+    # moments) at 961 nodes; 128-row blocks took 1.0 for the envelope, and
+    # the whole tables 5.8, 6.6 and 1.1
+    assert traced_peak(lambda: cf._envelope_2d(s, ks)) < 1.0
+    assert traced_peak(lambda: cf.ftilde_radial(s, 2, ks)) < 1.05
+    assert traced_peak(lambda: cf._ramp_moments(s, ks, True)) < 0.35
 
 
-@pytest.mark.parametrize("rows", [None, 96])
+@pytest.mark.parametrize("rows", [None, 96, 200])
 def test_lattice_blocks_match_the_whole_sum(monkeypatch, traced_peak, rows):
     # numpy's pairwise sum of the whole 512 x 512 table is a balanced tree
-    # over its row sums, which the blocked sum rebuilds; 96-row blocks end
-    # on a ragged one of 32
+    # over its row sums, which the blocked sum rebuilds; the default budget
+    # gives even blocks, and budgets of 96 and 200 rows end on ragged
+    # blocks of 32 and 112 rows
     if rows:
-        monkeypatch.setattr(cf, "_ROWS", rows)
+        monkeypatch.setattr(quad, "_BLOCK_ENTRIES", rows * 512)
+        assert ragged(512, 512)
     model = cf.ScalarModel(1.0, 2)
     for s in (spec(2.0, 1.0, 0.2), spec(3.5, 0.5, 0.1), spec(2.5, 0.7, 0.15)):
         N = 512
@@ -575,8 +648,20 @@ def test_lattice_blocks_match_the_whole_sum(monkeypatch, traced_peak, rows):
         Ep, Eq = E[:, None], E[None, :]
         val = (Ep - Eq) ** 2 / (4.0 * Ep * Eq) * ft2 * cf._g2(Ep + Eq, s.time_width)
         assert cf.charge_variance_lattice(model, s) == float(val.sum()) / (N * a) ** 2
-    # measured 3.5 MiB at 128-row blocks; the whole table took 12.0
-    assert traced_peak(lambda: cf.charge_variance_lattice(model, s)) < 4.2
+    if rows is None:
+        # measured 0.48 MiB; 128-row blocks took 3.5, the whole table 12.0
+        assert traced_peak(lambda: cf.charge_variance_lattice(model, s)) < 0.6
+
+
+def _ftilde_1d_differences_one_shot(s, p):
+    # the whole f~(p_i - p_j) table, from whole C and S tables
+    dd = p[:, None] - p[None, :]
+    kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
+    sn, base = cf._ramp_rule(s, np.max(kk))
+    x = np.outer(s.radius + sn, p)
+    C, S = np.cos(x), np.sin(x)
+    ramp_part = (C.T * base) @ C + (S.T * base) @ S
+    return s.amplitude * 2.0 * (np.sin(kk * s.radius) / kk + ramp_part)
 
 
 def _one_particle_deviation_one_shot(model, s, t_shift):
@@ -586,13 +671,7 @@ def _one_particle_deviation_one_shot(model, s, t_shift):
     psi = smooth_bump((np.abs(pn - 0.5) - 0.125) / 0.125)
     E = np.sqrt(pn * pn + m * m)
     mu = pw / (2.0 * np.pi * 2.0 * E)
-    dd = pn[:, None] - pn[None, :]
-    kk = np.where(np.abs(dd) < 1e-14, 1e-14, np.abs(dd))
-    sn, base = cf._ramp_rule(s, np.max(kk))
-    x = np.outer(s.radius + sn, pn)
-    C, S = np.cos(x), np.sin(x)
-    ramp_part = (C.T * base) @ C + (S.T * base) @ S
-    ft = s.amplitude * 2.0 * (np.sin(kk * s.radius) / kk + ramp_part)
+    ft = _ftilde_1d_differences_one_shot(s, pn)
     gh = np.exp(-0.5 * ((E[:, None] - E[None, :]) * s.time_width) ** 2)
     if t_shift != 0.0:
         gh = gh * np.exp(1j * (E[:, None] - E[None, :]) * t_shift)
@@ -601,15 +680,43 @@ def _one_particle_deviation_one_shot(model, s, t_shift):
     return float(np.real(dev)) / float(np.sum(mu * psi**2))
 
 
-@pytest.mark.parametrize("R", [4.0, 64.0])
+@pytest.mark.parametrize("R, rows", [
+    pytest.param(4.0, None, id="4.0"), pytest.param(64.0, None, id="64.0"),
+    pytest.param(4.0, 48, id="4.0-48rows"), pytest.param(64.0, 48, id="64.0-48rows")])
 @pytest.mark.parametrize("t_shift", [0.0, 0.1])
-def test_global_limit_blocks_match_the_whole_tables(traced_peak, R, t_shift):
-    # the global limit's 360 packet nodes: two blocks of _ROWS and one of 104
+def test_global_limit_blocks_match_the_whole_tables(monkeypatch, traced_peak, R,
+                                                    rows, t_shift):
+    # the global limit's 360 packet nodes: 22 blocks of 16 and a ragged one
+    # of 8 at the default budget, and seven of 48 and one of 24 at a budget
+    # of 48 rows
     model = cf.ScalarModel(1.0, 2)
     s = spec(R, 1.0, 0.2)
-    assert 1 < 360 % cf._ROWS
+    if rows:
+        monkeypatch.setattr(quad, "_BLOCK_ENTRIES", rows * 360)
+        assert ragged(360, 360)
     assert (cf._one_particle_deviation(model, s, t_shift)
             == _one_particle_deviation_one_shot(model, s, t_shift))
-    # measured 3.4 MiB (real kernel) and 4.5 MiB (t_shift); the whole
-    # tables took 5.2 and 6.1
-    assert traced_peak(lambda: cf._one_particle_deviation(model, s, t_shift)) < 5.0
+    if rows is None:
+        # measured 0.60 MiB (real kernel) and 0.73 MiB (t_shift); 128-row
+        # blocks took 3.4 and 4.5, the whole tables 5.2 and 6.1
+        assert traced_peak(lambda: cf._one_particle_deviation(model, s, t_shift)) < 0.9
+
+
+@pytest.mark.parametrize("geometry", [(4.0, 1.0, 0.2), (16.0, 10.0, 0.2)])
+@pytest.mark.parametrize("rows", [None, 48])
+def test_ftilde_1d_differences_blocks_match_the_whole_table(monkeypatch, geometry,
+                                                            rows):
+    # f~(p_i - p_j) on the packet's 360 nodes, in row blocks, from C and S
+    # formed in row blocks of the ramp nodes: 32 of them at dR = 1 (two
+    # blocks of 16) and 44 at dR = 10 (a ragged block of 12).  A budget of
+    # 48 rows ends the table on a ragged block of 24.  At other column counts
+    # the GEMMs round some rows differently from the whole table's, at any
+    # block height, so the test keeps the 360 columns the limit uses
+    if rows:
+        monkeypatch.setattr(quad, "_BLOCK_ENTRIES", rows * 360)
+    s = spec(*geometry)
+    p, _ = gl_nodes(-0.5, 1.5, 360)
+    got = np.empty((360, 360))
+    for blk, block in cf._ftilde_1d_differences(s, p):
+        got[blk] = block
+    assert np.array_equal(got, _ftilde_1d_differences_one_shot(s, p))

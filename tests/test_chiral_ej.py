@@ -4,7 +4,7 @@ import pytest
 from modloc_lab import chiral_ej as ce
 from modloc_lab import profiles
 from modloc_lab.errors import ConfigurationError, DomainError, FitError, NumericError
-from modloc_lab.quadrature import gauss_legendre, gl_nodes, linear_fit
+from modloc_lab.quadrature import gauss_legendre, gl_nodes, linear_fit, row_blocks
 
 TWO_PI = 2.0 * np.pi
 N0 = 1.0 / (4.0 * np.pi**2)
@@ -209,26 +209,39 @@ def test_corr_derivative_stays_inside_the_pieces():
 SUITE_GEOMETRIES = [(0.5, 0.4, 0.3), (0.0, 1.0, 0.5), (-0.3, 0.2, 0.6)]
 
 
-def _fourier_sq_one_shot(f, ps):
-    # the whole len(ps) x n phase table, exponentiated in place
+def _fourier_nodes(f, ps):
+    # the node count _fourier_sq takes for these momenta
     lo, hi = f.support
     pmax = float(np.max(np.abs(ps)))
-    n = int(min(6000, max(160, 48 + 1.3 * pmax * (hi - lo) / np.pi)))
-    un, uw = gl_nodes(lo, hi, n)
+    return int(min(6000, max(160, 48 + 1.3 * pmax * (hi - lo) / np.pi)))
+
+
+def _fourier_sq_one_shot(f, ps):
+    # the whole len(ps) x n phase table, exponentiated in place
+    un, uw = gl_nodes(*f.support, _fourier_nodes(f, ps))
     ph = np.outer(-1j * ps, un)
     return np.abs(np.exp(ph, out=ph) @ (uw * f.deriv(0)(un))) ** 2
 
 
+def _block_sizes(n_rows, width):
+    return [b.stop - b.start for b in row_blocks(n_rows, width)]
+
+
 @pytest.mark.parametrize("geometry", SUITE_GEOMETRIES)
 def test_fourier_sq_blocks_match_the_whole_table(traced_peak, geometry):
-    # current_variance_spectral's 1600 momenta: twelve blocks of _ROWS and
-    # a ragged one of 64
+    # current_variance_spectral's 1600 momenta on 202-395 nodes (blocks of
+    # 16-40 rows), and the first 1597, which end on a ragged block, and
+    # 1585, where two geometries join a one-row remainder to the block
+    # before it
     f = ce.SmearingFn(*geometry)
     pn, _ = ce._panel_rule(0.0, ce._spectral_pmax(f), 16)
-    assert pn.size == 1600 and 1 < pn.size % ce._ROWS
-    assert np.array_equal(ce._fourier_sq(f, pn), _fourier_sq_one_shot(f, pn))
-    # measured 0.7-1.1 MiB over the geometries; the whole table took 5.2-9.9
-    assert traced_peak(lambda: ce._fourier_sq(f, pn)) < 1.4
+    sizes = _block_sizes(1597, _fourier_nodes(f, pn[:1597]))
+    assert 1 < sizes[-1] < sizes[0]
+    for n in (1600, 1597, 1585):
+        assert np.array_equal(ce._fourier_sq(f, pn[:n]), _fourier_sq_one_shot(f, pn[:n]))
+    # measured 0.46-0.56 MiB over the geometries; 128-row blocks took
+    # 0.7-1.1, the whole table 5.2-9.9
+    assert traced_peak(lambda: ce._fourier_sq(f, pn)) < 0.7
 
 
 def _integrate_per_panel(sm, corr_fn, kern, order_inner, order_outer):
@@ -278,11 +291,32 @@ def test_inner_rule_is_the_unit_interval_rule(monkeypatch):
     assert rules == [(0.0, 1.0, 56)]
 
 
+def _corr_derivative_one_shot(sm, oa, ob, xs, order_inner):
+    # each pair of pieces as one (outer node, inner node) table
+    out = np.zeros_like(xs)
+    tn, tw = gl_nodes(0.0, 1.0, order_inner)
+    for a1, a2 in sm.pieces(oa):
+        for b1, b2 in sm.pieces(ob):
+            lo = np.maximum(a1, b1 + xs)
+            ln = np.minimum(a2, b2 + xs) - lo
+            m = np.flatnonzero(ln > 0)
+            u = lo[m, None] + ln[m, None] * tn[None, :]
+            v = np.clip(u - xs[m, None], b1, b2)
+            out[m] += ((sm.deriv(oa)(u) * sm.deriv(ob)(v)) @ tw) * ln[m]
+    return out
+
+
 def test_corr_derivative_evaluates_bounded_blocks():
-    # every outer node goes into one call, but the smearing sees at most
-    # _ROWS of them at a time, so the memory does not grow with the panels
+    # every outer node goes into one call, but the smearing sees one row
+    # block of them at a time, so the memory does not grow with the panels;
+    # the rows that each pair of pieces overlaps end on blocks of various
+    # heights, and each product rounds as in the one-shot table
     g = ce.TransportedSmearing(bump(0.0, 1.0, 0.5), TWO_PI)
-    xs, _ = gl_nodes(0.0, g.support[1] - g.support[0], 5 * ce._ROWS)
+    for n in (640, 645, 649):
+        xn, _ = gl_nodes(0.0, g.support[1] - g.support[0], n)
+        assert np.array_equal(ce._corr_derivative(g, 1, 2, xn, 56),
+                              _corr_derivative_one_shot(g, 1, 2, xn, 56))
+    xs, _ = gl_nodes(0.0, g.support[1] - g.support[0], 640)
     rows = []
 
     class Recording(ce.TransportedSmearing):
@@ -296,11 +330,27 @@ def test_corr_derivative_evaluates_bounded_blocks():
 
     rec = Recording(bump(0.0, 1.0, 0.5), TWO_PI)
     got = ce._corr_derivative(rec, 1, 2, xs, 56)
-    assert 0 < max(rows) <= ce._ROWS
+    # at most one block height, or one more row where a one-row remainder
+    # joined the block before it
+    assert 0 < max(rows) <= _block_sizes(640, 56)[0] + 1
     # BLAS may round a row differently at another row count
     ref = np.concatenate([ce._corr_derivative(g, 1, 2, xs[i:i + 50], 56)
                           for i in range(0, xs.size, 50)])
     assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("which", ["C1", "C3"])
+def test_corr_derivative_memory_on_a_suite_geometry(traced_peak, which):
+    # one by-parts integral of the transported geometry-1 smearing at the
+    # higher rule orders (756 outer nodes, 88 inner); the smearing and its
+    # derivatives are evaluated on row blocks
+    g = ce.TransportedSmearing(ce.SmearingFn(*SUITE_GEOMETRIES[1]), TWO_PI)
+    edges = np.concatenate([[0.0], ce._outer_edges(g)])
+    xs = gl_nodes(edges[:-1, None], edges[1:, None], 42)[0].ravel()
+    oa, ob = (0, 1) if which == "C1" else (1, 2)
+    # measured 0.77 MiB (C1) and 0.86 MiB (C3); 128-row blocks and the
+    # profiles' temporaries took 1.32 and 1.84
+    assert traced_peak(lambda: ce._corr_derivative(g, oa, ob, xs, 88)) < 1.05
 
 
 def _log_image(g, segments):

@@ -71,6 +71,21 @@ def test_gauss_legendre_rule_holds_no_matrix(traced_peak):
     assert traced_peak(lambda: quad._gauss_legendre_rule(480)) < 0.05
 
 
+@pytest.mark.parametrize("n_rows, width", [
+    (0, 56), (1, 56), (2, 6000), (9, 4096), (320, 320), (329, 320), (961, 72),
+    (645, 88), (1600, 6000)])
+def test_row_blocks_tile_the_table_within_the_budget(n_rows, width):
+    blocks = quad.row_blocks(n_rows, width)
+    rows = [np.arange(n_rows)[b] for b in blocks]
+    assert np.array_equal(np.concatenate(rows + [np.arange(0)]), np.arange(n_rows))
+    # one height, the largest multiple of 8 that fits the budget, or 8 for
+    # wide tables; a one-row remainder joins the block before it
+    height = max(8, quad._BLOCK_ENTRIES // width // 8 * 8)
+    assert all(r.size == height for r in rows[:-1])
+    if rows:
+        assert 1 < rows[-1].size <= height + 1 or n_rows == 1
+
+
 def test_cached_rule_is_read_only():
     x, w = quad.gauss_legendre(16)
     assert quad.gauss_legendre(16)[0] is x
