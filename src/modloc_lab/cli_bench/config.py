@@ -62,6 +62,7 @@ _SCHEMAS = {
         # u in [0.02, 0.98] grid overflows; above beta ~ 1e153 the squared
         # image differences underflow and the defect reads NaN
         "betas": (_list(_real, 1), (1.0, 6.283185307179586), (0.02, 1e100)),
+        # in row_blocks: the suite peaks at 34.7 MiB at the cap
         "grid_n": (_integer, 100, (4, 100000)),
     },
     "entropy-scan": {
@@ -100,6 +101,7 @@ _SCHEMAS = {
         # the benchmark's wedge config names it, and goes with that config
         # entry (ROADMAP, "Put the crossing suite in Compton units")
         "mass": (_real, 1.0, (1.0, 1.0)),
+        # in row_blocks: the suite peaks at 35.5 MiB at the cap (40 000 CSV rows)
         "grid_n": (_integer, 20, (4, 200)),
     },
     "zf-algebra": {

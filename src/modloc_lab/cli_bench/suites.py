@@ -343,12 +343,13 @@ def suite_crossing(cfg, man, out):
     n = cfg["grid_n"]
     t1 = np.linspace(-1.5, 1.5, n)
     t2 = np.linspace(-1.2, 1.8, n)
-    reps = [cz.free_crossing_check(g, t1, t2) for g in gs]
-    crossing_defect = 0.0
-    for i, rep in enumerate(reps):
-        crossing_defect = max(crossing_defect, rep.max_rel_defect)
+    grids = cz.free_crossing_check(gs[0], t1, t2)   # the CSV reads these
+    defects = [grids.max_rel_defect]
+    defects += [cz.free_crossing_check(g, t1, t2).max_rel_defect for g in gs[1:]]
+    crossing_defect = max(defects)
+    for i, defect in enumerate(defects):
         man.extend([check_less(
-            f"crossing/free-crossing/geometry-{i}", rep.max_rel_defect, 1e-6,
+            f"crossing/free-crossing/geometry-{i}", defect, 1e-6,
             note=f"i pi continued pair formfactor vs crossed element, {n}x{n} grid",
         )])
     f = cz.WedgeTestFn(0.2, 2.0, 0.6, 0.8)
@@ -380,8 +381,8 @@ def suite_crossing(cfg, man, out):
         "general interacting crossing requires the unsolved multi-particle "
         "emulator action; only free/integrable instances are tested",
     )])
-    c = reps[0].continued.ravel()
-    x = reps[0].crossed.ravel()
+    c = grids.continued.ravel()
+    x = grids.crossed.ravel()
     rows = np.column_stack((np.repeat(t1, n), np.tile(t2, n),
                             c.real, c.imag, x.real, x.imag))
     path, digest = write_csv(
@@ -416,7 +417,9 @@ def suite_zf_algebra(cfg, man, out):
                        props["crossing"], 1e-12),
             check_less(f"zf-algebra/exchange/b={b:g}", ex, 1e-10),
             check_less(f"zf-algebra/double-exchange/b={b:g}", dbl, 1e-12),
-            check_less(f"zf-algebra/associativity/b={b:g}", assoc, 1e-10),
+            check_less(f"zf-algebra/associativity/b={b:g}", assoc, 1e-10,
+                       note="scalar S: both paths are the same three factors "
+                            "in another order, so this reads rounding only"),
         ])
     S = cz.SMatrixModel(1.0)
     man.extend([check_less("zf-algebra/s-at-zero", float(abs(S(0.0) + 1.0)),
@@ -469,8 +472,6 @@ def run_experiment(cfg, out_dir):
 # a median wall of 0.71 s and peak RSS of 42.5 MiB (lowest in every
 # round); starting entropy-scan first read 0.72 s and 42.6 MiB, ej-fluct
 # second 0.79 s and 44.0 MiB, and entropy-scan last 0.86 s and 44.4 MiB.
-# (Before the quadrature engines shared one block rule, this order peaked
-# at 47.1 MiB.)
 PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
                   "zf-algebra", "thermal-map", "ej-fluct")
 

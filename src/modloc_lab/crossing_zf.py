@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .quadrature import gl_nodes
+from .quadrature import gl_nodes, row_blocks
 
 C0_SQ = 1.0 / (4.0 * np.pi)     # <phi phi> rapidity density: dtheta / 4 pi
 _GROWTH_THRESHOLD = 1e3
 _ORDER = 96                     # Gauss-Legendre nodes per axis of the box
-_KMS_BLOCK = 40                 # rapidities per block of the KMS contractions
 
 
 def _bump(s):
@@ -84,24 +83,29 @@ class WedgeTestFn:
 
     def fourier(self, p0, p1):
         """int f(t,x) exp(i (p0 t - p1 x)) dt dx, complex momenta allowed;
-        separable, so two 1-d sums."""
+        separable, so two 1-d sums, formed in row_blocks."""
         tn, wt, xn, wx = self._weighted_nodes()
         p0 = np.atleast_1d(np.asarray(p0, complex))
         p1 = np.atleast_1d(np.asarray(p1, complex))
-        It = np.exp(1j * np.multiply.outer(p0, tn)) @ wt
-        Ix = np.exp(-1j * np.multiply.outer(p1, xn)) @ wx
-        return It * Ix
+        out = np.empty(p0.shape, complex)
+        for b in row_blocks(p0.size, _ORDER):
+            out[b] = np.exp(1j * np.multiply.outer(p0[b], tn)) @ wt
+            out[b] *= np.exp(-1j * np.multiply.outer(p1[b], xn)) @ wx
+        return out
 
     def fourier_outer(self, pa, pb):
         """fourier(p0a_i + p0b_j, p1a_i + p1b_j) on the len(pa) x len(pb)
         grid, pa = (p0a, p1a) and pb = (p0b, p1b) 1-d momentum components.
         The exponential of the sum factors into a phase table per side, so
-        each separable 1-d node sum is one (n_a x _ORDER)(_ORDER x n_b) GEMM."""
+        each separable 1-d node sum is a GEMM, formed in row_blocks."""
         nodes = self._weighted_nodes()
-        (rt, rx), (ct, cx) = _row_tables(nodes, pa), _col_tables(nodes, pb)
-        It = rt @ ct
-        It *= rx @ cx
-        return It
+        (p0a, p1a), (ct, cx) = pa, _col_tables(nodes, pb)
+        out = np.empty((p0a.size, ct.shape[1]), complex)
+        for b in row_blocks(p0a.size, ct.shape[1]):
+            rt, rx = _row_tables(nodes, (p0a[b], p1a[b]))
+            out[b] = rt @ ct
+            out[b] *= rx @ cx
+        return out
 
     def mass_shell(self, theta):
         """fhat(theta) = int f(x) exp(-i p(theta).x) d^2x on complex
@@ -298,36 +302,23 @@ def _col_tables(nodes, pb):
             np.exp(-1j * np.multiply.outer(xn, p1)))
 
 
-def _w_times_grid(g, shells, w, transpose):
-    """w @ F, or w @ F.T, for the form-factor grid F = 2 c0^2
-    g.fourier_outer(*shells), as pair_formfactor and crossed_formfactor
-    build it, but formed _KMS_BLOCK columns (for w @ F) or rows (for
-    w @ F.T) at a time.  The phase tables of the side contracted whole
-    (the rows of F for w @ F, its columns for w @ F.T) are built once; the
-    blocked side's are built per block from its slice of the shells, so
-    one block of them is held, and no grid of the full size.  Each entry
-    is the sum the whole grid gives at the rapidity counts
-    kms_free_identity uses (multiples of 40); at a count that is not a
-    multiple of 8, w @ F may round its last columns differently."""
+def _kms_contraction(g, shells, w_rows, w_cols):
+    """sum_ij w_rows_i F_ij w_cols_j for F = 2 c0^2 g.fourier_outer(*shells),
+    without F: with the row tables R, X and column tables C, Y,
+    F_ij = 2 c0^2 (R C)_ij (X Y)_ij, so the sum is 2 c0^2 sum_ab G_ab H_ab
+    for G = R^T diag(w_rows) X and H = C diag(w_cols) Y^T, summed over
+    row_blocks: O(n _ORDER^2) work, not O(n^2 _ORDER)."""
     nodes = g._weighted_nodes()
-    pa, pb = shells
-    if transpose:
-        ct, cx = _col_tables(nodes, pb)
-    else:
-        rt, rx = _row_tables(nodes, pa)
-    n = (pa if transpose else pb)[0].shape[0]
-    out = np.empty(n, complex)
-    for s in range(0, n, _KMS_BLOCK):
-        b = slice(s, s + _KMS_BLOCK)
-        if transpose:
-            rt, rx = _row_tables(nodes, (pa[0][b], pa[1][b]))
-        else:
-            ct, cx = _col_tables(nodes, (pb[0][b], pb[1][b]))
-        blk = rt @ ct
-        blk *= rx @ cx
-        blk *= 2.0 * C0_SQ
-        out[b] = w @ (blk.T if transpose else blk)
-    return out
+    (p0a, p1a), (p0b, p1b) = shells
+    G = np.zeros((_ORDER, _ORDER), complex)
+    H = np.zeros_like(G)
+    for b in row_blocks(p0a.size, _ORDER):
+        rt, rx = _row_tables(nodes, (p0a[b], p1a[b]))
+        G += rt.T @ (w_rows[b, None] * rx)
+    for b in row_blocks(p0b.size, _ORDER):
+        ct, cx = _col_tables(nodes, (p0b[b], p1b[b]))
+        H += (w_cols[b] * ct) @ cx.T
+    return 2.0 * C0_SQ * np.sum(G * H)
 
 
 def kms_free_identity(g, f1, f2):
@@ -342,10 +333,9 @@ def kms_free_identity(g, f1, f2):
     The shift converges when f2 sits between the wedge edge and g in both
     lightray coordinates (the nonoverlapping configuration); outside that
     cone ordering the free two-point instantiation has no convergent
-    continuation and a DomainError is raised.  Both sides use the crossing
-    check's form-factor grids, pair_formfactor and crossed_formfactor, on
-    the rapidity nodes, contracted with the wave functions a block at a
-    time; the three wave functions are separate quadratures."""
+    continuation and a DomainError is raised.  _kms_contraction contracts
+    the form factors of pair_formfactor and crossed_formfactor with the
+    wave functions, three separate quadratures, without forming a grid."""
     for fn, name in ((g, "g"), (f1, "f1"), (f2, "f2")):
         if fn.wedge != "right":
             raise DomainError(f"{name} must be right-wedge localized")
@@ -362,8 +352,8 @@ def kms_free_identity(g, f1, f2):
     w1 = tw * f1.creation_wave(tn)
     w2 = tw * f2.creation_wave(tn)
     w2c = tw * f2.mass_shell(tn)     # = creation wave continued by i pi
-    lhs = C0_SQ * (_w_times_grid(g, _pair_shells(tn, tn), w1, False) @ w2)
-    rhs = C0_SQ * (_w_times_grid(g, _crossed_shells(tn, tn), w1, True) @ w2c)
+    lhs = C0_SQ * _kms_contraction(g, _pair_shells(tn, tn), w1, w2)
+    rhs = C0_SQ * _kms_contraction(g, _crossed_shells(tn, tn), w2c, w1)
     scale = max(abs(lhs), abs(rhs))
     rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
     return KMSIdentityReport(lhs=complex(lhs), rel_diff=rel)
@@ -551,20 +541,20 @@ def zf_double_exchange_check(S, f_vals, g_vals, thetas):
 
 
 def zf_associativity_check(S, f_vals, g_vals, h_vals, thetas):
-    """The two transposition paths (1,2),(2,3),(1,2) and (2,3),(1,2),(2,3)
-    from (f,g,h) to (h,g,f) must agree: scalar S needs no Yang-Baxter
-    structure, and this confirms the path independence operationally."""
-    psi = (np.asarray(f_vals, complex)[:, None, None]
-           * np.asarray(g_vals, complex)[None, :, None]
-           * np.asarray(h_vals, complex)[None, None, :])
+    """The transposition paths (1,2),(2,3),(1,2) and (2,3),(1,2),(2,3) from
+    (f,g,h) to (h,g,f), with s_ij = S(t_j - t_i), psi_kji = (f_k g_j) h_i:
+    path_a = s_ij (s_ik (s_jk psi_kji)), path_b = s_jk (s_ik (s_ij psi_kji)),
+    one slab of i at a time.  For a scalar S both are the same three
+    factors in another order: the defect is rounding and cannot fail."""
+    f, g, h = (np.asarray(v, complex) for v in (f_vals, g_vals, h_vals))
     smat = S(thetas[None, :] - thetas[:, None])
-
-    def t12(t):
-        return smat[:, :, None] * np.swapaxes(t, 0, 1)
-
-    def t23(t):
-        return smat[None, :, :] * np.swapaxes(t, 1, 2)
-
-    path_a = t12(t23(t12(psi)))
-    path_b = t23(t12(t23(psi)))
-    return float(np.max(np.abs(path_a - path_b)) / np.max(np.abs(path_a)))
+    fg = f[None, :] * g[:, None]
+    diff, scale = [], []
+    for i in range(len(thetas)):
+        psi = fg * h[i]
+        s_i = smat[i]
+        path_a = s_i[:, None] * (s_i[None, :] * (smat * psi))
+        path_b = smat * (s_i[None, :] * (s_i[:, None] * psi))
+        diff.append(np.max(np.abs(path_a - path_b)))
+        scale.append(np.max(np.abs(path_a)))
+    return float(np.max(diff) / np.max(scale))

@@ -5,7 +5,7 @@ Newton's method on the three-term Legendre recurrence), a composite Filon
 rule for strongly oscillatory integrals, and a closed-form line fit.
 Adaptivity is realized by comparing two rule orders, never by randomized
 refinement, so repeated runs are bit-identical.  Nothing here calls LAPACK.
-row_blocks is the one rule by which the engines cut their 2-d scratch tables.
+row_blocks is the one rule by which every engine cuts its 2-d scratch tables.
 """
 
 import numpy as np

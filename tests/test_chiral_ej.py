@@ -79,6 +79,30 @@ def test_energy_variance_routes_agree():
     assert abs(th - th_s) / th_s < 1e-6
 
 
+def _energy_spectral_in_chunks(f, beta, chunk):
+    # the thermal spectral route with the (p, q) table in chunks of rows
+    norm = ce.NORMALIZATION
+    pmax = ce._spectral_pmax(f)
+    pn, pw = ce._panel_rule(-pmax, pmax, 12)
+    qn, qw = ce._panel_rule(-(pmax + 80.0 / beta), pmax + 80.0 / beta, 32)
+    r1 = ce._thermal_density(qn, beta, norm)
+    sig = np.empty_like(pn)
+    for i in range(0, len(pn), chunk):
+        r2 = ce._thermal_density(pn[i:i + chunk, None] - qn[None, :], beta, norm)
+        sig[i:i + chunk] = (r2 * (r1 * qw)[None, :]).sum(axis=1) / (2.0 * np.pi)
+    return float(np.sum(pw * 2.0 * ce._fourier_sq(f, pn) * sig / (2.0 * np.pi)))
+
+
+def test_energy_spectral_blocks_match_chunked_table(traced_peak):
+    # each row of the (p, q) table sums as it does in 200-row chunks;
+    # measured 1.5 MiB in row_blocks, against 34.9 MiB in 200-row chunks
+    for f, beta in ((bump(), TWO_PI), (bump(0.0, 1.0, 0.5), 1.0)):
+        assert (ce.energy_variance_spectral(f, ce.thermal_kernel(beta))
+                == _energy_spectral_in_chunks(f, beta, 200))
+    k = ce.thermal_kernel(TWO_PI)
+    assert traced_peak(lambda: ce.energy_variance_spectral(bump(), k)) < 2.0
+
+
 def test_variance_positivity_and_scaling():
     vac = ce.vacuum_kernel()
     f = bump()
@@ -182,6 +206,45 @@ def test_isomorphism_overflow_is_not_a_pass():
         imap = ce.exp_map(1e-3, 0.0, 1.0)
         defect = ce.verify_isomorphism(imap, [(0.1, 0.9), (0.9, 0.1)])
     assert not defect < 1.0
+
+
+def _isomorphism_one_shot(imap, grid):
+    # the unblocked defect: both kernels on the whole grid at once
+    u, up = np.asarray(grid, float).T
+    lhs = ce.current_two_point(ce.thermal_kernel(imap.beta), u, up)
+    rhs = (imap.jacobian(u) * imap.jacobian(up)
+           * ce.current_two_point(ce.vacuum_kernel(), imap.apply_translated(u),
+                                  imap.apply_translated(up)))
+    return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
+
+
+@pytest.mark.parametrize("n", [10000, 8193])
+def test_isomorphism_blocks_match_one_shot(n):
+    # 10000 pairs: three row blocks, the last ragged; 8193: a one-row
+    # remainder joined to the block before it
+    sizes = [b.stop - b.start for b in row_blocks(n, 2)]
+    assert len(sizes) == (3 if n == 10000 else 2) and sizes[-1] != sizes[0]
+    rng = np.random.default_rng(11)
+    grid = rng.uniform(0.02, 0.98, (n, 2))
+    for beta in (1.0, TWO_PI, 1e6):
+        imap = ce.exp_map(beta, 0.0, 1.0)
+        assert ce.verify_isomorphism(imap, grid) == _isomorphism_one_shot(imap, grid)
+    # a NaN in the last block is not hidden by the earlier blocks' maxima
+    grid[-1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        defect = ce.verify_isomorphism(ce.exp_map(TWO_PI, 0.0, 1.0), grid)
+    assert np.isnan(defect)
+
+
+def test_isomorphism_holds_one_block(traced_peak):
+    # the benchmark's 20 000 pairs: measured 0.41 MiB; the whole grid's
+    # kernels took 1.68
+    us = np.linspace(0.02, 0.98, 142)
+    U, V = np.meshgrid(us, us, indexing="ij")
+    off = np.abs(U - V) > 1e-4
+    grid = np.column_stack((U[off], V[off]))[:20000]
+    imap = ce.exp_map(TWO_PI, 0.0, 1.0)
+    assert traced_peak(lambda: ce.verify_isomorphism(imap, grid)) < 0.5
 
 
 def test_ej_compare_rejects_overflowing_beta():

@@ -5,7 +5,7 @@ import pytest
 
 from modloc_lab import crossing_zf as cz
 from modloc_lab.errors import ConfigurationError, DomainError, NumericError
-from modloc_lab.quadrature import gl_nodes
+from modloc_lab.quadrature import gl_nodes, row_blocks
 
 
 def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, amp=1.0):
@@ -195,49 +195,82 @@ def test_crossing_and_kms_agree():
     assert cross <= 10 * (kms + floor)
 
 
-def test_kms_identity_blocks_match_the_whole_grids(traced_peak):
-    # the crossing suite's instance: 480 rapidity nodes, twelve whole blocks
-    # of _KMS_BLOCK.  Reference: both whole 480 x 480 form-factor grids,
-    # contracted in one expression
+@pytest.mark.parametrize("n", [480, 184, 187])
+def test_kms_contraction_matches_the_whole_grids(n):
+    # the factored contraction of both KMS sides against the whole pair and
+    # crossed form-factor grids, contracted in one expression, on the
+    # crossing suite's rapidity range.  480 is the suite's node count (whole
+    # row blocks); 184 and 187 end on a ragged block.  The contraction sums
+    # in another order than the grids, so the two agree to rounding
     g = right_fn(0.0, 2.5, 0.7, 0.9)
     f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
     f2 = right_fn(0.0, 0.45, 0.15, 0.2)
     cut = max(cz._rapidity_cutoff(f1), cz._rapidity_cutoff(f2), 1.5)
-    tn, tw = gl_nodes(-cut, cut, max(90, int(80 * cut)))
-    assert tn.size == 480
+    tn, tw = gl_nodes(-cut, cut, n)
+    sizes = [b.stop - b.start for b in row_blocks(n, cz._ORDER)]
+    assert (sizes[-1] < sizes[0]) == (n != 480)
     w1 = tw * f1.creation_wave(tn)
-    lhs = cz.C0_SQ * (w1 @ cz.pair_formfactor(g, tn, tn)
-                      @ (tw * f2.creation_wave(tn)))
-    rhs = cz.C0_SQ * (w1 @ cz.crossed_formfactor(g, tn, tn).T
-                      @ (tw * f2.mass_shell(tn)))
-    rep = cz.kms_free_identity(g, f1, f2)
-    assert rep.lhs == lhs
-    assert rep.rel_diff == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    # measured 2.3 MiB; whole phase tables on both sides took 4.8, and the
-    # whole grids and their temporaries 8.5
-    assert traced_peak(lambda: cz.kms_free_identity(g, f1, f2)) < 3.0
+    w2 = tw * f2.creation_wave(tn)
+    w2c = tw * f2.mass_shell(tn)
+    lhs = w1 @ cz.pair_formfactor(g, tn, tn) @ w2
+    rhs = w1 @ cz.crossed_formfactor(g, tn, tn).T @ w2c
+    for got, ref in (
+            (cz._kms_contraction(g, cz._pair_shells(tn, tn), w1, w2), lhs),
+            (cz._kms_contraction(g, cz._crossed_shells(tn, tn), w2c, w1), rhs)):
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+    if n == 480:        # the identity itself runs on these nodes
+        assert max(90, int(80 * cut)) == n
+        rep = cz.kms_free_identity(g, f1, f2)
+        assert abs(rep.lhs - cz.C0_SQ * lhs) <= 1e-15 * abs(cz.C0_SQ * lhs)
 
 
-@pytest.mark.parametrize("n", [184, 187])
-def test_kms_contraction_ragged_last_block(n):
-    # a count that _KMS_BLOCK does not divide leaves a ragged last block,
-    # whose per-block phase tables come from the last slice of the shells.
-    # 184 is a multiple of 8, so each entry is the whole grid's sum exactly;
-    # 187 is not, and its last columns may round differently in w @ F
+def test_kms_identity_holds_no_grid(traced_peak):
+    # measured 1.28 MiB: six row blocks of phase tables and the two
+    # _ORDER x _ORDER factors.  The per-block grid contraction it replaces
+    # took 2.3, whole phase tables on both sides 4.8, and the whole grids
+    # and their temporaries 8.5
     g = right_fn(0.0, 2.5, 0.7, 0.9)
-    tn, tw = gl_nodes(-3.0, 3.0, n)
-    assert 1 < n % cz._KMS_BLOCK
-    w = tw * right_fn(-0.1, 2.2, 0.5, 0.7).creation_wave(tn)
-    for shells, grid, transpose in (
-            (cz._pair_shells(tn, tn), cz.pair_formfactor(g, tn, tn), False),
-            (cz._crossed_shells(tn, tn), cz.crossed_formfactor(g, tn, tn).T,
-             True)):
-        got = cz._w_times_grid(g, shells, w, transpose)
-        ref = w @ grid
-        if n % 8 == 0:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    f1 = right_fn(-0.1, 2.2, 0.5, 0.7)
+    f2 = right_fn(0.0, 0.45, 0.15, 0.2)
+    assert traced_peak(lambda: cz.kms_free_identity(g, f1, f2)) < 1.5
+
+
+def _fourier_one_shot(f, p0, p1):
+    # the unblocked transform: whole (n x _ORDER) phase tables
+    tn, wt, xn, wx = f._weighted_nodes()
+    return ((np.exp(1j * np.multiply.outer(p0, tn)) @ wt)
+            * (np.exp(-1j * np.multiply.outer(p1, xn)) @ wx))
+
+
+def _fourier_outer_one_shot(f, pa, pb):
+    # the unblocked grid: whole phase tables on both sides, one GEMM each
+    tn, wt, xn, wx = f._weighted_nodes()
+    rt = np.exp(1j * np.multiply.outer(pa[0], tn)) * wt
+    rx = np.exp(-1j * np.multiply.outer(pa[1], xn)) * wx
+    ct = np.exp(1j * np.multiply.outer(tn, pb[0]))
+    cx = np.exp(-1j * np.multiply.outer(xn, pb[1]))
+    out = rt @ ct
+    out *= rx @ cx
+    return out
+
+
+@pytest.mark.parametrize("n", [120, 187])
+def test_fourier_blocks_match_one_shot_tables(n):
+    # 120 rapidities (the benchmark's crossing grid) and 187 span several row
+    # blocks of both transforms and end on a partial one.  Each block rounds
+    # as the whole table does
+    g = right_fn(0.0, 2.5, 0.7, 0.9)
+    t1 = np.linspace(-1.5, 1.5, n)
+    t2 = np.linspace(-1.2, 1.8, n)
+    assert len(row_blocks(n, cz._ORDER)) > 1 and len(row_blocks(n, n)) > 1
+    for theta in (t1, t1 + 1j * np.pi, t1 + 0.4j):
+        for sign in (1.0, -1.0):
+            p0, p1 = cz._on_shell(theta, sign)
+            assert np.array_equal(g.fourier(p0, p1), _fourier_one_shot(g, p0, p1))
+    for shells in (cz._pair_shells(t1 + 1j * np.pi, t2),
+                   cz._crossed_shells(t1, t2)):
+        assert np.array_equal(g.fourier_outer(*shells),
+                              _fourier_outer_one_shot(g, *shells))
 
 
 # ----- S matrix -----
@@ -297,6 +330,44 @@ def test_associativity_paths(b):
         S, np.exp(-((th - 0.5) ** 2)), np.exp(-(th**2) / 0.8),
         np.exp(-((th + 0.6) ** 2) / 1.2), th)
     assert d < 1e-10
+
+
+def _associativity_by_paths(S, f_vals, g_vals, h_vals, thetas):
+    # the whole-tensor form: psi of all three rapidities and the
+    # transposition steps t12, t23 applied to it
+    psi = (np.asarray(f_vals, complex)[:, None, None]
+           * np.asarray(g_vals, complex)[None, :, None]
+           * np.asarray(h_vals, complex)[None, None, :])
+    smat = S(thetas[None, :] - thetas[:, None])
+
+    def t12(t):
+        return smat[:, :, None] * np.swapaxes(t, 0, 1)
+
+    def t23(t):
+        return smat[None, :, :] * np.swapaxes(t, 1, 2)
+
+    path_a = t12(t23(t12(psi)))
+    path_b = t23(t12(t23(psi)))
+    return float(np.max(np.abs(path_a - path_b)) / np.max(np.abs(path_a)))
+
+
+@pytest.mark.parametrize("n", [36, 40, 41])
+def test_associativity_slabs_match_the_path_form(n):
+    th = np.linspace(-2.5, 2.5, n)
+    packets = (np.exp(-((th - 0.5) ** 2)), np.exp(-(th**2) / 0.8),
+               np.exp(-((th + 0.6) ** 2) / 1.2))
+    for b in (0.3, 1.0, 2.5):
+        S = cz.SMatrixModel(b)
+        assert (cz.zf_associativity_check(S, *packets, th)
+                == _associativity_by_paths(S, *packets, th))
+
+
+def test_associativity_check_holds_one_slab(traced_peak):
+    # the suite's 40 nodes: measured 0.20 MiB; the whole tensors took 4.42
+    th = np.linspace(-2.5, 2.5, 40)
+    args = (cz.SMatrixModel(1.0), np.exp(-((th - 0.5) ** 2)),
+            np.exp(-(th**2) / 0.8), np.exp(-((th + 0.6) ** 2) / 1.2), th)
+    assert traced_peak(lambda: cz.zf_associativity_check(*args)) < 0.3
 
 
 def test_coincident_packets_fermionic_at_equal_rapidity():

@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,17 @@ def test_traced_functions_exist():
     for layer, names in tracer.LAYERS.items():
         for name in names:
             assert callable(_resolve(f"{layer}.{name}")), f"{layer}.{name}"
+
+
+def test_no_engine_defines_its_own_block_size():
+    # quadrature.row_blocks is the one rule by which the engines cut their
+    # 2-d scratch tables; a module-level block size elsewhere (a name with
+    # BLOCK or CHUNK in it, or ending in _ROWS) would be a second rule
+    found = [f"{path.stem}.{target.id}"
+             for path in ENGINES.glob("*.py") if path.stem != "quadrature"
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name)
+             and re.search(r"BLOCK|CHUNK|_ROWS$", target.id)]
+    assert found == []
