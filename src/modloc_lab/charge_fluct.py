@@ -51,14 +51,11 @@ class ScalarModel:
 @dataclass(frozen=True)
 class PartialChargeSpec:
     """Geometry of the partial charge: plateau radius R, raised-cosine
-    boundary ramp dR (the attenuation thickness), Gaussian time width T.  The
-    amplitude rescales f and exists for bilinearity checks (F scales as
-    amplitude^2)."""
+    boundary ramp dR (the attenuation thickness), Gaussian time width T."""
 
     radius: float
     ramp_width: float
     time_width: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.radius <= 0 or self.ramp_width <= 0 or self.time_width <= 0:
@@ -277,16 +274,15 @@ def _envelope_1d(spec, ks):
     """f~(k) = A sin(kR) + B cos(kR) with slowly varying A, B (D = 1)."""
     kk = np.where(np.abs(ks) < 1e-14, 1e-14, ks)
     C, S = _ramp_moments(spec, kk)
-    amp = spec.amplitude
-    return amp * (2.0 / kk - 2.0 * S), amp * 2.0 * C
+    return 2.0 / kk - 2.0 * S, 2.0 * C
 
 
 def _envelope_3d(spec, ks):
     """f~(k) = A sin(kR) + B cos(kR) for the 3-d radial transform."""
     kk = np.where(np.abs(ks) < 1e-14, 1e-14, ks)
     C, S = _ramp_moments(spec, kk, weight_r=True)
-    A = spec.amplitude * 4.0 * np.pi * (1.0 / kk**3 + C / kk)
-    B = spec.amplitude * 4.0 * np.pi * (S / kk - spec.radius / kk**2)
+    A = 4.0 * np.pi * (1.0 / kk**3 + C / kk)
+    B = 4.0 * np.pi * (S / kk - spec.radius / kk**2)
     return A, B
 
 
@@ -314,7 +310,7 @@ def _envelope_2d(spec, ks):
         c, s = np.cos(ph), np.sin(ph)
         A[rows] += (V * c - U * s) @ w
         B[rows] += (U * c + V * s) @ w
-    return spec.amplitude * A, spec.amplitude * B
+    return A, B
 
 
 def ftilde_radial(spec, D, ks):
@@ -337,8 +333,7 @@ def ftilde_radial(spec, D, ks):
     ramp = np.empty_like(kk)
     for rows in row_blocks(kk.size, rn.size):
         ramp[rows] = _bessel_j(0, np.outer(kk[rows], rn)) @ w
-    out = out + 2.0 * np.pi * ramp
-    return spec.amplitude * out
+    return out + 2.0 * np.pi * ramp
 
 
 def _ftilde_1d_differences(spec, p):
@@ -367,7 +362,7 @@ def _ftilde_1d_differences(spec, p):
         np.sin(disc, out=disc)
         disc /= kk
         ft += disc
-        ft *= spec.amplitude * 2.0
+        ft *= 2.0
         yield rows, ft
 
 
@@ -445,7 +440,7 @@ def charge_variance_lattice(model, spec):
     a = 4.0 * (spec.radius + spec.ramp_width) / N
     L = N * a
     xs = (np.arange(N) - N // 2) * a
-    f = spec.amplitude * raised_cosine((np.abs(xs) - spec.radius) / spec.ramp_width)
+    f = raised_cosine((np.abs(xs) - spec.radius) / spec.ramp_width)
     js = np.arange(N) - N // 2
     ks = 2.0 * np.pi * js / L
     # sum_n f_n exp(-i k_j x_n) with k_j x_n = 2 pi j (n - N/2) / N

@@ -119,17 +119,16 @@ def kms_periodicity_defect(kernel, du_grid):
 # ----------------------------------------------------------------------
 
 class SmearingFn:
-    """Plateau test function: amplitude on |u-center| <= plateau, smooth-bump
-    ramp to 0 over [plateau, plateau+ramp_width].  C-infinity, with
-    closed-form derivatives."""
+    """Plateau test function: 1 on |u-center| <= plateau, smooth-bump ramp
+    to 0 over [plateau, plateau+ramp_width].  C-infinity, with closed-form
+    derivatives."""
 
-    def __init__(self, center, plateau, ramp_width, amplitude=1.0):
+    def __init__(self, center, plateau, ramp_width):
         if plateau <= 0 or ramp_width <= 0:
             raise ConfigurationError("plateau and ramp_width must be positive")
         self.center = float(center)
         self.plateau = float(plateau)
         self.ramp_width = float(ramp_width)
-        self.amplitude = float(amplitude)
         c, R, w = self.center, self.plateau, self.ramp_width
         self.breakpoints = np.array([c - R - w, c - R, c + R, c + R + w])
         self.support = (self.breakpoints[0], self.breakpoints[-1])
@@ -138,15 +137,15 @@ class SmearingFn:
         return (np.abs(np.asarray(u, float) - self.center) - self.plateau) / self.ramp_width
 
     def __call__(self, u):
-        return self.amplitude * smooth_bump(self._s(u))
+        return smooth_bump(self._s(u))
 
     def d1(self, u):
         u = np.asarray(u, float)
         x = u - self.center
-        return self.amplitude * smooth_bump_d1(self._s(u)) * np.sign(x) / self.ramp_width
+        return smooth_bump_d1(self._s(u)) * np.sign(x) / self.ramp_width
 
     def d2(self, u):
-        return self.amplitude * smooth_bump_d2(self._s(u)) / self.ramp_width**2
+        return smooth_bump_d2(self._s(u)) / self.ramp_width**2
 
     def deriv(self, order):
         return [self, self.d1, self.d2][order]
@@ -161,8 +160,7 @@ class SmearingFn:
         return [(b[0], b[1]), (b[2], b[3])]
 
     def translated(self, shift):
-        return SmearingFn(self.center + shift, self.plateau, self.ramp_width,
-                          self.amplitude)
+        return SmearingFn(self.center + shift, self.plateau, self.ramp_width)
 
 
 class TransportedSmearing:
@@ -479,8 +477,7 @@ def ej_compare(f, beta):
     g = TransportedSmearing(f, beta)        # rejects beta before any quadrature
     v_th, v_tr = (energy_variance(h, kernel) for h, kernel in
                   ((f, thermal_kernel(beta)), (g, vacuum_kernel())))
-    scale = max(abs(v_th), abs(v_tr))
-    rel = 0.0 if scale == 0.0 else abs(v_th - v_tr) / scale
+    rel = abs(v_th - v_tr) / max(abs(v_th), abs(v_tr))
     return EJComparison(v_th, v_tr, rel)
 
 

@@ -81,9 +81,10 @@ _SCHEMAS = {
     },
     "charge-scaling": {
         # the 320-point pair kernel's F is 3.0e-5 off a 1280-point one at
-        # the default mass and 3.3e-5 at 1e-7; below that the error keeps
-        # growing with the kernel grid's log step (1.7e-4 at 1e-30, 3e-3 at
-        # 1e-300, where the kernel misses I(k) by up to 98 %)
+        # the default mass, 3.3e-5 at 1e-7 and 2.2e-4 at the cap; below the
+        # floor the error keeps growing with the kernel grid's log step
+        # (1.7e-4 at 1e-30, 3e-3 at 1e-300, where the kernel misses I(k) by
+        # up to 98 %)
         "n2_mass": (_real, 1e-6, (1e-7, 100.0)),
         "n2_ratio_lo": (_real, 1.2e4, (1.0, 1e9)),
         "n2_ratio_hi": (_real, 1.2e5, (1.0, 1e9)),
@@ -101,7 +102,7 @@ _SCHEMAS = {
         # the benchmark's wedge config names it, and goes with that config
         # entry (ROADMAP, "Put the crossing suite in Compton units")
         "mass": (_real, 1.0, (1.0, 1.0)),
-        # in row_blocks: the suite peaks at 35.5 MiB at the cap (40 000 CSV rows)
+        # in row_blocks: the suite peaks at 35.4 MiB at the cap (40 000 CSV rows)
         "grid_n": (_integer, 20, (4, 200)),
     },
     "zf-algebra": {

@@ -114,23 +114,23 @@ class RunManifest:
         return path
 
 
-def write_csv(out_dir, experiment, table_name, header, rows):
+def write_csv(out_dir, experiment, table_name, header, columns):
     """LF line endings, every cell a number written by format_float's
-    format, one format string per row; rows is a sequence of rows or a 2-d
-    array.  The text is formatted, hashed and written _CSV_ROWS rows at a
-    time, so only one block of it is held; returns (path, digest)."""
+    format, one format string per row; columns is a sequence of equal-length
+    columns, one per header name (empty for a table without rows).  The rows
+    are stacked, formatted, hashed and written _CSV_ROWS at a time, so only
+    one block of the table and its text is held; returns (path, digest)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{experiment}_{table_name}.csv"
     row_format = ",".join([_FLOAT_FORMAT] * len(header)) + "\n"
+    n_rows = len(columns[0]) if len(columns) else 0
 
     def texts():
         yield ",".join(header) + "\n"
-        for i in range(0, len(rows), _CSV_ROWS):
-            block = rows[i:i + _CSV_ROWS]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
-            yield "".join([row_format % tuple(row) for row in block])
+        for i in range(0, n_rows, _CSV_ROWS):
+            block = np.column_stack([c[i:i + _CSV_ROWS] for c in columns])
+            yield "".join([row_format % tuple(row) for row in block.tolist()])
 
     digest = sha256()
     with open(path, "wb") as fh:

@@ -53,7 +53,7 @@ def suite_thermal_map(cfg, man, out):
         note="thermal kernel vs 200-image vacuum sum",
     )])
     path, digest = write_csv(out, "thermal-map", "kernel_defect",
-                             ("beta", "max_rel_defect"), rows)
+                             ("beta", "max_rel_defect"), list(zip(*rows)))
     man.files[path.name] = digest
 
 
@@ -94,7 +94,7 @@ def suite_ej_fluct(cfg, man, out):
     path, digest = write_csv(
         out, "ej-fluct", "energy_variance",
         ("center", "plateau", "ramp", "thermal_var", "transported_var", "rel_diff"),
-        rows)
+        list(zip(*rows)))
     man.files[path.name] = digest
 
 
@@ -112,7 +112,7 @@ def suite_entropy_scan(cfg, man, out):
     ])
     rows = [(L, S) for L, (_, _, S) in zip(lengths, rows)]
     path, digest = write_csv(out, "entropy-scan", "S_vs_L",
-                             ("length", "entropy"), rows)
+                             ("length", "entropy"), list(zip(*rows)))
     man.files[path.name] = digest
 
     # restriction impurity and uncertainty bound on a small closed chain
@@ -132,7 +132,7 @@ def suite_entropy_scan(cfg, man, out):
         record_value("entropy-scan/eps-slope", fit.slope),
     ])
     path, digest = write_csv(out, "entropy-scan", "S_vs_eps",
-                             ("length", "eps", "entropy"), rows)
+                             ("length", "eps", "entropy"), list(zip(*rows)))
     man.files[path.name] = digest
 
     # thermal side: extensivity, and its calibration against the log law
@@ -152,7 +152,7 @@ def suite_entropy_scan(cfg, man, out):
     ])
     rows = list(zip(tl, rel.thermal_entropies))
     path, digest = write_csv(out, "entropy-scan", "thermal_S_vs_L",
-                             ("length", "entropy"), rows)
+                             ("length", "entropy"), list(zip(*rows)))
     man.files[path.name] = digest
 
     man.extend([record_value(
@@ -262,7 +262,7 @@ def suite_charge_scaling(cfg, man, out):
             )])
 
     path, digest = write_csv(out, "charge-scaling", "F_vs_ratio",
-                             ("spacetime_dim", "mass", "ratio", "F"), rows)
+                             ("spacetime_dim", "mass", "ratio", "F"), list(zip(*rows)))
     man.files[path.name] = digest
 
 
@@ -330,7 +330,7 @@ def suite_unruh(cfg, man, out):
     man.extend([check_less("unruh/massive-massless-limit", dev, 1e-2,
                            note="m = 1e-4 single-quadrature kernel vs closed form")])
     path, digest = write_csv(out, "unruh", "balance_defect",
-                             ("acceleration", "omega", "defect"), rows)
+                             ("acceleration", "omega", "defect"), list(zip(*rows)))
     man.files[path.name] = digest
 
 
@@ -383,12 +383,11 @@ def suite_crossing(cfg, man, out):
     )])
     c = grids.continued.ravel()
     x = grids.crossed.ravel()
-    rows = np.column_stack((np.repeat(t1, n), np.tile(t2, n),
-                            c.real, c.imag, x.real, x.imag))
     path, digest = write_csv(
         out, "crossing", "formfactor_grid",
         ("theta1", "theta2", "re_continued", "im_continued", "re_crossed",
-         "im_crossed"), rows)
+         "im_crossed"),
+        (np.repeat(t1, n), np.tile(t2, n), c.real, c.imag, x.real, x.imag))
     man.files[path.name] = digest
 
 
@@ -439,7 +438,7 @@ def suite_zf_algebra(cfg, man, out):
     path, digest = write_csv(
         out, "zf-algebra", "defects",
         ("coupling", "unitarity", "inverse", "crossing", "exchange",
-         "double_exchange", "associativity"), rows)
+         "double_exchange", "associativity"), list(zip(*rows)))
     man.files[path.name] = digest
 
 

@@ -16,7 +16,7 @@ class DomainError(ModlocError):
 class SpectralError(ModlocError):
     """Covariance or spectrum violates positivity / the uncertainty bound."""
 
-    def __init__(self, message, offending_value=None):
+    def __init__(self, message, offending_value):
         super().__init__(message)
         self.offending_value = offending_value
 

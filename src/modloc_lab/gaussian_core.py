@@ -2,11 +2,12 @@
 
 The chain Hamiltonian is
 
-    H = 1/2 sum_i pi_i^2 + 1/2 sum_i [ (phi_{i+1}-phi_i)^2 / a^2 + m^2 phi_i^2 ]
+    H = 1/2 sum_i pi_i^2 + 1/2 sum_i [ (phi_{i+1}-phi_i)^2 + m^2 phi_i^2 ]
 
-on a periodic chain (phi_N = phi_0), so H = 1/2 pi.pi + 1/2 phi.K.phi with a
-circulant K.  Its normal modes are the N plane waves, with closed-form
-frequencies omega_k^2 = m^2 + (4/a^2) sin^2(pi k/N), and every covariance
+on a periodic chain (phi_N = phi_0) in units of the lattice spacing, so
+H = 1/2 pi.pi + 1/2 phi.K.phi with a circulant K.  Its normal modes are the
+N plane waves, with closed-form frequencies
+omega_k^2 = m^2 + 4 sin^2(pi k/N), and every covariance
 block is the circulant matrix of one inverse FFT of a function of omega_k.
 
 Vacuum and thermal states are fixed by their covariance blocks
@@ -36,25 +37,22 @@ from .errors import ConfigurationError, DomainError, FitError, SpectralError
 from .quadrature import linear_fit
 
 UNCERTAINTY_TOL = 1e-9
-IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * (n_sites * spacing)
+IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * n_sites
 
 
 @dataclass(frozen=True)
 class HarmonicLattice:
-    """Periodic chain geometry.  A massless chain must carry an explicit IR
-    regulator; the regulated mass is recorded so downstream manifests can
-    echo it."""
+    """Periodic chain geometry in units of the lattice spacing.  A massless
+    chain must carry an explicit IR regulator; the regulated mass is
+    recorded so downstream manifests can echo it."""
 
     n_sites: int
     mass: float
-    spacing: float = 1.0
     ir_regulator: float | None = None
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ConfigurationError("n_sites must be >= 2")
-        if self.spacing <= 0:
-            raise ConfigurationError("spacing must be positive")
         if self.mass < 0:
             raise ConfigurationError("mass must be >= 0")
         if self.mass == 0.0:
@@ -62,7 +60,7 @@ class HarmonicLattice:
                 raise ConfigurationError(
                     "massless chain requires a positive ir_regulator mass"
                 )
-            mL = self.ir_regulator * self.n_sites * self.spacing
+            mL = self.ir_regulator * self.n_sites
             if not (IR_WINDOW[0] <= mL <= IR_WINDOW[1]):
                 raise ConfigurationError(
                     f"ir_regulator * total length = {mL:.3g} outside {IR_WINDOW}"
@@ -93,11 +91,11 @@ class FitRecord:
 
 
 def _plane_wave_frequencies(lattice):
-    """omega_k = sqrt(m^2 + (4/a^2) sin^2(pi k/N)): the periodic chain is
+    """omega_k = sqrt(m^2 + 4 sin^2(pi k/N)): the periodic chain is
     circulant, so its normal modes are the N plane waves."""
     n = lattice.n_sites
     s = np.sin(np.pi * np.arange(n) / n)
-    return np.sqrt(lattice.effective_mass**2 + (2.0 * s / lattice.spacing) ** 2)
+    return np.sqrt(lattice.effective_mass**2 + (2.0 * s) ** 2)
 
 
 def _column(spectrum):
@@ -292,8 +290,7 @@ def entropy_scan(lattice, lengths, eps_family):
         return cache[n_eff]
 
     rows = []
-    for n in lengths:
-        L = n * lattice.spacing
+    for L in lengths:
         for eps in eps_values:
             n_eff = int(round(L / eps))
             if n_eff < 2:

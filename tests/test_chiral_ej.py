@@ -14,8 +14,8 @@ VAC_AT_1 = -N0                                       # -1/(4 pi^2) ~ -0.025330
 TH_2PI_AT_1 = -(1.0 / (16 * np.pi**2)) / np.sinh(0.5) ** 2
 
 
-def bump(center=0.5, plateau=0.4, ramp=0.3, amplitude=1.0):
-    return ce.SmearingFn(center, plateau, ramp, amplitude=amplitude)
+def bump(center=0.5, plateau=0.4, ramp=0.3):
+    return ce.SmearingFn(center, plateau, ramp)
 
 
 def test_kernel_values():
@@ -103,21 +103,9 @@ def test_energy_spectral_blocks_match_chunked_table(traced_peak):
     assert traced_peak(lambda: ce.energy_variance_spectral(bump(), k)) < 2.0
 
 
-def test_variance_positivity_and_scaling():
-    vac = ce.vacuum_kernel()
-    f = bump()
-    v = ce.smeared_current_variance(f, vac)
+def test_variance_positivity():
+    v = ce.smeared_current_variance(bump(), ce.vacuum_kernel())
     assert v >= -1e-10
-    f3 = bump(amplitude=3.0)
-    v3 = ce.smeared_current_variance(f3, vac)
-    assert v3 == pytest.approx(9.0 * v, rel=1e-10)
-    # the amplitude scales the value and both derivatives, and a translate
-    # keeps it
-    u = np.linspace(0.0, 1.0, 11)
-    for order in (0, 1, 2):
-        ref = 3.0 * f.deriv(order)(u)
-        assert f3.deriv(order)(u) == pytest.approx(ref, rel=1e-15, abs=0.0)
-    assert f3.translated(0.25).amplitude == 3.0
 
 
 def test_translation_covariance():
@@ -546,13 +534,9 @@ def test_bump_ramp_derivatives_match_the_exponential_formulas():
     assert np.array_equal(profiles.smooth_bump_d2(s), d2)
 
 
-def test_ej_compare_other_beta_and_zero():
+def test_ej_compare_other_beta():
     cmp = ce.ej_compare(ce.SmearingFn(0.0, 0.12, 0.13), 1.0)
     assert cmp.rel_diff < 1e-6
-    zero = ce.ej_compare(bump(amplitude=0.0), TWO_PI)
-    assert zero.thermal_variance == 0.0
-    assert zero.transported_variance == 0.0
-    assert zero.rel_diff == 0.0
 
 
 def test_ej_compare_stable_under_support_halving():

@@ -8,8 +8,8 @@ from modloc_lab.errors import ConfigurationError, DomainError, NumericError
 from modloc_lab.quadrature import gl_nodes, row_blocks
 
 
-def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8, amp=1.0):
-    return cz.WedgeTestFn(ct, cx, wt, wx, amplitude=amp)
+def right_fn(ct=0.2, cx=2.0, wt=0.6, wx=0.8):
+    return cz.WedgeTestFn(ct, cx, wt, wx)
 
 
 # the crossing suite's default 20 x 20 rapidity grid
@@ -85,12 +85,6 @@ def test_free_crossing_identity():
               right_fn(-0.2, 2.2, 0.6, 0.7)):
         rep = cz.free_crossing_check(g, T1, T2)
         assert rep.max_rel_defect < 1e-6
-
-
-def test_free_crossing_zero_smearing():
-    rep = cz.free_crossing_check(right_fn(amp=0.0), T1, T2)
-    assert np.max(np.abs(rep.continued)) == 0.0
-    assert np.max(np.abs(rep.crossed)) == 0.0
 
 
 def test_formfactor_hermiticity():

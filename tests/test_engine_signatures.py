@@ -2,8 +2,9 @@
 thresholds are constants of their modules.  Each public signature below is
 pinned, so such a value cannot come back as a keyword parameter, and every
 function the benchmark tracer wraps by name must still exist under that name.
-The few defaulted parameters left are listed by name, so no setting that
-every caller leaves at one value can come back as a default either."""
+The few defaulted parameters and dataclass fields left are listed by name, so
+no setting that every caller leaves at one value can come back as a default
+either."""
 
 import ast
 import importlib
@@ -23,7 +24,7 @@ SIGNATURES = {
     "wedge_kms.spectral_function": ("corr", "omegas"),
     "wedge_kms.boost_orbit_consistency": ("acceleration",),
     "crossing_zf.WedgeTestFn": ("center_t", "center_x", "half_width_t",
-                                "half_width_x", "amplitude"),
+                                "half_width_x"),
     "crossing_zf.free_crossing_check": ("g", "thetas1", "thetas2"),
     "crossing_zf.mass_shell_restrict": ("f",),
     "crossing_zf.kms_free_identity": ("g", "f1", "f2"),
@@ -51,12 +52,16 @@ SIGNATURES = {
 }
 
 # every defaulted parameter of a def in the engine modules, as
-# module.qualname.parameter
+# module.qualname.parameter, and every class-body field with a default, as
+# module.qualname.field
 DEFAULTED = sorted([
+    "charge_fluct.ScalingReport.log_slope",
     "charge_fluct._one_particle_deviation.t_shift",
     "charge_fluct._ramp_moments.weight_r",
-    "chiral_ej.SmearingFn.__init__.amplitude",
-    "errors.SpectralError.__init__.offending_value",
+    "chiral_ej.ChiralKernel.beta",
+    "chiral_ej.IntervalMap.image",
+    "crossing_zf.ZFState.leaked_norm",
+    "gaussian_core.HarmonicLattice.ir_regulator",
     "wedge_kms.Trajectory.uniform.n",
     "wedge_kms.Trajectory.uniform.span",
     "wedge_kms.pullback.i_epsilon",
@@ -66,7 +71,10 @@ DEFAULTED = sorted([
 def _defaulted(prefix, body):
     for node in body:
         if isinstance(node, ast.ClassDef):
-            yield from _defaulted(f"{prefix}.{node.name}", node.body)
+            name = f"{prefix}.{node.name}"
+            yield from (f"{name}.{field.target.id}" for field in node.body
+                        if isinstance(field, ast.AnnAssign) and field.value is not None)
+            yield from _defaulted(name, node.body)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             positional = args.posonlyargs + args.args

@@ -26,16 +26,21 @@ S_THERMAL = float((NU_THERMAL + 0.5) * np.log(NU_THERMAL + 0.5)
                   - (NU_THERMAL - 0.5) * np.log(NU_THERMAL - 0.5))
 
 
-def decoupled_lattice(n=2, mass=1.0):
-    # enormous spacing turns off the hopping: n independent oscillators
-    return gc.HarmonicLattice(n, mass, spacing=1e8)
+# A mass far above the unit hopping decouples the sites: n independent
+# oscillators of frequency M.  Read at beta / M, with phi in units of
+# 1/sqrt(M) and pi in units of sqrt(M), they are unit-frequency oscillators.
+M = 1e8
+
+
+def decoupled_lattice(n=2):
+    return gc.HarmonicLattice(n, M)
 
 
 def test_decoupled_oscillator_ground_state():
     st = gc.build_vacuum_state(decoupled_lattice())
-    assert st.phi_col[0] == pytest.approx(0.5, abs=1e-10)
-    assert st.pi_col[0] == pytest.approx(0.5, abs=1e-10)
-    assert abs(st.phi_col[1]) < 1e-10
+    assert st.phi_col[0] * M == pytest.approx(0.5, abs=1e-10)
+    assert st.pi_col[0] / M == pytest.approx(0.5, abs=1e-10)
+    assert abs(st.phi_col[1] * M) < 1e-10
 
 
 def test_two_site_closed_form():
@@ -56,10 +61,10 @@ def test_vacuum_purity(n, mass):
 
 def dense_covariances(lattice, beta=None):
     """Reference build: dense eigh of the periodic dynamical matrix K."""
-    n, a, m = lattice.n_sites, lattice.spacing, lattice.effective_mass
-    K = np.diag(np.full(n, 2.0 / a**2 + m**2))
+    n, m = lattice.n_sites, lattice.effective_mass
+    K = np.diag(np.full(n, 2.0 + m**2))
     idx = np.arange(n)
-    K[idx, (idx + 1) % n] = K[(idx + 1) % n, idx] = -1.0 / a**2
+    K[idx, (idx + 1) % n] = K[(idx + 1) % n, idx] = -1.0
     w2, V = eigh(K)
     w = np.sqrt(w2)
     c = 1.0 if beta is None else 1.0 / np.tanh(beta * w / 2.0)
@@ -85,7 +90,7 @@ def test_plane_wave_build_matches_dense_eigh():
 
 
 def test_thermal_single_mode_occupancy():
-    st = gc.build_thermal_state(decoupled_lattice(), beta=1.0)
+    st = gc.build_thermal_state(decoupled_lattice(), beta=1.0 / M)
     nus = gc.symplectic_spectrum(st)
     assert nus[0] == pytest.approx(NU_THERMAL, abs=1e-9)
     assert nus[0] == pytest.approx(1.0820, abs=2e-4)
@@ -173,7 +178,7 @@ def test_entropy_values():
 
 def test_entropy_additive_over_uncoupled_blocks():
     st = gc.build_vacuum_state(decoupled_lattice(4))
-    th = gc.build_thermal_state(decoupled_lattice(4), beta=0.7)
+    th = gc.build_thermal_state(decoupled_lattice(4), beta=0.7 / M)
     s_pair = gc.entanglement_entropy(
         gc.symplectic_spectrum(gc.reduce_state(th, 2)))
     s_each = gc.entanglement_entropy(
