@@ -9,12 +9,14 @@ pass/fail bound is fixed by its check and echoed in the record.
 
 Exit codes: 0 all checks pass (or unverified-by-design), 1 check failure,
 2 configuration error (a rejected flag or value, an unreadable or malformed
-config file), 3 numeric error.  MODLOC_OUT overrides --out.
+config file, an --out that cannot be made a directory), 3 numeric error.
+MODLOC_OUT overrides --out.
 """
 
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from ..errors import ConfigurationError, ModlocError
 from .config import EXPERIMENTS, load_config
@@ -23,8 +25,19 @@ from .plots import emit_plots
 from .suites import run_experiment, verify_all
 
 
+def _make_dir(path):
+    """Create an output directory before anything runs; a path that cannot
+    be one is a rejected value."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot use {path} as the output directory: {exc.strerror}") from exc
+    return path
+
+
 def _out_dir(args):
-    return os.environ.get("MODLOC_OUT") or args.out
+    return _make_dir(os.environ.get("MODLOC_OUT") or args.out)
 
 
 def _report(manifest):
@@ -63,7 +76,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "emit-plots":
-            written = emit_plots(args.run_dir, args.out)
+            written = emit_plots(args.run_dir, args.out and _make_dir(args.out))
             for path in written:
                 print(path)
             return 0

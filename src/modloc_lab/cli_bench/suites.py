@@ -1,6 +1,7 @@
 """The seven verification suites.  Each runs the relevant module
-operations at desk scale, writes CSV data, and appends one manifest record
-per claim checked."""
+operations at desk scale, appends one manifest record per claim checked,
+and returns its CSV tables as (table, header, columns) triples, which
+run_experiment writes once the suite has returned."""
 
 import numpy as np
 
@@ -19,7 +20,7 @@ TWO_PI = 2.0 * np.pi
 
 # ----------------------------------------------------------------------
 
-def suite_thermal_map(cfg, man, out):
+def suite_thermal_map(cfg, man):
     rows = []
     n = cfg["grid_n"]
     us = np.linspace(0.02, 0.98, int(np.sqrt(n)) + 1)
@@ -52,12 +53,10 @@ def suite_thermal_map(cfg, man, out):
         "thermal-map/image-sum", float(abs(img - direct) / abs(direct)), 1e-8,
         note="thermal kernel vs 200-image vacuum sum",
     )])
-    path, digest = write_csv(out, "thermal-map", "kernel_defect",
-                             ("beta", "max_rel_defect"), list(zip(*rows)))
-    man.files[path.name] = digest
+    return [("kernel_defect", ("beta", "max_rel_defect"), list(zip(*rows)))]
 
 
-def suite_ej_fluct(cfg, man, out):
+def suite_ej_fluct(cfg, man):
     beta = cfg["beta"]
     geoms = [
         ce.SmearingFn(0.5, 0.4, 0.3),
@@ -91,14 +90,12 @@ def suite_ej_fluct(cfg, man, out):
         "rotation covariance not exercised (apparent typo in the source law); "
         "translation and dilation covariance are tested instead",
     )])
-    path, digest = write_csv(
-        out, "ej-fluct", "energy_variance",
-        ("center", "plateau", "ramp", "thermal_var", "transported_var", "rel_diff"),
-        list(zip(*rows)))
-    man.files[path.name] = digest
+    return [("energy_variance",
+             ("center", "plateau", "ramp", "thermal_var", "transported_var",
+              "rel_diff"), list(zip(*rows)))]
 
 
-def suite_entropy_scan(cfg, man, out):
+def suite_entropy_scan(cfg, man):
     n = cfg["n_sites"]
     lat = gc.HarmonicLattice(n, 0.0, ir_regulator=1e-3 / n)
     lengths = cfg["lengths"]
@@ -110,10 +107,8 @@ def suite_entropy_scan(cfg, man, out):
                      note="recorded, not asserted (c=1 chain gives ~1/3)"),
         record_value("entropy-scan/log-slope-per-chirality", fit.slope / 2.0),
     ])
-    rows = [(L, S) for L, (_, _, S) in zip(lengths, rows)]
-    path, digest = write_csv(out, "entropy-scan", "S_vs_L",
-                             ("length", "entropy"), list(zip(*rows)))
-    man.files[path.name] = digest
+    tables = [("S_vs_L", ("length", "entropy"),
+               (lengths, [S for (_, _, S) in rows]))]
 
     # restriction impurity and uncertainty bound on a small closed chain
     small = gc.HarmonicLattice(64, 0.0, ir_regulator=2e-4 / 64 * 32)
@@ -131,9 +126,7 @@ def suite_entropy_scan(cfg, man, out):
                       note="S against ln(L/eps)"),
         record_value("entropy-scan/eps-slope", fit.slope),
     ])
-    path, digest = write_csv(out, "entropy-scan", "S_vs_eps",
-                             ("length", "eps", "entropy"), list(zip(*rows)))
-    man.files[path.name] = digest
+    tables.append(("S_vs_eps", ("length", "eps", "entropy"), list(zip(*rows))))
 
     # thermal side: extensivity, and its calibration against the log law
     tl = cfg["thermal_lengths"]
@@ -150,10 +143,8 @@ def suite_entropy_scan(cfg, man, out):
         record_value("entropy-scan/thermal-slope-per-chirality",
                      rel.thermal_slope / 2.0),
     ])
-    rows = list(zip(tl, rel.thermal_entropies))
-    path, digest = write_csv(out, "entropy-scan", "thermal_S_vs_L",
-                             ("length", "entropy"), list(zip(*rows)))
-    man.files[path.name] = digest
+    tables.append(("thermal_S_vs_L", ("length", "entropy"),
+                   (tl, rel.thermal_entropies)))
 
     man.extend([record_value(
         "entropy-scan/calibration-ratio", rel.calibration_ratio,
@@ -182,6 +173,7 @@ def suite_entropy_scan(cfg, man, out):
                np.max(np.abs(d.pi_col - v.pi_col)))
     man.extend([check_less("entropy-scan/thermal-limit", float(diff), 1e-6,
                            note="beta = 22 Gibbs state vs vacuum")])
+    return tables
 
 
 def _n2_specs(cfg):
@@ -195,7 +187,7 @@ def _n2_specs(cfg):
     return specs
 
 
-def suite_charge_scaling(cfg, man, out):
+def suite_charge_scaling(cfg, man):
     rows = []
     # n = 2: log law
     m2 = cf.ScalarModel(cfg["n2_mass"], 2)
@@ -261,12 +253,11 @@ def suite_charge_scaling(cfg, man, out):
                 "prediction emitted only; not derivable at desk scale",
             )])
 
-    path, digest = write_csv(out, "charge-scaling", "F_vs_ratio",
-                             ("spacetime_dim", "mass", "ratio", "F"), list(zip(*rows)))
-    man.files[path.name] = digest
+    return [("F_vs_ratio", ("spacetime_dim", "mass", "ratio", "F"),
+             list(zip(*rows)))]
 
 
-def suite_unruh(cfg, man, out):
+def suite_unruh(cfg, man):
     rows = []
     unit = None            # the a = 1 pullback and its report, when scanned
     for a in cfg["accelerations"]:
@@ -329,12 +320,11 @@ def suite_unruh(cfg, man, out):
                        / np.abs(c0.values[mid])))
     man.extend([check_less("unruh/massive-massless-limit", dev, 1e-2,
                            note="m = 1e-4 single-quadrature kernel vs closed form")])
-    path, digest = write_csv(out, "unruh", "balance_defect",
-                             ("acceleration", "omega", "defect"), list(zip(*rows)))
-    man.files[path.name] = digest
+    return [("balance_defect", ("acceleration", "omega", "defect"),
+             list(zip(*rows)))]
 
 
-def suite_crossing(cfg, man, out):
+def suite_crossing(cfg, man):
     gs = [
         cz.WedgeTestFn(0.0, 2.5, 0.7, 0.9),
         cz.WedgeTestFn(0.3, 3.0, 0.5, 0.8),
@@ -383,15 +373,13 @@ def suite_crossing(cfg, man, out):
     )])
     c = grids.continued.ravel()
     x = grids.crossed.ravel()
-    path, digest = write_csv(
-        out, "crossing", "formfactor_grid",
-        ("theta1", "theta2", "re_continued", "im_continued", "re_crossed",
-         "im_crossed"),
-        (np.repeat(t1, n), np.tile(t2, n), c.real, c.imag, x.real, x.imag))
-    man.files[path.name] = digest
+    return [("formfactor_grid",
+             ("theta1", "theta2", "re_continued", "im_continued", "re_crossed",
+              "im_crossed"),
+             (np.repeat(t1, n), np.tile(t2, n), c.real, c.imag, x.real, x.imag))]
 
 
-def suite_zf_algebra(cfg, man, out):
+def suite_zf_algebra(cfg, man):
     rows = []
     thetas = np.linspace(-3.0, 3.0, 120)
     fv = np.exp(-((thetas - 0.4) ** 2))
@@ -435,11 +423,9 @@ def suite_zf_algebra(cfg, man, out):
     st = cz.zf_apply("create", np.exp(-((tn + 1.2) ** 2)), st, S)
     man.extend([check_less("zf-algebra/truncation-leakage", st.leaked_norm, 1e-8,
                            note=f"k_max = {cfg['k_max']} in/out sequence")])
-    path, digest = write_csv(
-        out, "zf-algebra", "defects",
-        ("coupling", "unitarity", "inverse", "crossing", "exchange",
-         "double_exchange", "associativity"), list(zip(*rows)))
-    man.files[path.name] = digest
+    return [("defects",
+             ("coupling", "unitarity", "inverse", "crossing", "exchange",
+              "double_exchange", "associativity"), list(zip(*rows)))]
 
 
 _SUITES = {
@@ -454,8 +440,12 @@ _SUITES = {
 
 
 def run_experiment(cfg, out_dir):
+    """Run one suite, then write its CSVs and, last, its manifest: a suite
+    that raises leaves out_dir as it was."""
     man = RunManifest(cfg.experiment, dict(cfg.params))
-    _SUITES[cfg.experiment](cfg, man, out_dir)
+    for table, header, columns in _SUITES[cfg.experiment](cfg, man):
+        path, digest = write_csv(out_dir, cfg.experiment, table, header, columns)
+        man.files[path.name] = digest
     man.write(out_dir)
     return man
 

@@ -282,13 +282,6 @@ def entropy_scan(lattice, lengths, eps_family):
             raise ConfigurationError("attenuation lengths must be positive")
 
     state = build_vacuum_state(lattice)
-    cache = {}
-
-    def sharp_entropy(n_eff):
-        if n_eff not in cache:
-            cache[n_eff] = interval_entropy(state, n_eff)
-        return cache[n_eff]
-
     rows = []
     for L in lengths:
         for eps in eps_values:
@@ -301,7 +294,7 @@ def entropy_scan(lattice, lengths, eps_family):
                 raise DomainError(
                     f"L/eps = {n_eff} exceeds the lattice ({lattice.n_sites} sites)"
                 )
-            rows.append((L, eps, sharp_entropy(n_eff)))
+            rows.append((L, eps, interval_entropy(state, n_eff)))
 
     x = np.log([L / e for (L, e, _) in rows])
     y = np.array([S for (_, _, S) in rows])

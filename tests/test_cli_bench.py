@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modloc_lab import chiral_ej as ce
 from modloc_lab import gaussian_core as gc
 from modloc_lab import wedge_kms as wk
 from modloc_lab.cli_bench import config as cbc
@@ -19,7 +21,7 @@ from modloc_lab.cli_bench.main import build_parser, main
 from modloc_lab.cli_bench.manifest import (RunManifest, check_less,
                                            format_float, unverified, write_csv)
 from modloc_lab.cli_bench.suites import run_experiment, verify_all
-from modloc_lab.errors import ConfigurationError
+from modloc_lab.errors import ConfigurationError, NumericError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -397,11 +399,51 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
             main(argv)
         assert exc.value.code == 2
     # no config can loosen a bound, so a failing check comes from a stub suite
-    def failing_suite(cfg, man, out):
+    def failing_suite(cfg, man):
         man.extend([check_less("thermal-map/stub", 2.0, 1.0)])
+        return []
 
     monkeypatch.setitem(suites._SUITES, "thermal-map", failing_suite)
     assert main(["thermal-map", "--out", out]) == 1
+    # an --out (or MODLOC_OUT) that cannot be a directory is rejected before
+    # any suite runs, for every kind of subcommand; the stub would exit 1
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for target in (blocker, blocker / "below"):
+        for argv in (["thermal-map"], ["verify-all", "--only", "thermal-map"],
+                     ["emit-plots", out]):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(target)]) == 2, argv
+            assert str(target) in capsys.readouterr().err, argv
+    monkeypatch.setenv("MODLOC_OUT", str(blocker))
+    assert main(["thermal-map", "--out", out]) == 2
+
+
+def test_suites_take_only_config_and_manifest():
+    # a suite returns its tables; only run_experiment sees the output directory
+    for name, suite in suites._SUITES.items():
+        assert tuple(inspect.signature(suite).parameters) == ("cfg", "man"), name
+
+
+def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
+    # CSVs and manifest are written after the suite returns, so a run that
+    # stops with an error rewrites no file of an earlier run and writes
+    # nothing into a fresh directory
+    done, fresh = tmp_path / "done", tmp_path / "fresh"
+    assert main(["entropy-scan", "--out", str(done)]) == 0
+    before = {p.name: p.read_bytes() for p in done.iterdir()}
+    assert any(name.endswith(".csv") for name in before)
+
+    def failing_calibration(*args, **kwargs):
+        raise NumericError("calibration failed")
+
+    monkeypatch.setattr(ce, "entropy_relation_check", failing_calibration)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[entropy-scan]\nlengths = 8, 16, 32, 64\n")
+    for out in (done, fresh):
+        assert main(["entropy-scan", "--config", str(cfg), "--out", str(out)]) == 3
+    assert {p.name: p.read_bytes() for p in done.iterdir()} == before
+    assert list(fresh.iterdir()) == []
 
 
 # No suite imports scipy: charge-scaling's D = 2 transform takes J0 and J1
@@ -623,11 +665,13 @@ def test_verify_all_submits_in_parallel_order(tmp_path, monkeypatch, only):
     # EXPERIMENTS) order
     assert sorted(suites.PARALLEL_ORDER) == sorted(cbc.EXPERIMENTS)
     names = list(cbc.EXPERIMENTS if only is None else only)
+
+    def stub_suite(cfg, man):
+        man.extend([check_less(f"{cfg.experiment}/stub", 0.0, 1.0)])
+        return []
+
     for name in cbc.EXPERIMENTS:
-        monkeypatch.setitem(
-            suites._SUITES, name,
-            lambda cfg, man, out: man.extend([check_less(
-                f"{cfg.experiment}/stub", 0.0, 1.0)]))
+        monkeypatch.setitem(suites._SUITES, name, stub_suite)
     submitted = []
     pool = concurrent.futures.ThreadPoolExecutor
 
