@@ -23,8 +23,8 @@ An independent lattice mode-sum oracle (D = 1, periodic chain) checks the
 continuum quadrature at the few-percent level.
 """
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,40 +36,47 @@ _ECUT_SIGMAS = 5.7     # |g~|^2 = exp(-(E T)^2) < 1e-14 beyond E = 5.7/T
 _KFAC = 40.0           # ramp cutoff k <= KFAC / dR
 
 
-@dataclass(frozen=True)
-class ScalarModel:
+class _ScalarModelFields(NamedTuple):
     mass: float
     spacetime_dim: int
 
-    def __post_init__(self):
-        if not (self.mass > 0):
+
+class ScalarModel(_ScalarModelFields):
+    __slots__ = ()
+
+    def __new__(cls, mass, spacetime_dim):
+        if not (mass > 0):
             raise ConfigurationError("mass must be strictly positive")
-        if self.spacetime_dim not in (2, 3, 4):
+        if spacetime_dim not in (2, 3, 4):
             raise ConfigurationError("spacetime_dim must be 2, 3 or 4")
+        return super().__new__(cls, mass, spacetime_dim)
 
 
-@dataclass(frozen=True)
-class PartialChargeSpec:
-    """Geometry of the partial charge: plateau radius R, raised-cosine
-    boundary ramp dR (the attenuation thickness), Gaussian time width T."""
-
+class _PartialChargeSpecFields(NamedTuple):
     radius: float
     ramp_width: float
     time_width: float
 
-    def __post_init__(self):
-        if self.radius <= 0 or self.ramp_width <= 0 or self.time_width <= 0:
+
+class PartialChargeSpec(_PartialChargeSpecFields):
+    """Geometry of the partial charge: plateau radius R, raised-cosine
+    boundary ramp dR (the attenuation thickness), Gaussian time width T."""
+
+    __slots__ = ()
+
+    def __new__(cls, radius, ramp_width, time_width):
+        if radius <= 0 or ramp_width <= 0 or time_width <= 0:
             raise ConfigurationError("R, dR and T must be positive")
-        if self.ramp_width > self.radius:
+        if ramp_width > radius:
             raise ConfigurationError("need dR <= R")
+        return super().__new__(cls, radius, ramp_width, time_width)
 
     @property
     def ratio(self):
         return self.radius / self.ramp_width
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     samples: tuple                 # ((R/dR, F), ...)
     fitted_exponent: float
     fitted_log_flag: bool
@@ -500,8 +507,7 @@ def scaling_fit(model, spec_family):
 # global-charge limit on a one-particle state
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChargeLimitReport:
+class ChargeLimitReport(NamedTuple):
     monotone: bool
     final_deviation: float
     t_shift_change: float

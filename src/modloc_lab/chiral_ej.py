@@ -20,7 +20,7 @@ route cross-checks it: Var_j = N int_0^inf p w(p) |f~(p)|^2 dp with w = 1
 or coth(b p / 2), and Var_T from the self-convolution of the spectral density.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +42,21 @@ CALIBRATION_SITES = 32
 # kernels
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiralKernel:
+class _ChiralKernelFields(NamedTuple):
     kind: str                       # "vacuum" | "thermal"
-    beta: float | None = None
+    beta: float | None
 
-    def __post_init__(self):
-        if self.kind not in ("vacuum", "thermal"):
-            raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "thermal":
-            if self.beta is None or not (self.beta > 0):
+
+class ChiralKernel(_ChiralKernelFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, beta=None):
+        if kind not in ("vacuum", "thermal"):
+            raise ConfigurationError(f"unknown kernel kind {kind!r}")
+        if kind == "thermal":
+            if beta is None or not (beta > 0):
                 raise ConfigurationError("thermal kernel needs beta > 0")
+        return super().__new__(cls, kind, beta)
 
 
 def vacuum_kernel():
@@ -395,21 +399,28 @@ def energy_variance_spectral(f, kernel):
 # exponential map and the Einstein-Jordan comparison
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalMap:
+class _IntervalMapFields(NamedTuple):
+    beta: float
+    source: tuple
+
+
+class IntervalMap(_IntervalMapFields):
     """x = exp(2 pi u / beta): thermal line -> vacuum half-line.  At
     beta = 2 pi the interval (a, b) lands on (e^a, e^b)."""
 
-    beta: float
-    source: tuple
-    image: tuple = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = self.source
+    def __new__(cls, beta, source):
+        a, b = source
         if not a < b:
             raise ConfigurationError("need a < b")
+        return super().__new__(cls, beta, source)
+
+    @property
+    def image(self):
+        a, b = self.source
         w = 2.0 * np.pi / self.beta
-        object.__setattr__(self, "image", (float(np.exp(w * a)), float(np.exp(w * b))))
+        return (float(np.exp(w * a)), float(np.exp(w * b)))
 
     def apply(self, u):
         return np.exp(2.0 * np.pi * np.asarray(u, float) / self.beta)
@@ -459,8 +470,7 @@ def verify_isomorphism(imap, grid):
     return float(np.max(worst))
 
 
-@dataclass(frozen=True)
-class EJComparison:
+class EJComparison(NamedTuple):
     thermal_variance: float
     transported_variance: float
     rel_diff: float
@@ -485,8 +495,7 @@ def ej_compare(f, beta):
 # entropy relation: heat-bath volume law vs localization log law
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntropyRelationReport:
+class EntropyRelationReport(NamedTuple):
     thermal_entropies: tuple        # S of [0, L) in the Gibbs state, per L
     thermal_slope: float
     thermal_r2: float

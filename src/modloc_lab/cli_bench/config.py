@@ -5,8 +5,8 @@ rejected with field-level messages."""
 import configparser
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ..chiral_ej import CALIBRATION_SITES
 from ..errors import ConfigurationError
@@ -116,8 +116,7 @@ _SCHEMAS = {
 EXPERIMENTS = tuple(_SCHEMAS)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     experiment: str
     params: dict
 

@@ -21,7 +21,6 @@ from pathlib import Path
 from ..errors import ConfigurationError, ModlocError
 from .config import EXPERIMENTS, load_config
 from .manifest import FAIL
-from .plots import emit_plots
 from .suites import run_experiment, verify_all
 
 
@@ -37,7 +36,10 @@ def _make_dir(path):
 
 
 def _out_dir(args):
-    return _make_dir(os.environ.get("MODLOC_OUT") or args.out)
+    """MODLOC_OUT, else --out; None only for emit-plots without either,
+    which then writes into the run directory."""
+    out = os.environ.get("MODLOC_OUT") or args.out
+    return out and _make_dir(out)
 
 
 def _report(manifest):
@@ -76,7 +78,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "emit-plots":
-            written = emit_plots(args.run_dir, args.out and _make_dir(args.out))
+            from .plots import emit_plots       # no suite run needs it
+            written = emit_plots(args.run_dir, _out_dir(args))
             for path in written:
                 print(path)
             return 0

@@ -5,9 +5,9 @@ the environment stamp is deterministic."""
 import json
 import os
 import platform
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ def format_float(x):
     return _FLOAT_FORMAT % float(x)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     name: str
     measured: float | None
     tolerance: float | None
@@ -77,12 +76,12 @@ def environment():
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-@dataclass
 class RunManifest:
-    experiment: str
-    config: dict
-    records: list = field(default_factory=list)
-    files: dict = field(default_factory=dict)
+    def __init__(self, experiment, config):
+        self.experiment = experiment
+        self.config = config
+        self.records = []
+        self.files = {}
 
     def extend(self, records):
         self.records.extend(records)
@@ -104,7 +103,7 @@ class RunManifest:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "config": self.config,
             "environment": environment(),
-            "records": [asdict(r) for r in self.records],
+            "records": [r._asdict() for r in self.records],
             "files": self.files,
             "passed": self.passed,
         }

@@ -23,7 +23,7 @@ inserts a packet with one S factor per transposition needed to reach its
 ordered slot, annihilation contracts with the matching S-dressed terms.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,22 +43,27 @@ def _bump(s):
     return out
 
 
-@dataclass(frozen=True)
-class WedgeTestFn:
-    """C-infinity product bump supported in a box inside one wedge."""
-
+class _WedgeTestFnFields(NamedTuple):
     center_t: float
     center_x: float
     half_width_t: float
     half_width_x: float
 
-    def __post_init__(self):
-        if self.half_width_t <= 0 or self.half_width_x <= 0:
+
+class WedgeTestFn(_WedgeTestFnFields):
+    """C-infinity product bump supported in a box inside one wedge."""
+
+    __slots__ = ()
+
+    def __new__(cls, center_t, center_x, half_width_t, half_width_x):
+        if half_width_t <= 0 or half_width_x <= 0:
             raise ConfigurationError("half widths must be positive")
+        self = super().__new__(cls, center_t, center_x, half_width_t, half_width_x)
         if self.wedge is None:
             raise DomainError(
                 "support box must lie strictly inside the right or left wedge"
             )
+        return self
 
     @property
     def wedge(self):
@@ -126,8 +131,7 @@ class WedgeTestFn:
 # modular localization: strip analyticity of wedge wave functions
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RapidityFn:
+class RapidityFn(NamedTuple):
     thetas: np.ndarray
     lambdas: np.ndarray
     values: np.ndarray             # shape (len(thetas), len(lambdas))
@@ -226,8 +230,7 @@ def crossed_formfactor(g, theta1, theta2):
     return out
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     continued: np.ndarray          # <0|B|t1 + i pi, t2> on the real grid
     crossed: np.ndarray            # <t1|B|t2>
     max_rel_defect: float
@@ -258,8 +261,7 @@ def free_crossing_check(g, thetas1, thetas2):
     return CrossingReport(continued, crossed, defect)
 
 
-@dataclass(frozen=True)
-class KMSIdentityReport:
+class KMSIdentityReport(NamedTuple):
     lhs: complex
     rel_diff: float
 
@@ -360,18 +362,22 @@ def kms_free_identity(g, f1, f2):
 # the elastic S matrix and the ZF algebra
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SMatrixModel:
+class _SMatrixModelFields(NamedTuple):
+    coupling: float
+
+
+class SMatrixModel(_SMatrixModelFields):
     """Scalar factorizing two-particle S matrix.  The sinh-Gordon-type
     factor S(theta) = (sinh theta - i sin b)/(sinh theta + i sin b) is the
     canonical family: unitary on the real line, S(theta)S(-theta) = 1 and
     S(i pi - theta) = S(theta) hold identically."""
 
-    coupling: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.coupling < np.pi):
+    def __new__(cls, coupling):
+        if not (0.0 < coupling < np.pi):
             raise ConfigurationError("coupling must lie in (0, pi)")
+        return super().__new__(cls, coupling)
 
     def __call__(self, theta):
         sh = np.sinh(np.asarray(theta, complex))
@@ -389,8 +395,7 @@ def smatrix_properties(S):
     return {"unitarity": unit, "inverse": inv, "crossing": crossing}
 
 
-@dataclass(frozen=True)
-class ZFState:
+class ZFState(NamedTuple):
     """Particle-number-truncated vector on a rapidity grid.  Component k is
     an S-symmetric function of k rapidities: exchanging adjacent arguments
     costs one factor S, which is exactly the ordering rule 'commute the

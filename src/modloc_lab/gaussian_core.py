@@ -28,7 +28,7 @@ The entropy
 is the von Neumann entropy of the reduced Gaussian state (nats).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,39 +40,42 @@ UNCERTAINTY_TOL = 1e-9
 IR_WINDOW = (1e-4, 1e-2)  # allowed m_IR * n_sites
 
 
-@dataclass(frozen=True)
-class HarmonicLattice:
+class _HarmonicLatticeFields(NamedTuple):
+    n_sites: int
+    mass: float
+    ir_regulator: float | None
+
+
+class HarmonicLattice(_HarmonicLatticeFields):
     """Periodic chain geometry in units of the lattice spacing.  A massless
     chain must carry an explicit IR regulator; the regulated mass is
     recorded so downstream manifests can echo it."""
 
-    n_sites: int
-    mass: float
-    ir_regulator: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_sites < 2:
+    def __new__(cls, n_sites, mass, ir_regulator=None):
+        if n_sites < 2:
             raise ConfigurationError("n_sites must be >= 2")
-        if self.mass < 0:
+        if mass < 0:
             raise ConfigurationError("mass must be >= 0")
-        if self.mass == 0.0:
-            if self.ir_regulator is None or self.ir_regulator <= 0:
+        if mass == 0.0:
+            if ir_regulator is None or ir_regulator <= 0:
                 raise ConfigurationError(
                     "massless chain requires a positive ir_regulator mass"
                 )
-            mL = self.ir_regulator * self.n_sites
+            mL = ir_regulator * n_sites
             if not (IR_WINDOW[0] <= mL <= IR_WINDOW[1]):
                 raise ConfigurationError(
                     f"ir_regulator * total length = {mL:.3g} outside {IR_WINDOW}"
                 )
+        return super().__new__(cls, n_sites, mass, ir_regulator)
 
     @property
     def effective_mass(self):
         return self.mass if self.mass > 0 else self.ir_regulator
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(NamedTuple):
     """First columns of the Toeplitz blocks: X_ij = phi_col[|i-j|] and
     P_ij = pi_col[|i-j|]."""
 
@@ -84,8 +87,7 @@ class GaussianState:
         return self.phi_col.shape[0]
 
 
-@dataclass(frozen=True)
-class FitRecord:
+class FitRecord(NamedTuple):
     slope: float
     r_squared: float
 

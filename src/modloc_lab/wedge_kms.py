@@ -21,7 +21,7 @@ eps.  KMS at beta = 2 pi / a means log(G~(-w)/G~(w)) = -beta w; for the
 massless d=4 field G~ is the Planck form  w / (2 pi (1 - exp(-2 pi w / a))).
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,29 +35,36 @@ _FLAT_FRACTION = 0.7       # flat share of the transform window
 _GRID_RTOL = 1e-9          # spacing spread a uniform tau grid may carry
 
 
-@dataclass(frozen=True)
-class WightmanModel:
+class _WightmanModelFields(NamedTuple):
     mass: float
     spacetime_dim: int
 
-    def __post_init__(self):
-        if self.mass < 0:
+
+class WightmanModel(_WightmanModelFields):
+    __slots__ = ()
+
+    def __new__(cls, mass, spacetime_dim):
+        if mass < 0:
             raise ConfigurationError("mass must be >= 0")
-        if self.spacetime_dim not in (2, 4):
+        if spacetime_dim not in (2, 4):
             raise ConfigurationError("spacetime_dim must be 2 or 4")
-        if self.spacetime_dim == 2 and self.mass > 0:
+        if spacetime_dim == 2 and mass > 0:
             raise ConfigurationError("d=2 pullback implemented for the massless current")
+        return super().__new__(cls, mass, spacetime_dim)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class _TrajectoryFields(NamedTuple):
     acceleration: float
     tau_grid: np.ndarray
 
-    def __post_init__(self):
-        if self.acceleration <= 0:
+
+class Trajectory(_TrajectoryFields):
+    __slots__ = ()
+
+    def __new__(cls, acceleration, tau_grid):
+        if acceleration <= 0:
             raise ConfigurationError("acceleration must be positive")
-        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, float))
+        return super().__new__(cls, acceleration, np.asarray(tau_grid, float))
 
     @classmethod
     def uniform(cls, acceleration, span=40.0, n=1 << 13):
@@ -75,8 +82,7 @@ class Trajectory:
         return t, x
 
 
-@dataclass(frozen=True)
-class PullbackCorrelator:
+class PullbackCorrelator(NamedTuple):
     taus: np.ndarray
     values: np.ndarray             # G at i_epsilon
     i_epsilon: float
@@ -165,8 +171,7 @@ def flat_taper(taus, t_flat, t_end):
     return smooth_bump(s)
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
+class SpectralFunction(NamedTuple):
     """Re G~(omega) and Re G~(-omega) from one windowed transform.  The
     regulator damps G~(w) by exp(-eps w); values and mirror undo that."""
     omegas: np.ndarray
@@ -185,8 +190,7 @@ class SpectralFunction:
         return self.damped_mirror * np.exp(-self.i_epsilon * self.omegas)
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     spectrum: SpectralFunction     # both sides of the band w in [0.5, 3] a
     beta: float
 
@@ -212,7 +216,7 @@ class BalanceReport:
 
     def at(self, beta):
         """The same transforms read at another inverse temperature."""
-        return replace(self, beta=beta)
+        return self._replace(beta=beta)
 
 
 def _windowed_transforms(taus, values, win, omegas):

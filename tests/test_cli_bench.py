@@ -450,9 +450,10 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
 # from charge_fluct's own routine, and the symplectic spectra run on numpy's
 # LAPACK.  scipy is a test oracle only.  Nor does a single-suite run load
 # OpenSSL (the CSV digests use CPython's built-in SHA-256), numpy.polynomial
-# (Gauss-Legendre rules come from the Legendre recurrence) or the thread
-# pool (only verify-all --parallel needs it).  A fresh interpreter is
-# needed to see what gets imported.
+# (Gauss-Legendre rules come from the Legendre recurrence), the thread
+# pool (only verify-all --parallel needs it), dataclasses (no record type
+# generates code at import) or the plot writer (only emit-plots needs it).
+# A fresh interpreter is needed to see what gets imported.
 STARTUP_PROBE = """
 import sys
 from modloc_lab.cli_bench.main import main
@@ -463,7 +464,8 @@ from modloc_lab import gaussian_core as gc
 gc.symplectic_spectrum(gc.build_vacuum_state(gc.HarmonicLattice(4, 1.0)))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"scipy loaded: {loaded}"
-loaded = [m for m in ("_hashlib", "numpy.polynomial", "concurrent.futures")
+loaded = [m for m in ("_hashlib", "numpy.polynomial", "concurrent.futures",
+                      "dataclasses", "modloc_lab.cli_bench.plots")
           if m in sys.modules]
 assert not loaded, f"loaded: {loaded}"
 """
@@ -602,6 +604,18 @@ def test_emit_plots_creates_missing_out_dir(tmp_path):
     out = tmp_path / "plots" / "nested"
     assert main(["emit-plots", run_dir, "--out", str(out)]) == 0
     assert (out / "thermal-map_defect_vs_beta.dat").read_text().startswith("#")
+
+
+def test_emit_plots_honours_modloc_out(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    assert main(["thermal-map", "--out", str(run_dir)]) == 0
+    target = tmp_path / "env_dir"
+    monkeypatch.setenv("MODLOC_OUT", str(target))
+    for argv in ([], ["--out", str(tmp_path / "ignored")]):
+        assert main(["emit-plots", str(run_dir), *argv]) == 0
+        assert (target / "thermal-map_defect_vs_beta.dat").exists()
+    assert not (tmp_path / "ignored").exists()
+    assert not list(run_dir.glob("*.dat"))
 
 
 def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,

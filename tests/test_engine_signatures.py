@@ -2,9 +2,10 @@
 thresholds are constants of their modules.  Each public signature below is
 pinned, so such a value cannot come back as a keyword parameter, and every
 function the benchmark tracer wraps by name must still exist under that name.
-The few defaulted parameters and dataclass fields left are listed by name, so
+The few defaulted parameters and record fields left are listed by name, so
 no setting that every caller leaves at one value can come back as a default
-either."""
+either.  The validated specs are pinned too: each is a record type with its
+own constructor, which must keep naming its fields."""
 
 import ast
 import importlib
@@ -20,6 +21,8 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 ENGINES = ROOT / "src" / "modloc_lab"
 
 SIGNATURES = {
+    "wedge_kms.WightmanModel": ("mass", "spacetime_dim"),
+    "wedge_kms.Trajectory": ("acceleration", "tau_grid"),
     "wedge_kms.detailed_balance": ("corr", "beta"),
     "wedge_kms.spectral_function": ("corr", "omegas"),
     "wedge_kms.boost_orbit_consistency": ("acceleration",),
@@ -28,9 +31,12 @@ SIGNATURES = {
     "crossing_zf.free_crossing_check": ("g", "thetas1", "thetas2"),
     "crossing_zf.mass_shell_restrict": ("f",),
     "crossing_zf.kms_free_identity": ("g", "f1", "f2"),
+    "crossing_zf.SMatrixModel": ("coupling",),
     "crossing_zf.smatrix_properties": ("S",),
     "crossing_zf.zf_vacuum": ("n_grid", "k_max"),
     "crossing_zf.zf_apply": ("op", "packet", "state", "S"),
+    "chiral_ej.ChiralKernel": ("kind", "beta"),
+    "chiral_ej.IntervalMap": ("beta", "source"),
     "chiral_ej.thermal_image_sum": ("kernel", "u", "uprime"),
     "chiral_ej.smeared_current_variance": ("f", "kernel"),
     "chiral_ej.energy_variance": ("f", "kernel"),
@@ -38,11 +44,14 @@ SIGNATURES = {
     "chiral_ej.verify_isomorphism": ("imap", "grid"),
     "chiral_ej.entropy_relation_check": ("L_values", "eps_values", "n_sites",
                                          "beta"),
+    "gaussian_core.HarmonicLattice": ("n_sites", "mass", "ir_regulator"),
     "gaussian_core.reduce_state": ("state", "length"),
     "gaussian_core.interval_entropy": ("state", "length"),
     "gaussian_core.entropy_scan": ("lattice", "lengths", "eps_family"),
     "gaussian_core.symplectic_spectrum": ("state",),
     "gaussian_core.entanglement_entropy": ("nus",),
+    "charge_fluct.ScalarModel": ("mass", "spacetime_dim"),
+    "charge_fluct.PartialChargeSpec": ("radius", "ramp_width", "time_width"),
     "charge_fluct.charge_variance": ("model", "spec"),
     "charge_fluct.charge_variance_lattice": ("model", "spec"),
     "charge_fluct.ftilde_radial": ("spec", "D", "ks"),
@@ -58,10 +67,9 @@ DEFAULTED = sorted([
     "charge_fluct.ScalingReport.log_slope",
     "charge_fluct._one_particle_deviation.t_shift",
     "charge_fluct._ramp_moments.weight_r",
-    "chiral_ej.ChiralKernel.beta",
-    "chiral_ej.IntervalMap.image",
+    "chiral_ej.ChiralKernel.__new__.beta",
     "crossing_zf.ZFState.leaked_norm",
-    "gaussian_core.HarmonicLattice.ir_regulator",
+    "gaussian_core.HarmonicLattice.__new__.ir_regulator",
     "wedge_kms.Trajectory.uniform.n",
     "wedge_kms.Trajectory.uniform.span",
     "wedge_kms.pullback.i_epsilon",
