@@ -65,7 +65,7 @@ class PartialChargeSpec(_PartialChargeSpecFields):
     __slots__ = ()
 
     def __new__(cls, radius, ramp_width, time_width):
-        if radius <= 0 or ramp_width <= 0 or time_width <= 0:
+        if not (radius > 0 and ramp_width > 0 and time_width > 0):
             raise ConfigurationError("R, dR and T must be positive")
         if ramp_width > radius:
             raise ConfigurationError("need dR <= R")

@@ -411,6 +411,8 @@ class IntervalMap(_IntervalMapFields):
     __slots__ = ()
 
     def __new__(cls, beta, source):
+        if not 0.0 < beta < np.inf:
+            raise ConfigurationError("beta must be finite and positive")
         a, b = source
         if not a < b:
             raise ConfigurationError("need a < b")
@@ -435,12 +437,6 @@ class IntervalMap(_IntervalMapFields):
     def jacobian(self, u):
         w = 2.0 * np.pi / self.beta
         return w * np.exp(w * np.asarray(u, float))
-
-
-def exp_map(beta, a, b):
-    if beta <= 0:
-        raise ConfigurationError("beta must be positive")
-    return IntervalMap(beta=float(beta), source=(float(a), float(b)))
 
 
 def verify_isomorphism(imap, grid):
@@ -522,14 +518,13 @@ def entropy_relation_check(L_values, eps_values, n_sites, beta):
     s_th = gaussian_core.thermal_interval_entropies(lat, beta, L_values)
     s1, _, r2_th = linear_fit(np.asarray(L_values, float), np.asarray(s_th))
 
-    rows, _ = gaussian_core.entropy_scan(lat, [CALIBRATION_SITES], eps_values)
-    x = np.log([1.0 / eps for (_, eps, _) in rows])
-    y = np.array([S for (_, _, S) in rows])
-    s2, _, r2_loc = linear_fit(x, y)
+    # one interval length: the scan's fit against ln(L/eps) is the fit
+    # against ln(1/eps), shifted by the constant ln L
+    _, loc = gaussian_core.entropy_scan(lat, [CALIBRATION_SITES], eps_values)
     return EntropyRelationReport(
         thermal_entropies=tuple(s_th),
         thermal_slope=s1,
         thermal_r2=r2_th,
-        localization_r2=r2_loc,
-        calibration_ratio=s1 / (2.0 * np.pi * s2),
+        localization_r2=loc.r_squared,
+        calibration_ratio=s1 / (2.0 * np.pi * loc.slope),
     )

@@ -1,9 +1,8 @@
-"""Experiment configuration: flat key = value text with a section header
-(diff-friendly), JSON accepted as an alternative.  Unknown keys are
-rejected with field-level messages."""
+"""Experiment configuration: an INI file with one section per experiment,
+flat key = value lines (diff-friendly).  Unknown keys are rejected with
+field-level messages."""
 
 import configparser
-import json
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -12,25 +11,12 @@ from ..chiral_ej import CALIBRATION_SITES
 from ..errors import ConfigurationError
 
 
-def _integer(tok):
-    """A count: '8.2', 8.2 or true raises instead of becoming 8 or 1."""
-    return int(str(tok))
-
-
-def _real(tok):
-    """A number; a JSON true or false is not one, although float() takes it."""
-    if isinstance(tok, bool):
-        raise ValueError(f"{str(tok).lower()} is not a number")
-    return float(tok)
-
-
 def _list(entry, min_len):
-    """Converter for a list of numbers (a JSON array or a comma-separated
-    string) with at least min_len distinct entries, so that a short or
-    repeated list cannot drop its checks or make a fit vacuous."""
+    """Converter for a comma-separated list of numbers with at least
+    min_len distinct entries, so that a short or repeated list cannot drop
+    its checks or make a fit vacuous."""
     def conv(s):
-        toks = s if isinstance(s, (list, tuple)) else str(s).split(",")
-        vals = tuple(entry(tok) for tok in toks if str(tok).strip())
+        vals = tuple(entry(tok) for tok in s.split(",") if tok.strip())
         distinct = len(set(vals))
         if distinct < min_len:
             raise ValueError(
@@ -55,29 +41,29 @@ _SCHEMAS = {
     "ej-fluct": {
         # below beta ~ 0.6 the exp-mapped smearing outruns the fixed
         # quadrature rules (beta = 0.5: estimate 3.9e-6 against rtol 1e-7)
-        "beta": (_real, 6.283185307179586, (0.7, 1e3)),
+        "beta": (float, 6.283185307179586, (0.7, 1e3)),
     },
     "thermal-map": {
         # below beta ~ 0.0174 the transported vacuum kernel on the
         # u in [0.02, 0.98] grid overflows; above beta ~ 1e153 the squared
         # image differences underflow and the defect reads NaN
-        "betas": (_list(_real, 1), (1.0, 6.283185307179586), (0.02, 1e100)),
+        "betas": (_list(float, 1), (1.0, 6.283185307179586), (0.02, 1e100)),
         # in row_blocks: the suite peaks at 34.7 MiB at the cap
-        "grid_n": (_integer, 100, (4, 100000)),
+        "grid_n": (int, 100, (4, 100000)),
     },
     "entropy-scan": {
         # a chain is held as two N-entry columns; its full spectrum is solved
         # in four N/4 x N/4 blocks, 8 MiB each at MAX_SITES.
         # n_sites = purity_sizes = 4096 runs in about 1.1 s at 61 MiB peak
         # on a 2-core desk machine (0.8 s with OPENBLAS_NUM_THREADS=2)
-        "n_sites": (_integer, 2000, (64, MAX_SITES)),
-        "lengths": (_list(_integer, 4), (8, 16, 32, 64, 128, 256), None),
-        "thermal_n_sites": (_integer, 1200, (64, MAX_SITES)),
-        "thermal_beta": (_real, 6.283185307179586, (1e-3, 1e3)),
-        "thermal_lengths": (_list(_integer, 4), (40, 80, 120, 160, 200, 240), None),
-        "purity_sizes": (_list(_integer, 1), (512, 2048), (2, MAX_SITES)),
-        "eps_values": (_list(_real, 4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
-        "eps_interval": (_integer, 48, (8, MAX_SITES)),
+        "n_sites": (int, 2000, (64, MAX_SITES)),
+        "lengths": (_list(int, 4), (8, 16, 32, 64, 128, 256), None),
+        "thermal_n_sites": (int, 1200, (64, MAX_SITES)),
+        "thermal_beta": (float, 6.283185307179586, (1e-3, 1e3)),
+        "thermal_lengths": (_list(int, 4), (40, 80, 120, 160, 200, 240), None),
+        "purity_sizes": (_list(int, 1), (512, 2048), (2, MAX_SITES)),
+        "eps_values": (_list(float, 4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
+        "eps_interval": (int, 48, (8, MAX_SITES)),
     },
     "charge-scaling": {
         # the 320-point pair kernel's F is 3.0e-5 off a 1280-point one at
@@ -85,31 +71,31 @@ _SCHEMAS = {
         # floor the error keeps growing with the kernel grid's log step
         # (1.7e-4 at 1e-30, 3e-3 at 1e-300, where the kernel misses I(k) by
         # up to 98 %)
-        "n2_mass": (_real, 1e-6, (1e-7, 100.0)),
-        "n2_ratio_lo": (_real, 1.2e4, (1.0, 1e9)),
-        "n2_ratio_hi": (_real, 1.2e5, (1.0, 1e9)),
-        "n2_samples": (_integer, 8, (6, 64)),
+        "n2_mass": (float, 1e-6, (1e-7, 100.0)),
+        "n2_ratio_lo": (float, 1.2e4, (1.0, 1e9)),
+        "n2_ratio_hi": (float, 1.2e5, (1.0, 1e9)),
+        "n2_samples": (int, 8, (6, 64)),
     },
     "unruh": {
         # detailed balance reads 1e-9 to 1e-8 from a = 1e-150 to 1e153;
         # below that the proper-time grid loses its digits (1.6e-5 at
         # 1e-155, a numeric error at 1e-160), and above it a**2 overflows
-        "accelerations": (_list(_real, 1), (0.5, 1.0, 2.0), (1e-100, 1e100)),
+        "accelerations": (_list(float, 1), (0.5, 1.0, 2.0), (1e-100, 1e100)),
     },
     "crossing": {
         # the engine works at mass 1, lengths in Compton wavelengths: any
         # other mass only rescales the boxes.  The key stays only because
         # the benchmark's wedge config names it, and goes with that config
-        # entry (ROADMAP, "Put the crossing suite in Compton units")
-        "mass": (_real, 1.0, (1.0, 1.0)),
+        # entry (ROADMAP item 4)
+        "mass": (float, 1.0, (1.0, 1.0)),
         # in row_blocks: the suite peaks at 35.4 MiB at the cap (40 000 CSV rows)
-        "grid_n": (_integer, 20, (4, 200)),
+        "grid_n": (int, 20, (4, 200)),
     },
     "zf-algebra": {
-        "couplings": (_list(_real, 1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
+        "couplings": (_list(float, 1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
         # the suite's in/out sequence creates four particles before it
         # annihilates one, so a k_max below 4 fails truncation-leakage
-        "k_max": (_integer, 4, (4, 6)),
+        "k_max": (int, 4, (4, 6)),
     },
 }
 
@@ -137,7 +123,7 @@ def _coerce(experiment, raw):
         if key in raw:
             try:
                 val = conv(raw[key])
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigurationError(f"[{experiment}] {key}: {exc}") from None
         else:
             val = default
@@ -188,8 +174,8 @@ def _coerce(experiment, raw):
 
 
 def load_config(experiment, path=None):
-    """Defaults when no file is given; otherwise the file's section for this
-    experiment is parsed (INI key = value, or JSON)."""
+    """Defaults when no file is given; otherwise the file's INI section for
+    this experiment is parsed."""
     if experiment not in _SCHEMAS:
         raise ConfigurationError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
@@ -200,31 +186,14 @@ def load_config(experiment, path=None):
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: malformed JSON: {exc}") from None
-            raw = doc.get(experiment, doc if set(doc) <= set(_SCHEMAS[experiment]) else None)
-            if raw is None:
-                raise ConfigurationError(
-                    f"JSON config {path} has no block for {experiment!r}"
-                )
-            if not isinstance(raw, dict):
-                raise ConfigurationError(
-                    f"{path}: [{experiment}] block is a {type(raw).__name__}, "
-                    f"not an object"
-                )
-        else:
-            cp = configparser.ConfigParser()
-            try:
-                cp.read_string(text)
-            except configparser.Error as exc:
-                raise ConfigurationError(f"config parse error: {exc}") from None
-            if experiment not in cp:
-                raise ConfigurationError(f"config has no [{experiment}] section")
-            raw = dict(cp[experiment])
+        cp = configparser.ConfigParser()
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigurationError(f"config parse error: {exc}") from None
+        if experiment not in cp:
+            raise ConfigurationError(f"config has no [{experiment}] section")
+        raw = dict(cp[experiment])
         if not raw:
             raise ConfigurationError(
                 f"[{experiment}] parameter block is empty; expected keys: "

@@ -68,9 +68,9 @@ def unverified(name, note):
 
 def environment():
     """What the run saw: Python and numpy versions, core count and the BLAS
-    thread setting.  scipy is left out: no suite imports it, and importing
-    it only to read its version would cost every run about 0.2 s and
-    25 MiB."""
+    thread setting.  scipy is left out: no suite imports it, so its version
+    says nothing about a run, and importing it to read the version would
+    cost every run 10-15 ms and 1.3 MiB on a 2-core desk machine."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}

@@ -3,6 +3,11 @@ operations at desk scale, appends one manifest record per claim checked,
 and returns its CSV tables as (table, header, columns) triples, which
 run_experiment writes once the suite has returned."""
 
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from .. import chiral_ej as ce
@@ -28,14 +33,14 @@ def suite_thermal_map(cfg, man):
     off = np.abs(U - V) > 1e-4
     grid = np.column_stack((U[off], V[off]))[:n]     # row-major (u, v) pairs
     for beta in cfg["betas"]:
-        imap = ce.exp_map(beta, 0.0, 1.0)
+        imap = ce.IntervalMap(beta, (0.0, 1.0))
         defect = ce.verify_isomorphism(imap, grid)
         rows.append((beta, defect))
         man.extend([check_less(
             f"thermal-map/kernel-defect/beta={beta:g}", defect, 1e-10,
             note="K_th(u,u') = J J' K_vac(x,x') on the grid",
         )])
-    imap = ce.exp_map(TWO_PI, 0.0, 1.0)
+    imap = ce.IntervalMap(TWO_PI, (0.0, 1.0))
     man.extend([
         check_less("thermal-map/image-interval",
                    abs(imap.image[0] - 1.0) + abs(imap.image[1] - np.e), 1e-14,
@@ -451,10 +456,11 @@ def run_experiment(cfg, out_dir):
 
 
 # Every suite, in the order parallel runs start them.  In a fresh
-# interpreter on 2 cores at the default configs charge-scaling takes about
-# 0.4-0.55 s, ej-fluct 0.2-0.25 s, entropy-scan 0.21-0.22 s, crossing
-# and unruh about 0.1 s each, zf-algebra 0.03-0.04 s and thermal-map
-# 0.002 s.  charge-scaling, the longest, starts first and the others run
+# interpreter at the default configs (three rounds on a shared 2-core
+# host; the host's load moves each by up to a third) charge-scaling takes
+# 0.44-0.50 s, ej-fluct 0.19-0.23 s, entropy-scan 0.15-0.18 s, crossing
+# and unruh 0.06-0.09 s each, zf-algebra 0.04 s and thermal-map 0.002 s.
+# charge-scaling, the longest, starts first and the others run
 # beside it; entropy-scan, whose 2048-site symplectic spectrum is the
 # largest memory step of the run, starts next.  Over six alternating
 # rounds of verify-all --parallel 2 in fresh interpreters, this order read
@@ -466,27 +472,38 @@ PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
 
 
 def verify_all(out_dir, parallel=1, only=None):
-    """Every suite at default desk-scale parameters; aggregate manifest."""
+    """Every suite at default desk-scale parameters; aggregate manifest.
+    The suites write into a staging directory inside out_dir, whose files
+    move into out_dir, the aggregate manifest last, only once every suite
+    has returned: a run that raises leaves out_dir as it was."""
     names = list(EXPERIMENTS if only is None else only)
     manifests = {}
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".verify-all-", dir=out_dir))
 
     def _run(name):
-        return run_experiment(load_config(name), out_dir)
+        return run_experiment(load_config(name), staging)
 
-    if parallel > 1:
-        import concurrent.futures       # threading and logging: 0.4-0.5 MiB
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
-            futs = {name: ex.submit(_run, name)
-                    for name in sorted(names, key=PARALLEL_ORDER.index)}
-            for name in names:                  # fixed order, schedule-free
-                manifests[name] = futs[name].result()
-    else:
+    try:
+        if parallel > 1:
+            import concurrent.futures   # threading and logging: 0.4-0.5 MiB
+            with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
+                futs = {name: ex.submit(_run, name)
+                        for name in sorted(names, key=PARALLEL_ORDER.index)}
+                for name in names:              # fixed order, schedule-free
+                    manifests[name] = futs[name].result()
+        else:
+            for name in names:
+                manifests[name] = _run(name)
+
+        agg = RunManifest("verify-all", {"suites": names})
         for name in names:
-            manifests[name] = _run(name)
-
-    agg = RunManifest("verify-all", {"suites": names})
-    for name in names:
-        agg.extend(manifests[name].records)
-        agg.files.update(manifests[name].files)
-    agg.write(out_dir)
+            agg.extend(manifests[name].records)
+            agg.files.update(manifests[name].files)
+        last = agg.write(staging)
+        for path in sorted(staging.iterdir(), key=lambda p: p == last):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging)
     return agg

@@ -54,12 +54,12 @@ class HarmonicLattice(_HarmonicLatticeFields):
     __slots__ = ()
 
     def __new__(cls, n_sites, mass, ir_regulator=None):
-        if n_sites < 2:
+        if not (n_sites >= 2):
             raise ConfigurationError("n_sites must be >= 2")
-        if mass < 0:
+        if not (mass >= 0):
             raise ConfigurationError("mass must be >= 0")
         if mass == 0.0:
-            if ir_regulator is None or ir_regulator <= 0:
+            if ir_regulator is None or not (ir_regulator > 0):
                 raise ConfigurationError(
                     "massless chain requires a positive ir_regulator mass"
                 )

@@ -44,7 +44,7 @@ class WightmanModel(_WightmanModelFields):
     __slots__ = ()
 
     def __new__(cls, mass, spacetime_dim):
-        if mass < 0:
+        if not (mass >= 0):
             raise ConfigurationError("mass must be >= 0")
         if spacetime_dim not in (2, 4):
             raise ConfigurationError("spacetime_dim must be 2 or 4")
@@ -62,7 +62,7 @@ class Trajectory(_TrajectoryFields):
     __slots__ = ()
 
     def __new__(cls, acceleration, tau_grid):
-        if acceleration <= 0:
+        if not (acceleration > 0):
             raise ConfigurationError("acceleration must be positive")
         return super().__new__(cls, acceleration, np.asarray(tau_grid, float))
 

@@ -151,15 +151,15 @@ def test_dilation_covariance():
 
 
 def test_exp_map_images():
-    imap = ce.exp_map(TWO_PI, 0.0, 1.0)
+    imap = ce.IntervalMap(TWO_PI, (0.0, 1.0))
     assert imap.image == pytest.approx((1.0, np.e), rel=1e-14)
-    assert ce.exp_map(1.0, 0.0, 1.0).image[1] == pytest.approx(np.exp(TWO_PI), rel=1e-14)
+    assert ce.IntervalMap(1.0, (0.0, 1.0)).image[1] == pytest.approx(np.exp(TWO_PI), rel=1e-14)
     # doubling beta halves the exponent rate
-    m1 = ce.exp_map(2.0, 0.0, 1.0)
-    m2 = ce.exp_map(4.0, 0.0, 1.0)
+    m1 = ce.IntervalMap(2.0, (0.0, 1.0))
+    m2 = ce.IntervalMap(4.0, (0.0, 1.0))
     assert m2.apply(1.0) ** 2 == pytest.approx(m1.apply(1.0), rel=1e-12)
     # half-line region maps into (0, 1): the relative-commutant interval
-    m = ce.exp_map(TWO_PI, -30.0, 0.0)
+    m = ce.IntervalMap(TWO_PI, (-30.0, 0.0))
     assert 0.0 < m.image[0] < m.image[1] == pytest.approx(1.0)
 
 
@@ -167,14 +167,14 @@ def test_exp_map_images():
 # the translated images expm1(wu) keep the defect near rounding
 @pytest.mark.parametrize("beta", [1.0, 2.0, np.pi, TWO_PI, 10.0, 1e6, 1e12])
 def test_isomorphism_identity(beta):
-    imap = ce.exp_map(beta, 0.0, 1.0)
+    imap = ce.IntervalMap(beta, (0.0, 1.0))
     us = np.linspace(0.03, 0.97, 11)
     grid = [(u, v) for u in us for v in us if abs(u - v) > 1e-3]
     assert ce.verify_isomorphism(imap, grid) < 1e-10
 
 
 def test_isomorphism_diagonal_behavior():
-    imap = ce.exp_map(TWO_PI, 0.0, 1.0)
+    imap = ce.IntervalMap(TWO_PI, (0.0, 1.0))
     with pytest.raises(DomainError):
         ce.verify_isomorphism(imap, [(0.5, 0.5)])
     th = ce.thermal_kernel(TWO_PI)
@@ -191,7 +191,7 @@ def test_isomorphism_overflow_is_not_a_pass():
     # at beta = 1e-3, exp(2 pi u / beta) overflows: the defect is NaN, never
     # a running max() that keeps 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        imap = ce.exp_map(1e-3, 0.0, 1.0)
+        imap = ce.IntervalMap(1e-3, (0.0, 1.0))
         defect = ce.verify_isomorphism(imap, [(0.1, 0.9), (0.9, 0.1)])
     assert not defect < 1.0
 
@@ -215,12 +215,12 @@ def test_isomorphism_blocks_match_one_shot(n):
     rng = np.random.default_rng(11)
     grid = rng.uniform(0.02, 0.98, (n, 2))
     for beta in (1.0, TWO_PI, 1e6):
-        imap = ce.exp_map(beta, 0.0, 1.0)
+        imap = ce.IntervalMap(beta, (0.0, 1.0))
         assert ce.verify_isomorphism(imap, grid) == _isomorphism_one_shot(imap, grid)
     # a NaN in the last block is not hidden by the earlier blocks' maxima
     grid[-1, 0] = np.nan
     with np.errstate(invalid="ignore"):
-        defect = ce.verify_isomorphism(ce.exp_map(TWO_PI, 0.0, 1.0), grid)
+        defect = ce.verify_isomorphism(ce.IntervalMap(TWO_PI, (0.0, 1.0)), grid)
     assert np.isnan(defect)
 
 
@@ -231,7 +231,7 @@ def test_isomorphism_holds_one_block(traced_peak):
     U, V = np.meshgrid(us, us, indexing="ij")
     off = np.abs(U - V) > 1e-4
     grid = np.column_stack((U[off], V[off]))[:20000]
-    imap = ce.exp_map(TWO_PI, 0.0, 1.0)
+    imap = ce.IntervalMap(TWO_PI, (0.0, 1.0))
     assert traced_peak(lambda: ce.verify_isomorphism(imap, grid)) < 0.5
 
 

@@ -166,14 +166,17 @@ def test_lattice_size_cap_rejected_before_any_build(tmp_path, monkeypatch, capsy
                                                            (cbc.MAX_SITES,))
 
 
-def test_json_config(tmp_path):
+def test_json_config(tmp_path, capsys):
+    # INI is the one config syntax: a JSON file is a malformed config
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"thermal-map": {"grid_n": 25}}))
-    cfg = cbc.load_config("thermal-map", p)
-    assert cfg["grid_n"] == 25
-    assert cfg["betas"] == (1.0, 6.283185307179586)   # defaults fill the rest
-    p.write_text(json.dumps({"thermal-map": {"betas": [1.0, 2.0]}}))
-    assert cbc.load_config("thermal-map", p)["betas"] == (1.0, 2.0)
+    with pytest.raises(ConfigurationError, match="config parse error"):
+        cbc.load_config("thermal-map", p)
+    capsys.readouterr()
+    assert main(["thermal-map", "--config", str(p),
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert "config parse error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unknown_experiment():
@@ -191,8 +194,8 @@ def test_thermal_map_grid_is_the_ordered_off_diagonal_pair_list(
         return 0.0
 
     monkeypatch.setattr(suites.ce, "verify_isomorphism", capture)
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({"thermal-map": {"grid_n": grid_n}}))
+    p = tmp_path / "c.ini"
+    p.write_text(f"[thermal-map]\ngrid_n = {grid_n}\n")
     cfg = cbc.load_config("thermal-map", p)
     run_experiment(cfg, tmp_path)
     us = np.linspace(0.02, 0.98, int(np.sqrt(grid_n)) + 1)
@@ -305,8 +308,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     # unreadable or malformed files, and list keys that would pass vacuously
     for suite, text in (
         ("thermal-map", None),                               # missing file
-        ("thermal-map", '{"thermal-map": {"grid_n": 25'),    # malformed JSON
-        ("thermal-map", '{"thermal-map": [1]}'),             # block not an object
+        ("thermal-map", "[thermal-map\ngrid_n = 25\n"),       # malformed header
+        ("thermal-map", "[thermal-map]\ngrid_n\n"),            # line without a value
         ("thermal-map", "[thermal-map]\nbetas =\n"),
         ("unruh", "[unruh]\naccelerations =\n"),
         ("zf-algebra", "[zf-algebra]\ncouplings =\n"),
@@ -316,12 +319,12 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         ("entropy-scan", "[entropy-scan]\nlengths = 8, 8, 8, 8\n"),
         ("entropy-scan", "[entropy-scan]\nlengths = 8, 8.2, 8.3, 8.4\n"),
         ("entropy-scan", "[entropy-scan]\npurity_sizes = 64.7\n"),
-        # every count is an integer in JSON too, and no number is a boolean
-        ("zf-algebra", '{"zf-algebra": {"k_max": 3.9}}'),
-        ("crossing", '{"crossing": {"grid_n": 25.7}}'),
-        ("crossing", '{"crossing": {"grid_n": true}}'),
-        ("ej-fluct", '{"ej-fluct": {"beta": true}}'),
-        ("thermal-map", '{"thermal-map": {"betas": [true, 2.0]}}'),
+        # every count is an integer, and no number is a boolean
+        ("zf-algebra", "[zf-algebra]\nk_max = 3.9\n"),
+        ("crossing", "[crossing]\ngrid_n = 25.7\n"),
+        ("crossing", "[crossing]\ngrid_n = true\n"),
+        ("ej-fluct", "[ej-fluct]\nbeta = true\n"),
+        ("thermal-map", "[thermal-map]\nbetas = true, 2.0\n"),
         # the in/out sequence creates four particles: k_max = 3 cannot pass
         ("zf-algebra", "[zf-algebra]\nk_max = 3\n"),
         # entries outside the engine's domain, rejected before any scan runs
@@ -444,6 +447,33 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
         assert main(["entropy-scan", "--config", str(cfg), "--out", str(out)]) == 3
     assert {p.name: p.read_bytes() for p in done.iterdir()} == before
     assert list(fresh.iterdir()) == []
+
+
+def test_failed_verify_all_leaves_the_output_directory_as_it_was(tmp_path,
+                                                                  monkeypatch):
+    # the suites write into a staging directory that moves into --out only
+    # once every suite has returned, so a verify-all that stops with an
+    # error, serial or parallel, rewrites no file of an earlier run, writes
+    # nothing into a fresh directory and leaves no staging directory
+    def snapshot(d):
+        return {p.name: p.is_file() and p.read_bytes() for p in d.iterdir()}
+
+    done = tmp_path / "done"
+    assert main(["verify-all", "--out", str(done)]) == 0
+    before = snapshot(done)
+    assert "verify-all_manifest.json" in before and all(before.values())
+
+    def failing_calibration(*args, **kwargs):
+        raise NumericError("calibration failed")
+
+    monkeypatch.setattr(ce, "entropy_relation_check", failing_calibration)
+    for parallel in ("1", "2"):
+        fresh = tmp_path / f"fresh-{parallel}"
+        for out in (done, fresh):
+            assert main(["verify-all", "--parallel", parallel,
+                         "--out", str(out)]) == 3
+        assert snapshot(done) == before
+        assert list(fresh.iterdir()) == []
 
 
 # No suite imports scipy: charge-scaling's D = 2 transform takes J0 and J1

@@ -32,7 +32,7 @@ def _instances():
         cf.ScalingReport((), 1.0, False, 1.0),
         cf.ChargeLimitReport(True, 0.0, 0.0),
         ce.ChiralKernel("thermal", 2.0),
-        ce.exp_map(2.0, 0.0, 1.0),
+        ce.IntervalMap(2.0, (0.0, 1.0)),
         ce.EJComparison(1.0, 1.0, 0.0),
         ce.EntropyRelationReport((), 1.0, 1.0, 1.0, 1.0),
         g,
@@ -70,9 +70,21 @@ def test_record_is_immutable(obj):
     (lambda: cz.SMatrixModel(4.0), ConfigurationError),
     (lambda: wk.WightmanModel(1.0, 2), ConfigurationError),
     (lambda: wk.Trajectory(0.0, [0.0, 1.0]), ConfigurationError),
+    # a NaN fails every comparison, so each check is written to fail on it
+    (lambda: gc.HarmonicLattice(8, np.nan), ConfigurationError),
+    (lambda: cf.PartialChargeSpec(4.0, np.nan, 1.0), ConfigurationError),
+    (lambda: wk.WightmanModel(np.nan, 4), ConfigurationError),
+    (lambda: wk.Trajectory(np.nan, [0.0, 1.0]), ConfigurationError),
+    # the map checks its own beta: a negative one inverts the image
+    (lambda: ce.IntervalMap(-1.0, (0.0, 1.0)), ConfigurationError),
+    (lambda: ce.IntervalMap(0.0, (0.0, 1.0)), ConfigurationError),
+    (lambda: ce.IntervalMap(np.inf, (0.0, 1.0)), ConfigurationError),
 ], ids=["HarmonicLattice", "ScalarModel", "PartialChargeSpec", "ChiralKernel",
         "IntervalMap", "WedgeTestFn", "SMatrixModel", "WightmanModel",
-        "Trajectory"])
+        "Trajectory", "HarmonicLattice-nan-mass", "PartialChargeSpec-nan-ramp",
+        "WightmanModel-nan-mass", "Trajectory-nan-acceleration",
+        "IntervalMap-negative-beta", "IntervalMap-zero-beta",
+        "IntervalMap-infinite-beta"])
 def test_validated_spec_rejects_a_bad_input(build, error):
     with pytest.raises(error):
         build()
