@@ -4,7 +4,7 @@ machine-readable pass/fail manifests."""
 
 from .config import ExperimentConfig, EXPERIMENTS
 from .manifest import Record, RunManifest
-from .suites import run_experiment, verify_all
+from .suites import run_experiment, verify_all, write_run
 
 __all__ = [
     "ExperimentConfig",
@@ -13,4 +13,5 @@ __all__ = [
     "RunManifest",
     "run_experiment",
     "verify_all",
+    "write_run",
 ]

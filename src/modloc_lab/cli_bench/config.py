@@ -11,16 +11,22 @@ from ..chiral_ej import CALIBRATION_SITES
 from ..errors import ConfigurationError
 
 
-def _list(entry, min_len):
+def _list(entry, min_len, name_format=None):
     """Converter for a comma-separated list of numbers with at least
     min_len distinct entries, so that a short or repeated list cannot drop
-    its checks or make a fit vacuous."""
+    its checks or make a fit vacuous.  Where each entry names records, by
+    its text in name_format, no two entries may give one name."""
     def conv(s):
         vals = tuple(entry(tok) for tok in s.split(",") if tok.strip())
         distinct = len(set(vals))
         if distinct < min_len:
             raise ValueError(
                 f"got {distinct} distinct entries, needs at least {min_len}")
+        texts = [format(v, name_format) for v in vals] if name_format else []
+        for i, text in enumerate(texts):
+            if texts.index(text) < i:
+                raise ValueError(f"entries {vals[texts.index(text)]!r} and "
+                                 f"{vals[i]!r} both name records {text!r}")
         return vals
     return conv
 
@@ -47,7 +53,7 @@ _SCHEMAS = {
         # below beta ~ 0.0174 the transported vacuum kernel on the
         # u in [0.02, 0.98] grid overflows; above beta ~ 1e153 the squared
         # image differences underflow and the defect reads NaN
-        "betas": (_list(float, 1), (1.0, 6.283185307179586), (0.02, 1e100)),
+        "betas": (_list(float, 1, "g"), (1.0, 6.283185307179586), (0.02, 1e100)),
         # in row_blocks: the suite peaks at 34.7 MiB at the cap
         "grid_n": (int, 100, (4, 100000)),
     },
@@ -61,7 +67,7 @@ _SCHEMAS = {
         "thermal_n_sites": (int, 1200, (64, MAX_SITES)),
         "thermal_beta": (float, 6.283185307179586, (1e-3, 1e3)),
         "thermal_lengths": (_list(int, 4), (40, 80, 120, 160, 200, 240), None),
-        "purity_sizes": (_list(int, 1), (512, 2048), (2, MAX_SITES)),
+        "purity_sizes": (_list(int, 1, "d"), (512, 2048), (2, MAX_SITES)),
         "eps_values": (_list(float, 4), (1.0, 0.5, 0.25, 0.125), _POSITIVE),
         "eps_interval": (int, 48, (8, MAX_SITES)),
     },
@@ -80,7 +86,7 @@ _SCHEMAS = {
         # detailed balance reads 1e-9 to 1e-8 from a = 1e-150 to 1e153;
         # below that the proper-time grid loses its digits (1.6e-5 at
         # 1e-155, a numeric error at 1e-160), and above it a**2 overflows
-        "accelerations": (_list(float, 1), (0.5, 1.0, 2.0), (1e-100, 1e100)),
+        "accelerations": (_list(float, 1, "g"), (0.5, 1.0, 2.0), (1e-100, 1e100)),
     },
     "crossing": {
         # the engine works at mass 1, lengths in Compton wavelengths: any
@@ -92,7 +98,7 @@ _SCHEMAS = {
         "grid_n": (int, 20, (4, 200)),
     },
     "zf-algebra": {
-        "couplings": (_list(float, 1), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
+        "couplings": (_list(float, 1, "g"), (0.3, 1.0, 2.5), _open(0.0, math.pi)),
         # the suite's in/out sequence creates four particles before it
         # annihilates one, so a k_max below 4 fails truncation-leakage
         "k_max": (int, 4, (4, 6)),

@@ -21,12 +21,12 @@ from pathlib import Path
 from ..errors import ConfigurationError, ModlocError
 from .config import EXPERIMENTS, load_config
 from .manifest import FAIL
-from .suites import run_experiment, verify_all
+from .suites import run_experiment, verify_all, write_run
 
 
 def _make_dir(path):
-    """Create an output directory before anything runs; a path that cannot
-    be one is a rejected value."""
+    """Create an output directory before anything runs, the one place that
+    does; a path that cannot be one is a rejected value."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -100,8 +100,8 @@ def main(argv=None):
                                   only=args.only)
             return _report(manifest)
         cfg = load_config(args.command, args.config)
-        manifest = run_experiment(cfg, _out_dir(args))
-        return _report(manifest)
+        out = _out_dir(args)
+        return _report(write_run(out, run_experiment(cfg)))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

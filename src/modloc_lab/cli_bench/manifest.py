@@ -81,6 +81,7 @@ class RunManifest:
         self.experiment = experiment
         self.config = config
         self.records = []
+        self.tables = []        # (table, header, columns) triples to write
         self.files = {}
 
     def extend(self, records):
@@ -95,8 +96,6 @@ class RunManifest:
         return all(v in (PASS, UNVERIFIED) for v in self.verdicts)
 
     def write(self, out_dir):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "experiment": self.experiment,
             "artifact_version": __version__,
@@ -107,10 +106,9 @@ class RunManifest:
             "files": self.files,
             "passed": self.passed,
         }
-        path = out_dir / f"{self.experiment}_manifest.json"
+        path = Path(out_dir) / f"{self.experiment}_manifest.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-        return path
 
 
 def write_csv(out_dir, experiment, table_name, header, columns):
@@ -118,10 +116,9 @@ def write_csv(out_dir, experiment, table_name, header, columns):
     format, one format string per row; columns is a sequence of equal-length
     columns, one per header name (empty for a table without rows).  The rows
     are stacked, formatted, hashed and written _CSV_ROWS at a time, so only
-    one block of the table and its text is held; returns (path, digest)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{experiment}_{table_name}.csv"
+    one block of the table and its text is held; out_dir must exist.
+    Returns (path, digest)."""
+    path = Path(out_dir) / f"{experiment}_{table_name}.csv"
     row_format = ",".join([_FLOAT_FORMAT] * len(header)) + "\n"
     n_rows = len(columns[0]) if len(columns) else 0
 

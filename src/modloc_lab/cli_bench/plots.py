@@ -18,7 +18,6 @@ def _read_csv(path):
 
 def _write_dat(out_dir, name, columns, rows):
     path = Path(out_dir) / f"{name}.dat"
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# " + " ".join(columns)]
     for row in rows:
         lines.append(" ".join(format_float(v) for v in row))
@@ -67,6 +66,7 @@ _RULES = {
 
 
 def emit_plots(run_dir, out_dir=None):
+    """Write the .dat files into out_dir, which exists, or else run_dir."""
     run_dir = Path(run_dir)
     out_dir = Path(out_dir) if out_dir else run_dir
     written = []

@@ -1,12 +1,8 @@
 """The seven verification suites.  Each runs the relevant module
 operations at desk scale, appends one manifest record per claim checked,
-and returns its CSV tables as (table, header, columns) triples, which
-run_experiment writes once the suite has returned."""
-
-import os
-import shutil
-import tempfile
-from pathlib import Path
+and returns its CSV tables as (table, header, columns) triples.  The suites
+compute and write_run writes: a caller writes once every suite it runs has
+returned, so a run that raises writes no file."""
 
 import numpy as np
 
@@ -444,12 +440,19 @@ _SUITES = {
 }
 
 
-def run_experiment(cfg, out_dir):
-    """Run one suite, then write its CSVs and, last, its manifest: a suite
-    that raises leaves out_dir as it was."""
+def run_experiment(cfg):
+    """Run one suite; its manifest holds the records and, in tables, the
+    (table, header, columns) triples.  No file is written."""
     man = RunManifest(cfg.experiment, dict(cfg.params))
-    for table, header, columns in _SUITES[cfg.experiment](cfg, man):
-        path, digest = write_csv(out_dir, cfg.experiment, table, header, columns)
+    man.tables = _SUITES[cfg.experiment](cfg, man)
+    return man
+
+
+def write_run(out_dir, man):
+    """Write a run's CSVs into out_dir, which exists, then its manifest,
+    which digests them."""
+    for table, header, columns in man.tables:
+        path, digest = write_csv(out_dir, man.experiment, table, header, columns)
         man.files[path.name] = digest
     man.write(out_dir)
     return man
@@ -472,38 +475,28 @@ PARALLEL_ORDER = ("charge-scaling", "entropy-scan", "unruh", "crossing",
 
 
 def verify_all(out_dir, parallel=1, only=None):
-    """Every suite at default desk-scale parameters; aggregate manifest.
-    The suites write into a staging directory inside out_dir, whose files
-    move into out_dir, the aggregate manifest last, only once every suite
-    has returned: a run that raises leaves out_dir as it was."""
+    """Every suite at default desk-scale parameters, then their files and
+    the aggregate manifest, written into out_dir, which exists, only once
+    every suite has returned: a run that raises writes no file.  A parallel
+    run stops at the first suite that raises and starts no other."""
     names = list(EXPERIMENTS if only is None else only)
-    manifests = {}
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".verify-all-", dir=out_dir))
+    if parallel > 1:
+        import concurrent.futures   # threading and logging: 0.4-0.5 MiB
+        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
+            futs = {name: ex.submit(run_experiment, load_config(name))
+                    for name in sorted(names, key=PARALLEL_ORDER.index)}
+            for fut in concurrent.futures.as_completed(futs.values()):
+                if fut.exception() is not None:
+                    ex.shutdown(cancel_futures=True)
+                    fut.result()                # re-raises
+        manifests = [futs[name].result() for name in names]
+    else:
+        manifests = [run_experiment(load_config(name)) for name in names]
 
-    def _run(name):
-        return run_experiment(load_config(name), staging)
-
-    try:
-        if parallel > 1:
-            import concurrent.futures   # threading and logging: 0.4-0.5 MiB
-            with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
-                futs = {name: ex.submit(_run, name)
-                        for name in sorted(names, key=PARALLEL_ORDER.index)}
-                for name in names:              # fixed order, schedule-free
-                    manifests[name] = futs[name].result()
-        else:
-            for name in names:
-                manifests[name] = _run(name)
-
-        agg = RunManifest("verify-all", {"suites": names})
-        for name in names:
-            agg.extend(manifests[name].records)
-            agg.files.update(manifests[name].files)
-        last = agg.write(staging)
-        for path in sorted(staging.iterdir(), key=lambda p: p == last):
-            os.replace(path, out_dir / path.name)
-    finally:
-        shutil.rmtree(staging)
+    agg = RunManifest("verify-all", {"suites": names})
+    for man in manifests:                   # requested order, schedule-free
+        write_run(out_dir, man)
+        agg.extend(man.records)
+        agg.files.update(man.files)
+    agg.write(out_dir)
     return agg

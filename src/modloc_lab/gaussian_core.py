@@ -54,8 +54,8 @@ class HarmonicLattice(_HarmonicLatticeFields):
     __slots__ = ()
 
     def __new__(cls, n_sites, mass, ir_regulator=None):
-        if not (n_sites >= 2):
-            raise ConfigurationError("n_sites must be >= 2")
+        if not (isinstance(n_sites, (int, np.integer)) and n_sites >= 2):
+            raise ConfigurationError("n_sites must be an integer >= 2")
         if not (mass >= 0):
             raise ConfigurationError("mass must be >= 0")
         if mass == 0.0:

@@ -62,8 +62,8 @@ class Trajectory(_TrajectoryFields):
     __slots__ = ()
 
     def __new__(cls, acceleration, tau_grid):
-        if not (acceleration > 0):
-            raise ConfigurationError("acceleration must be positive")
+        if not 0.0 < acceleration < np.inf:
+            raise ConfigurationError("acceleration must be finite and positive")
         return super().__new__(cls, acceleration, np.asarray(tau_grid, float))
 
     @classmethod

@@ -20,14 +20,13 @@ BOOL = ("none", None)           # comparator and tolerance of a check_bool recor
 
 
 @pytest.fixture(scope="module")
-def suite(tmp_path_factory):
+def suite():
     """suite(name) -> (manifest, seconds spent in run_experiment); each
     suite runs at most once per module."""
     @functools.cache
     def run(name):
-        out = tmp_path_factory.mktemp(name)
         t0 = time.perf_counter()
-        man = run_experiment(load_config(name), out)
+        man = run_experiment(load_config(name))
         return man, time.perf_counter() - t0
     return run
 

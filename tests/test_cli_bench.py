@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from modloc_lab.cli_bench import manifest, plots, suites
 from modloc_lab.cli_bench.main import build_parser, main
 from modloc_lab.cli_bench.manifest import (RunManifest, check_less,
                                            format_float, unverified, write_csv)
-from modloc_lab.cli_bench.suites import run_experiment, verify_all
+from modloc_lab.cli_bench.suites import run_experiment, verify_all, write_run
 from modloc_lab.errors import ConfigurationError, NumericError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -135,13 +136,13 @@ def test_entropy_scan_poor_localization_fit_fails_its_record(tmp_path, capsys):
     assert verdicts["entropy-scan/thermal-fit-r2"] == "pass"
 
 
-def test_thermal_limit_fails_on_a_gibbs_state_at_half_beta(tmp_path, monkeypatch):
+def test_thermal_limit_fails_on_a_gibbs_state_at_half_beta(monkeypatch):
     # the record falls like exp(-beta m) on the 64-site chain, so a Gibbs
     # state at half the suite's beta must flip it
     build = gc.build_thermal_state
     monkeypatch.setattr(gc, "build_thermal_state",
                         lambda lattice, beta: build(lattice, beta / 2.0))
-    man = run_experiment(cbc.load_config("entropy-scan"), tmp_path)
+    man = run_experiment(cbc.load_config("entropy-scan"))
     limit, = (r for r in man.records if r.name == "entropy-scan/thermal-limit")
     assert limit.verdict == "fail"
     assert 1e-6 < limit.measured < 1e-5
@@ -197,7 +198,7 @@ def test_thermal_map_grid_is_the_ordered_off_diagonal_pair_list(
     p = tmp_path / "c.ini"
     p.write_text(f"[thermal-map]\ngrid_n = {grid_n}\n")
     cfg = cbc.load_config("thermal-map", p)
-    run_experiment(cfg, tmp_path)
+    run_experiment(cfg)
     us = np.linspace(0.02, 0.98, int(np.sqrt(grid_n)) + 1)
     ref = np.array([(u, v) for u in us for v in us
                     if abs(u - v) > 1e-4][:grid_n])
@@ -238,6 +239,7 @@ def test_write_csv_blocks_match_one_shot_text(tmp_path, traced_peak, n_rows):
     # strided array columns, as the crossing suite passes, and the tuples
     # that list(zip(*rows)) makes of a row list, as the other suites pass
     for form, columns in (("arrays", grid.T), ("tuples", list(zip(*grid.tolist())))):
+        (tmp_path / form).mkdir()
         path, digest = write_csv(tmp_path / form, "x", "grid", header, columns)
         assert path.read_bytes() == data
         assert digest == hashlib.sha256(data).hexdigest()
@@ -267,7 +269,7 @@ def test_builtin_sha256_matches_hashlib(n_bytes):
 
 def test_thermal_map_suite_end_to_end(tmp_path):
     cfg = cbc.load_config("thermal-map")
-    man = run_experiment(cfg, tmp_path)
+    man = write_run(tmp_path, run_experiment(cfg))
     assert man.passed
     assert (tmp_path / "thermal-map_manifest.json").exists()
     payload = json.loads((tmp_path / "thermal-map_manifest.json").read_text())
@@ -358,12 +360,24 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         ("entropy-scan", "[entropy-scan]\neps_values = 40, 50, 60, 70\n"),
         # a vacuum interval of the whole chain is pure
         ("entropy-scan", "[entropy-scan]\neps_interval = 250\n"),
+        # two entries that one record name reads would give two records of it
+        ("thermal-map", "[thermal-map]\nbetas = 6.2831853, 6.28318531, 1.0\n"),
+        ("thermal-map", "[thermal-map]\nbetas = 1.0, 1\n"),
+        ("unruh", "[unruh]\naccelerations = 1, 1.0\n"),
+        ("zf-algebra", "[zf-algebra]\ncouplings = 0.3, 0.3000001\n"),
+        ("entropy-scan", "[entropy-scan]\npurity_sizes = 512, 2048, 512\n"),
     ):
         path = tmp_path / "case.cfg"
         path.unlink(missing_ok=True)
         if text is not None:
             path.write_text(text)
         assert main([suite, "--config", str(path), "--out", out]) == 2, text
+    # the message names the key and both entries
+    path.write_text("[thermal-map]\nbetas = 6.2831853, 6.28318531\n")
+    capsys.readouterr()
+    assert main(["thermal-map", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "betas" in err and "entries 6.2831853 and 6.28318531" in err
     # the crossing engine works at mass 1 (lengths in Compton wavelengths):
     # any other mass is rejected before the suite runs
     for mass in (0.5, 2, 100, 1000):
@@ -423,9 +437,22 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
 
 
 def test_suites_take_only_config_and_manifest():
-    # a suite returns its tables; only run_experiment sees the output directory
+    # a suite returns its tables; only write_run sees the output directory
     for name, suite in suites._SUITES.items():
         assert tuple(inspect.signature(suite).parameters) == ("cfg", "man"), name
+    assert tuple(inspect.signature(run_experiment).parameters) == ("cfg",)
+
+
+def test_run_experiment_writes_no_file(tmp_path, monkeypatch):
+    # the suite computes; its tables wait in the manifest for write_run
+    monkeypatch.chdir(tmp_path)
+    man = run_experiment(cbc.load_config("thermal-map"))
+    assert list(tmp_path.iterdir()) == []
+    assert [t[0] for t in man.tables] == ["kernel_defect"] and not man.files
+    write_run(tmp_path, man)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "thermal-map_kernel_defect.csv", "thermal-map_manifest.json"]
+    assert list(man.files) == ["thermal-map_kernel_defect.csv"]
 
 
 def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
@@ -451,10 +478,9 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch)
 
 def test_failed_verify_all_leaves_the_output_directory_as_it_was(tmp_path,
                                                                   monkeypatch):
-    # the suites write into a staging directory that moves into --out only
-    # once every suite has returned, so a verify-all that stops with an
-    # error, serial or parallel, rewrites no file of an earlier run, writes
-    # nothing into a fresh directory and leaves no staging directory
+    # every suite computes before any file is written, so a verify-all that
+    # stops with an error, serial or parallel, rewrites no file of an
+    # earlier run and writes nothing, not even a directory, into a fresh one
     def snapshot(d):
         return {p.name: p.is_file() and p.read_bytes() for p in d.iterdir()}
 
@@ -610,16 +636,17 @@ def test_modloc_out_env_override(tmp_path, monkeypatch):
 def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_experiment(cbc.load_config("zf-algebra"), a)
-    run_experiment(cbc.load_config("zf-algebra"), b)
+    for out in (a, b):
+        out.mkdir()
+        write_run(out, run_experiment(cbc.load_config("zf-algebra")))
     fa = (a / "zf-algebra_defects.csv").read_bytes()
     fb = (b / "zf-algebra_defects.csv").read_bytes()
     assert fa == fb
 
 
 def test_emit_plots(tmp_path):
-    run_experiment(cbc.load_config("thermal-map"), tmp_path)
-    run_experiment(cbc.load_config("zf-algebra"), tmp_path)
+    write_run(tmp_path, run_experiment(cbc.load_config("thermal-map")))
+    write_run(tmp_path, run_experiment(cbc.load_config("zf-algebra")))
     written = plots.emit_plots(tmp_path)
     names = {p.name for p in written}
     assert "thermal-map_defect_vs_beta.dat" in names
@@ -648,8 +675,7 @@ def test_emit_plots_honours_modloc_out(tmp_path, monkeypatch):
     assert not list(run_dir.glob("*.dat"))
 
 
-def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,
-                                                                 monkeypatch):
+def test_unruh_suite_builds_and_transforms_each_correlator_once(monkeypatch):
     # the default scan holds a = 1, so the negative control, the Planck
     # check and the a = 1 checks share one pullback and one set of
     # transforms: no correlator is transformed twice, at any frequencies
@@ -669,7 +695,7 @@ def test_unruh_suite_builds_and_transforms_each_correlator_once(tmp_path,
     monkeypatch.setattr(wk, "_windowed_transforms", counted_transforms)
     cfg = cbc.load_config("unruh")
     assert 1.0 in cfg["accelerations"]
-    assert run_experiment(cfg, tmp_path).passed
+    assert run_experiment(cfg).passed
     assert len(built) == len(set(built))
     assert len(transformed) == len(set(transformed))
 
@@ -688,6 +714,8 @@ def test_verify_all_subset_and_parallel(tmp_path):
 
 def test_verify_all_serial_matches_parallel(tmp_path):
     only = ["thermal-map", "entropy-scan", "crossing", "zf-algebra"]
+    (tmp_path / "serial").mkdir()
+    (tmp_path / "parallel").mkdir()
     serial = verify_all(tmp_path / "serial", parallel=1, only=only)
     threaded = verify_all(tmp_path / "parallel", parallel=2, only=only)
     assert [r.name for r in serial.records] == [r.name for r in threaded.records]
@@ -721,18 +749,50 @@ def test_verify_all_submits_in_parallel_order(tmp_path, monkeypatch, only):
 
     class RecordingPool(pool):
         def submit(self, fn, *args, **kwargs):
-            submitted.append(args[0])
+            submitted.append(args[0].experiment)
             return super().submit(fn, *args, **kwargs)
 
     # verify_all imports the pool when it runs, so it finds the patch
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     for parallel in (2, 1):
         submitted.clear()
+        (tmp_path / str(parallel)).mkdir()
         agg = verify_all(tmp_path / str(parallel), parallel=parallel, only=only)
         assert [r.name for r in agg.records] == [f"{n}/stub" for n in names]
         assert agg.config["suites"] == names
         expected = [n for n in suites.PARALLEL_ORDER if n in names]
         assert submitted == (expected if parallel > 1 else [])
+
+
+def test_failing_parallel_verify_all_starts_no_further_suite(tmp_path,
+                                                               monkeypatch):
+    # the pool is waited on in completion order, and the first suite that
+    # raises cancels every suite not yet started: beside it run at most the
+    # pool's other workers and one that a freed worker takes before the cancel
+    first = suites.PARALLEL_ORDER[0]
+
+    def stub_suite(cfg, man):
+        if cfg.experiment == first:
+            raise NumericError("stub failure")
+        time.sleep(0.2)
+        return []
+
+    for name in cbc.EXPERIMENTS:
+        monkeypatch.setitem(suites._SUITES, name, stub_suite)
+    started = []
+    run = suites.run_experiment
+
+    def counted(cfg):
+        started.append(cfg.experiment)
+        return run(cfg)
+
+    monkeypatch.setattr(suites, "run_experiment", counted)
+    parallel = 2
+    with pytest.raises(NumericError, match="stub failure"):
+        verify_all(tmp_path, parallel=parallel)
+    assert first in started
+    assert len(started) <= parallel + 1, started
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_verdict_logic():

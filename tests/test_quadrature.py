@@ -107,7 +107,7 @@ def _lstsq_fit(x, y):
     return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
 
 
-def test_linear_fit_matches_lstsq_on_the_suite_fits(tmp_path, monkeypatch):
+def test_linear_fit_matches_lstsq_on_the_suite_fits(monkeypatch):
     # the x and y of every fit charge-scaling (six) and entropy-scan (four:
     # one per claim, the calibration reads its scan's fit) make at their
     # default configs; measured at most 3.9e-15 apart
@@ -120,7 +120,7 @@ def test_linear_fit_matches_lstsq_on_the_suite_fits(tmp_path, monkeypatch):
     for module in (cf, ce, gc):
         monkeypatch.setattr(module, "linear_fit", recorded)
     for name in ("charge-scaling", "entropy-scan"):
-        run_experiment(load_config(name), tmp_path)
+        run_experiment(load_config(name))
     assert len(fits) == 10
     for x, y in fits:
         got, ref = quad.linear_fit(x, y), _lstsq_fit(x, y)

@@ -79,12 +79,17 @@ def test_record_is_immutable(obj):
     (lambda: ce.IntervalMap(-1.0, (0.0, 1.0)), ConfigurationError),
     (lambda: ce.IntervalMap(0.0, (0.0, 1.0)), ConfigurationError),
     (lambda: ce.IntervalMap(np.inf, (0.0, 1.0)), ConfigurationError),
+    # an infinite acceleration pulls back to NaN, and a fractional chain
+    # has no mode set
+    (lambda: wk.Trajectory(np.inf, [0.0, 1.0]), ConfigurationError),
+    (lambda: gc.HarmonicLattice(8.5, 1.0), ConfigurationError),
 ], ids=["HarmonicLattice", "ScalarModel", "PartialChargeSpec", "ChiralKernel",
         "IntervalMap", "WedgeTestFn", "SMatrixModel", "WightmanModel",
         "Trajectory", "HarmonicLattice-nan-mass", "PartialChargeSpec-nan-ramp",
         "WightmanModel-nan-mass", "Trajectory-nan-acceleration",
         "IntervalMap-negative-beta", "IntervalMap-zero-beta",
-        "IntervalMap-infinite-beta"])
+        "IntervalMap-infinite-beta", "Trajectory-infinite-acceleration",
+        "HarmonicLattice-fractional-sites"])
 def test_validated_spec_rejects_a_bad_input(build, error):
     with pytest.raises(error):
         build()
